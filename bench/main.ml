@@ -1260,8 +1260,8 @@ let print_serve ~jobs () =
   in
   let srv =
     Serve.start
-      (Serve.config ~store ~workers:(max 1 jobs) ~job_timeout_s:120.
-         ~resolve socket)
+      ~executor:(Serve.in_process ~store ~workers:(max 1 jobs) ())
+      (Serve.config ~job_timeout_s:120. ~resolve socket)
   in
   (* Served leg: one client thread per obligation, all concurrent. *)
   let n = List.length names in
@@ -1409,8 +1409,8 @@ let print_serve ~jobs () =
 
 (* ---- sharded fleet: 1 vs 4 workers, crash injection ---- *)
 
-(* The multi-process counterpart of the serve bench (DESIGN.md §17): the
-   same obligation suite pushed through a shard coordinator, first with a
+(* The multi-process counterpart of the serve bench (DESIGN.md §16): the
+   same obligation suite pushed through the fleet executor, first with a
    1-worker fleet, then with 4 workers, each worker a real
    [Shard.Worker.run] lease loop with its own domain pool and a
    fleet-shared verdict store. Verdict parity against the direct batch is
@@ -1472,10 +1472,10 @@ let print_shard ~jobs () =
         (Printf.sprintf "aqed_bench_shard.%d.%s.sock" (Unix.getpid ()) tag)
     in
     let store = Store.open_store (Filename.concat dir tag) in
+    let fleet = Shard.Fleet.create () in
     let srv =
-      Shard.Coordinator.start
-        (Shard.Coordinator.config ~capacity:(n + 4) ~job_timeout_s:120.
-           socket)
+      Serve.start ~executor:(Shard.Fleet.executor fleet)
+        (Serve.config ~capacity:(n + 4) ~job_timeout_s:120. ~resolve socket)
     in
     let ws =
       List.init workers (fun i ->
@@ -1511,13 +1511,13 @@ let print_shard ~jobs () =
     in
     List.iter Thread.join threads;
     let wall = Unix.gettimeofday () -. t0 in
-    Shard.Coordinator.stop srv;
-    let sm = Shard.Coordinator.wait srv in
+    Serve.stop srv;
+    let sm = Serve.wait srv in
     List.iter Thread.join ws;
-    (outcomes, wall, sm)
+    (outcomes, wall, sm, Shard.Fleet.stats fleet)
   in
-  let o1, wall1, sm1 = fleet_leg ~tag:"w1" ~workers:1 in
-  let o4, wall4, sm4 = fleet_leg ~tag:"w4" ~workers:4 in
+  let o1, wall1, sm1, st1 = fleet_leg ~tag:"w1" ~workers:1 in
+  let o4, wall4, sm4, st4 = fleet_leg ~tag:"w4" ~workers:4 in
   pf "%s\n" (line 80);
   pf "%-24s %-10s %-10s %-10s | %8s %8s\n" "obligation" "direct" "1-worker"
     "4-worker" "w1(s)" "w4(s)";
@@ -1543,15 +1543,12 @@ let print_shard ~jobs () =
       (List.combine names direct.Aqed.Check.entries)
   in
   pf "%s\n" (line 80);
-  let leg_ok (sm : Shard.Coordinator.stats) =
-    sm.Shard.Coordinator.st_accepted = n
-    && sm.Shard.Coordinator.st_completed = n
-    && sm.Shard.Coordinator.st_timeouts = 0
-    && sm.Shard.Coordinator.st_errors = 0
-    && sm.Shard.Coordinator.st_worker_deaths = 0
-    && sm.Shard.Coordinator.st_accepted
-       = sm.Shard.Coordinator.st_completed
-         + sm.Shard.Coordinator.st_timeouts + sm.Shard.Coordinator.st_errors
+  let leg_ok (sm : Serve.summary) (st : Shard.Fleet.stats) =
+    sm.Serve.sm_accepted = n
+    && sm.Serve.sm_completed = n
+    && sm.Serve.sm_timeouts = 0
+    && sm.Serve.sm_errors = 0
+    && st.Shard.Fleet.st_worker_deaths = 0
   in
   let speedup = if wall4 > 0. then wall1 /. wall4 else 0. in
   pf "1-worker %.3fs, 4-worker %.3fs — %.1fx (recorded, not gated)\n" wall1
@@ -1577,11 +1574,13 @@ let print_shard ~jobs () =
         Filename.concat (Filename.get_temp_dir_name ())
           (Printf.sprintf "aqed_bench_shard.%d.crash.sock" (Unix.getpid ()))
       in
-      (* The coordinator never builds obligations; the CLI workers
-         resolve from the design registry. *)
+      (* The CLI workers resolve from the design registry; the front
+         end validates against the same registry at admission. *)
+      let fleet = Shard.Fleet.create () in
       let srv =
-        Shard.Coordinator.start
-          (Shard.Coordinator.config ~capacity:8 ~job_timeout_s:120. socket)
+        Serve.start ~executor:(Shard.Fleet.executor fleet)
+          (Serve.config ~capacity:8 ~job_timeout_s:120.
+             ~resolve:Cli.resolve_job socket)
       in
       let spawn name =
         Unix.create_process cli
@@ -1620,11 +1619,11 @@ let print_shard ~jobs () =
         else
           match
             List.find_opt
-              (fun (l : Shard.Coordinator.lease_view) ->
-                l.Shard.Coordinator.lv_design = "optflow")
-              (Shard.Coordinator.leases srv)
+              (fun (l : Shard.Fleet.lease_view) ->
+                l.Shard.Fleet.lv_design = "optflow")
+              (Shard.Fleet.leases fleet)
           with
-          | Some l -> Some l.Shard.Coordinator.lv_pid
+          | Some l -> Some l.Shard.Fleet.lv_pid
           | None ->
             Thread.delay 0.02;
             find_victim deadline
@@ -1643,8 +1642,9 @@ let print_shard ~jobs () =
       in
       Thread.join slow_th;
       List.iter Thread.join quick_ths;
-      Shard.Coordinator.stop srv;
-      let sm = Shard.Coordinator.wait srv in
+      Serve.stop srv;
+      let sm = Serve.wait srv in
+      let st = Shard.Fleet.stats fleet in
       (* Reap both children — the victim shows up signalled, the
          survivor exits 0 on drain. *)
       List.iter
@@ -1657,21 +1657,17 @@ let print_shard ~jobs () =
             match !o with Some (Serve.Client.Completed _) -> true | _ -> false)
           quick_outs
       in
-      let balance =
-        sm.Shard.Coordinator.st_accepted
-        = sm.Shard.Coordinator.st_completed
-          + sm.Shard.Coordinator.st_timeouts + sm.Shard.Coordinator.st_errors
-      in
       let ok =
         killed
         && slow_sig = "clean@20"
         && quick_done
-        && sm.Shard.Coordinator.st_accepted = 4
-        && sm.Shard.Coordinator.st_completed = 4
-        && sm.Shard.Coordinator.st_requeued >= 1
-        && sm.Shard.Coordinator.st_steals >= 1
-        && sm.Shard.Coordinator.st_worker_deaths >= 1
-        && balance
+        && sm.Serve.sm_accepted = 4
+        && sm.Serve.sm_completed = 4
+        && st.Shard.Fleet.st_requeued >= 1
+        && st.Shard.Fleet.st_steals >= 1
+        && st.Shard.Fleet.st_worker_deaths >= 1
+        && sm.Serve.sm_accepted
+           = sm.Serve.sm_completed + sm.Serve.sm_timeouts + sm.Serve.sm_errors
       in
       pf "crash leg: victim %s, orphaned job %s in %.3fs%s\n"
         (match victim with
@@ -1681,31 +1677,29 @@ let print_shard ~jobs () =
         (if ok then "" else "  << LOST JOBS OR BROKEN ACCOUNTING");
       pf "crash drain: %d accepted, %d completed, %d timeouts, %d errors; \
           %d leases, %d steals, %d requeued, %d worker deaths\n"
-        sm.Shard.Coordinator.st_accepted sm.Shard.Coordinator.st_completed
-        sm.Shard.Coordinator.st_timeouts sm.Shard.Coordinator.st_errors
-        sm.Shard.Coordinator.st_leases sm.Shard.Coordinator.st_steals
-        sm.Shard.Coordinator.st_requeued
-        sm.Shard.Coordinator.st_worker_deaths;
+        sm.Serve.sm_accepted sm.Serve.sm_completed sm.Serve.sm_timeouts
+        sm.Serve.sm_errors st.Shard.Fleet.st_leases st.Shard.Fleet.st_steals
+        st.Shard.Fleet.st_requeued st.Shard.Fleet.st_worker_deaths;
       ( ok,
         [
           ("victim_killed", Bool killed);
           ("orphan_verdict", Str slow_sig);
           ("orphan_wall_s", Num slow_wall);
-          ("accepted", Int sm.Shard.Coordinator.st_accepted);
-          ("completed", Int sm.Shard.Coordinator.st_completed);
-          ("timeouts", Int sm.Shard.Coordinator.st_timeouts);
-          ("errors", Int sm.Shard.Coordinator.st_errors);
-          ("leases", Int sm.Shard.Coordinator.st_leases);
-          ("steals", Int sm.Shard.Coordinator.st_steals);
-          ("requeued", Int sm.Shard.Coordinator.st_requeued);
-          ("worker_deaths", Int sm.Shard.Coordinator.st_worker_deaths);
+          ("accepted", Int sm.Serve.sm_accepted);
+          ("completed", Int sm.Serve.sm_completed);
+          ("timeouts", Int sm.Serve.sm_timeouts);
+          ("errors", Int sm.Serve.sm_errors);
+          ("leases", Int st.Shard.Fleet.st_leases);
+          ("steals", Int st.Shard.Fleet.st_steals);
+          ("requeued", Int st.Shard.Fleet.st_requeued);
+          ("worker_deaths", Int st.Shard.Fleet.st_worker_deaths);
         ] )
     end
   in
-  let ok = !parity && leg_ok sm1 && leg_ok sm4 && crash_ok in
+  let ok = !parity && leg_ok sm1 st1 && leg_ok sm4 st4 && crash_ok in
   if not ok then bench_failed := true;
   pf "fleet legs: %s; crash leg: %s\n"
-    (if !parity && leg_ok sm1 && leg_ok sm4 then "parity + exact accounting"
+    (if !parity && leg_ok sm1 st1 && leg_ok sm4 st4 then "parity + exact accounting"
      else "FAILURE (parity or accounting)")
     (if crash_ok then "zero lost jobs" else "FAILURE");
   record "shard"
@@ -1717,10 +1711,10 @@ let print_shard ~jobs () =
          ("wall_s_w1", Num wall1);
          ("wall_s_w4", Num wall4);
          ("speedup_w4_vs_w1", Num speedup);
-         ("leg1_ok", Bool (leg_ok sm1));
-         ("leg4_ok", Bool (leg_ok sm4));
-         ("leg1_leases", Int sm1.Shard.Coordinator.st_leases);
-         ("leg4_leases", Int sm4.Shard.Coordinator.st_leases);
+         ("leg1_ok", Bool (leg_ok sm1 st1));
+         ("leg4_ok", Bool (leg_ok sm4 st4));
+         ("leg1_leases", Int st1.Shard.Fleet.st_leases);
+         ("leg4_leases", Int st4.Shard.Fleet.st_leases);
          ("crash_ok", Bool crash_ok);
          ("crash", Obj crash_detail);
          ("rows", Arr rows);

@@ -617,32 +617,31 @@ let serve_journal ~store ~jobs journal =
           ~fingerprint ))
     journal
 
-(* serve --workers N: coordinator mode. The process owns the socket but
-   never solves — it leases obligations to N auto-spawned worker
-   processes (plus any standalone [aqed_cli worker] that joins later)
-   and accounts for the whole fleet. The drain line is byte-identical
-   to single-process serve's, so callers grepping it need not care
-   which mode answered. *)
-let cmd_serve_shard socket store_dir jobs workers capacity timeout idle
-    journal =
+(* The service front end over one of two executors: in-process (one
+   shared pool of -j domains) or, with --workers N, a fleet of N
+   auto-spawned worker processes (plus any standalone [aqed_cli worker]
+   that joins later). The drain line is the same in both modes; the
+   fleet adds one [shard:] line. *)
+let cmd_serve socket store_dir jobs workers capacity timeout idle journal =
   let store = Option.map Store.open_store store_dir in
-  let journal = serve_journal ~store ~jobs journal in
-  (* The coordinator validates specs at admission (so a typo'd design or
-     bug is a typed rejection on the submit path, same as the daemon's)
-     but builds no obligation itself — workers resolve their own. *)
-  let validate spec = Result.map ignore (resolve_job spec) in
-  let cfg =
-    Shard.Coordinator.config ~validate ~capacity ~job_timeout_s:timeout
-      ~idle_timeout_s:idle ?journal socket
+  let fleet = if workers > 0 then Some (Shard.Fleet.create ()) else None in
+  let executor =
+    match fleet with
+    | Some f -> Shard.Fleet.executor f
+    | None -> Serve.in_process ?store ~workers:(max 1 jobs) ()
   in
-  let srv = Shard.Coordinator.start cfg in
-  let drain _ = Shard.Coordinator.stop srv in
+  let cfg =
+    Serve.config ~capacity ~job_timeout_s:timeout ~idle_timeout_s:idle
+      ?journal:(serve_journal ~store ~jobs journal) ~resolve:resolve_job socket
+  in
+  let srv = Serve.start ~executor cfg in
+  let drain _ = Serve.stop srv in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
   Sys.set_signal Sys.sigint (Sys.Signal_handle drain);
-  (* Workers are full processes (fork+exec of this executable), each
-     with its own domain pool, all sharing the coordinator's socket and
-     the on-disk store. Safe here: the coordinator runs no Pool, so
-     there are no live domains to fork across. *)
+  (* Fleet workers are full processes (fork+exec of this executable),
+     each with its own domain pool, all sharing the socket and the
+     on-disk store. Safe here: the fleet executor runs no Pool, so there
+     are no live domains to fork across. *)
   let spawn i =
     let args =
       [ Sys.executable_name; "worker"; "--socket"; socket;
@@ -653,11 +652,20 @@ let cmd_serve_shard socket store_dir jobs workers capacity timeout idle
     Unix.create_process Sys.executable_name (Array.of_list args)
       Unix.stdin Unix.stdout Unix.stderr
   in
-  let pids = List.init workers spawn in
-  Printf.eprintf
-    "serve: coordinating on %s (%d workers spawned, capacity %d)\n%!"
-    socket workers cfg.Shard.Coordinator.capacity;
-  let s = Shard.Coordinator.wait srv in
+  let pids =
+    match fleet with
+    | None ->
+      Printf.eprintf "serve: listening on %s (%d workers, capacity %d)\n%!"
+        socket (max 1 jobs) cfg.Serve.capacity;
+      []
+    | Some _ ->
+      let pids = List.init workers spawn in
+      Printf.eprintf
+        "serve: coordinating on %s (%d workers spawned, capacity %d)\n%!"
+        socket workers cfg.Serve.capacity;
+      pids
+  in
+  let s = Serve.wait srv in
   (* Workers see the drain frame (or the closed socket) and exit; reap
      them so no zombies outlive the drain line. *)
   List.iter
@@ -667,43 +675,19 @@ let cmd_serve_shard socket store_dir jobs workers capacity timeout idle
   Printf.printf
     "serve: drained — %d accepted, %d completed, %d timeouts, %d rejected, \
      %d errors\n"
-    s.Shard.Coordinator.st_accepted s.Shard.Coordinator.st_completed
-    s.Shard.Coordinator.st_timeouts s.Shard.Coordinator.st_rejected
-    s.Shard.Coordinator.st_errors;
-  Printf.printf
-    "serve: shard — %d leases, %d steals, %d requeued, %d worker deaths, \
-     %d stale results\n"
-    s.Shard.Coordinator.st_leases s.Shard.Coordinator.st_steals
-    s.Shard.Coordinator.st_requeued s.Shard.Coordinator.st_worker_deaths
-    s.Shard.Coordinator.st_stale_results;
+    s.Serve.sm_accepted s.Serve.sm_completed s.Serve.sm_timeouts
+    s.Serve.sm_rejected s.Serve.sm_errors;
+  Option.iter
+    (fun f ->
+      let st = Shard.Fleet.stats f in
+      Printf.printf
+        "serve: shard — %d leases, %d steals, %d requeued, %d worker deaths, \
+         %d stale results\n"
+        st.Shard.Fleet.st_leases st.Shard.Fleet.st_steals
+        st.Shard.Fleet.st_requeued st.Shard.Fleet.st_worker_deaths
+        st.Shard.Fleet.st_stale_results)
+    fleet;
   0
-
-let cmd_serve socket store_dir jobs workers capacity timeout idle journal =
-  if workers > 0 then
-    cmd_serve_shard socket store_dir jobs workers capacity timeout idle
-      journal
-  else begin
-    let store = Option.map Store.open_store store_dir in
-    let journal = serve_journal ~store ~jobs journal in
-    let cfg =
-      Serve.config ?store ~workers:(max 1 jobs) ~capacity
-        ~job_timeout_s:timeout ~idle_timeout_s:idle ?journal
-        ~resolve:resolve_job socket
-    in
-    let srv = Serve.start cfg in
-    let drain _ = Serve.stop srv in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle drain);
-    Printf.eprintf "serve: listening on %s (%d workers, capacity %d)\n%!"
-      socket cfg.Serve.workers cfg.Serve.capacity;
-    let s = Serve.wait srv in
-    Printf.printf
-      "serve: drained — %d accepted, %d completed, %d timeouts, %d \
-       rejected, %d errors\n"
-      s.Serve.sm_accepted s.Serve.sm_completed s.Serve.sm_timeouts
-      s.Serve.sm_rejected s.Serve.sm_errors;
-    0
-  end
 
 (* aqed_cli worker: join an existing coordinator's fleet. Exit 0 on a
    clean drain; Failure (exit 2 via [wrap]) when the coordinator cannot

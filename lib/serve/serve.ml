@@ -1,7 +1,17 @@
-(* The verification service daemon: a long-running process owning one
-   worker pool, one in-process obligation cache and (optionally) one
-   persistent verdict store, accepting solve jobs over a Unix-domain
-   socket.
+(* The verification service: one front end over a pluggable executor.
+
+   The front end owns everything a client can observe: the Unix-domain
+   socket, the accept and connection loops, admission, the live-job
+   table with its deadlines and cancel flags, exactly-once finalization,
+   the lifetime counters, the journal, the status frame and the drain.
+   What happens between admission and a job's terminal state belongs to
+   an [executor]:
+
+   - [in_process] solves the job on the submitting connection's thread
+     through [Check.run_batch] on one shared pool, cache and store
+     ([aqed_cli serve]);
+   - [Shard.Fleet] leases it to worker processes over the same socket
+     ([aqed_cli serve --workers N]).
 
    Wire protocol: JSONL — one JSON object per line in both directions,
    printed and parsed with {!Report.Json} (the journal codec, so the
@@ -20,63 +30,58 @@
      error     {"frame":"error","message":M}
      status    {"frame":"status",...counters...}
 
+   An executor may claim more ops (the fleet's ["lease"]); such an op
+   hands the connection over to the executor.
+
    The ["obligation"] payload of a [done] frame is byte-identical to a
    journal obligation record ({!Report.Journal.json_of_obligation}), so a
    client can append it to a ledger or diff it against a direct
    [verify --journal] run.
 
-   Robustness model:
-   - each connection is handled on its own systhread; a malformed frame
-     gets an [error] reply and closes that connection only — the daemon
-     and every other connection keep running;
-   - a client that disconnects mid-job cannot hurt the daemon: SIGPIPE
-     is ignored at [start], so frame writes to the dead socket fail with
-     [EPIPE] and are dropped, while the job still runs to its terminal
-     state — its capacity slot is released and accounting holds;
-   - admission is bounded: at [capacity] accepted-but-unfinished jobs, a
-     submit gets a typed [busy] frame instead of queueing without bound;
-   - every job has a wall-clock deadline; a watchdog thread trips the
-     job's cooperative cancel flag and the solve unwinds through
-     {!Sat.Solver.Cancelled} into a typed [timeout] frame — the pool
-     worker survives and takes the next job;
-   - reads are idle-bounded: a client that connects and goes silent is
-     closed after [idle_timeout_s];
-   - the [--journal] is appended incrementally — the meta once, before
-     the first completed obligation, then one record per completion — so
-     a long-lived daemon retains no per-job state after the terminal
-     frame;
+   Robustness model, whatever the executor:
+   - each connection runs on its own systhread; a malformed frame gets
+     an [error] reply and closes that connection only;
+   - SIGPIPE is ignored at [start]: a write to a vanished client fails
+     with [EPIPE] and is dropped, while its job still runs to its
+     terminal state;
+   - admission is bounded: at [capacity] live jobs, or once draining, a
+     submit gets a typed [busy] frame;
+   - every job has a wall-clock deadline; the watchdog trips its cancel
+     flag, and the solve unwinds through {!Sat.Solver.Cancelled} into a
+     typed [timeout];
+   - every admitted job is finalized exactly once, into exactly one of
+     completed/timeouts/errors, and its connection sends exactly one
+     terminal frame;
+   - reads are idle-bounded ([idle_timeout_s]);
+   - the journal is appended incrementally — the meta once, then one
+     record per completion, each before its [done] frame — so no
+     per-job state outlives the terminal frame;
    - [stop] (wired to SIGTERM/SIGINT by the CLI) drains: the listener
-     closes, in-flight jobs run to completion and stream their frames,
-     then [wait] returns. Accepted jobs are never dropped — each ends in
-     exactly one [done]/[timeout]/[error] frame. *)
+     closes, live jobs reach their terminal frames, then [wait]
+     returns. *)
 
 module Json = Report.Json
 module Journal = Report.Journal
 
-(* ---- framed socket I/O, shared with lib/shard ---- *)
+(* ---- framed socket I/O ---- *)
 
-(* The lowest layer of the protocol: newline-framed [Report.Json] values
-   over a connected socket. Factored into its own module so the shard
-   coordinator/worker wire (lib/shard) speaks byte-identical frames
-   without duplicating the I/O discipline. *)
+(* Newline-framed [Report.Json] values over a connected socket: the
+   client library, the front end and the fleet's workers all speak
+   through this one module. *)
 module Wire = struct
-  let send_all fd s =
-    let b = Bytes.of_string s in
-    let n = Bytes.length b in
+  let send_frame fd j =
+    let b = Bytes.of_string (Json.to_string j ^ "\n") in
     let rec go off =
-      if off < n then
-        match Unix.write fd b off (n - off) with
+      if off < Bytes.length b then
+        match Unix.write fd b off (Bytes.length b - off) with
         | w -> go (off + w)
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
     in
     go 0
 
-  let send_frame fd j = send_all fd (Json.to_string j ^ "\n")
-
   (* Frames whose failure must not unwind the job that emits them: the
-     peer may vanish at any time, and with SIGPIPE ignored (see [start])
-     the write raises [EPIPE]/[ECONNRESET] instead of killing the
-     process. The frame is dropped; the sender's accounting proceeds. *)
+     peer may vanish at any time, and with SIGPIPE ignored the write
+     raises [EPIPE]/[ECONNRESET] instead of killing the process. *)
   let send_frame_safe fd j =
     try send_frame fd j with Unix.Unix_error _ -> ()
 
@@ -88,32 +93,44 @@ module Wire = struct
 
   let reader fd = { rfd = fd; rchunk = Bytes.create 4096; rbuf = "" }
 
-  (* One line, blocking; [None] on EOF or a dead peer (any read error
-     other than EINTR — the caller cannot distinguish them and treats
-     both as the end of the conversation). *)
-  let rec read_line r =
-    match String.index_opt r.rbuf '\n' with
-    | Some i ->
-      let l = String.sub r.rbuf 0 i in
-      r.rbuf <- String.sub r.rbuf (i + 1) (String.length r.rbuf - i - 1);
-      Some l
-    | None -> (
-        match Unix.read r.rfd r.rchunk 0 (Bytes.length r.rchunk) with
-        | 0 -> None
-        | n ->
-          r.rbuf <- r.rbuf ^ Bytes.sub_string r.rchunk 0 n;
-          read_line r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r
-        | exception Unix.Unix_error _ -> None)
+  (* The receive timeout the server sets on its sockets: every [tick]
+     seconds a blocked read wakes to re-check its budget and the drain
+     flag, so a drain never waits on an idle peer longer than one tick. *)
+  let tick = 0.25
 
-  (* One frame, blocking; skips blank lines; [None] on EOF. A malformed
-     line raises [Report.Json.Parse_error] — the callers are protocol
-     peers (client library, shard worker), where a garbled frame is a
-     hard error, not something to silently resynchronize past. *)
-  let rec read_frame r =
-    match read_line r with
+  (* One line; [None] on EOF, a dead peer, [budget] seconds without a
+     byte, or a set [stop]. Budget and [stop] are checked when a read
+     times out, so they bite only on a socket with SO_RCVTIMEO. *)
+  let read_line ?(budget = infinity) ?stop r =
+    let stopped () = match stop with Some s -> Atomic.get s | None -> false in
+    let rec go left =
+      match String.index_opt r.rbuf '\n' with
+      | Some i ->
+        let l = String.sub r.rbuf 0 i in
+        r.rbuf <- String.sub r.rbuf (i + 1) (String.length r.rbuf - i - 1);
+        Some l
+      | None when left <= 0. || stopped () -> None
+      | None -> (
+          match Unix.read r.rfd r.rchunk 0 (Bytes.length r.rchunk) with
+          | 0 -> None
+          | n ->
+            r.rbuf <- r.rbuf ^ Bytes.sub_string r.rchunk 0 n;
+            go budget
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            go (left -. tick)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go left
+          | exception Unix.Unix_error _ -> None)
+    in
+    go budget
+
+  (* One frame, skipping blank lines. A malformed line raises
+     [Report.Json.Parse_error]: each caller decides what a garbled peer
+     means. *)
+  let rec read_frame ?budget ?stop r =
+    match read_line ?budget ?stop r with
     | None -> None
-    | Some l when String.trim l = "" -> read_frame r
+    | Some l when String.trim l = "" -> read_frame ?budget ?stop r
     | Some l -> Some (Json.of_string l)
 end
 
@@ -175,35 +192,54 @@ let job_spec_of_json j =
        | _ -> None);
   }
 
+(* ---- solving one obligation ---- *)
+
+type outcome =
+  | Done of Journal.obligation
+  | Timeout
+  | Failed of string
+
+(* One obligation through the exact batch path a direct CLI run uses
+   (store + single-flight cache + certification), so a [Done] record is
+   byte-identical to a [verify --journal] record. Total: cancellation
+   becomes [Timeout] and anything the solve throws becomes [Failed], so
+   every job reaches exactly one terminal state. *)
+let solve ~pool ~cache ?store ~span ~id ~cancel spec design ob =
+  try
+    Telemetry.Span.with_ span
+      ~args:[ ("job", Telemetry.Int id); ("design", Telemetry.Str design) ]
+    @@ fun () ->
+    match
+      Aqed.Check.run_batch ~pool ~cache ?store ~certify:spec.sj_certify
+        ~cancel [ ob ]
+    with
+    | { Aqed.Check.entries = [ e ]; _ } ->
+      Done
+        (Journal.of_report ~design ~name:e.Aqed.Check.entry_name
+           ~cached:e.Aqed.Check.entry_cached e.Aqed.Check.entry_report)
+    | _ -> Failed "internal: batch returned no entry"
+    | exception Sat.Solver.Cancelled -> Timeout
+    | exception Bmc.Engine.Certification_failed m ->
+      Failed ("certification failed: " ^ m)
+    | exception Failure m -> Failed m
+  with e -> Failed ("uncaught: " ^ Printexc.to_string e)
+
 (* ---- configuration ---- *)
 
 type config = {
   socket_path : string;
   resolve : job_spec -> (string * Aqed.Check.obligation, string) result;
-      (* job -> (design label, prepared-able obligation); the CLI builds
-         this from its design registry so the service library stays
-         registry-agnostic *)
-  store : Store.t option;
-  workers : int;
   capacity : int;
   job_timeout_s : float;
   idle_timeout_s : float;
   journal : (string * Journal.meta) option;
-      (* appended incrementally: the meta once, before the first
-         completed obligation, then one record per completion — the meta
-         is mandatory so the appended run always groups *)
 }
 
-let config ?store ?workers ?(capacity = 32) ?(job_timeout_s = 300.)
-    ?(idle_timeout_s = 30.) ?journal ~resolve socket_path =
+let config ?(capacity = 32) ?(job_timeout_s = 300.) ?(idle_timeout_s = 30.)
+    ?journal ~resolve socket_path =
   {
     socket_path;
     resolve;
-    store;
-    workers =
-      (match workers with
-       | Some w -> max 1 w
-       | None -> Parallel.Pool.default_workers ());
     capacity = max 1 capacity;
     job_timeout_s;
     idle_timeout_s;
@@ -220,22 +256,42 @@ type summary = {
 
 (* ---- server state ---- *)
 
-type server = {
+type job = {
+  id : int;
+  spec : job_spec;
+  design : string;
+  ob : Aqed.Check.obligation;
+  timeout_s : float;
+  submitted : float;
+  cancel : bool Atomic.t;
+}
+
+type executor = {
+  run : server -> job -> unit;
+  tick : server -> unit;
+  ops :
+    (string * (server -> Unix.file_descr -> Wire.reader -> Json.t -> unit))
+    list;
+  queued : unit -> int;
+  status : unit -> (string * Json.t) list;
+  shutdown : unit -> unit;
+}
+
+and server = {
   cfg : config;
-  pool : Parallel.Pool.t;
-  cache : Aqed.Check.cache;
+  exec : executor;
   listen_fd : Unix.file_descr;
   stop_flag : bool Atomic.t;
   wd_stop : bool Atomic.t;
-  lock : Mutex.t;   (* guards every mutable field below *)
-  mutable active : int;          (* accepted, not yet finished *)
+  lock : Mutex.t;  (* guards every mutable field below and [live] *)
+  finished : Condition.t;  (* broadcast whenever a job is finalized *)
+  live : (int, entry) Hashtbl.t;  (* admitted, not yet terminal *)
   mutable next_job : int;
   mutable accepted : int;
   mutable completed : int;
   mutable timeouts : int;
   mutable rejected : int;
   mutable errors : int;
-  mutable jobs : (int * float * bool Atomic.t) list;  (* id, deadline, cancel *)
   jlock : Mutex.t;  (* serializes journal appends, apart from [lock] so
                        disk I/O never blocks status frames *)
   mutable journal_started : bool;  (* meta record already appended *)
@@ -245,111 +301,87 @@ type server = {
   mutable watchdog_th : Thread.t option;
 }
 
-let locked srv f =
-  Mutex.lock srv.lock;
-  match f () with
-  | v ->
-    Mutex.unlock srv.lock;
-    v
-  | exception e ->
-    Mutex.unlock srv.lock;
-    raise e
-
-(* ---- framed socket I/O ---- *)
-
-(* Granularity of the blocking-read timeout: every [tick] seconds a
-   reader wakes up to re-check the drain flag and its idle budget, so a
-   drain never waits on an idle client longer than one tick. *)
-let tick = 0.25
-
-let send_frame = Wire.send_frame
-let send_frame_safe = Wire.send_frame_safe
-
-type conn = {
-  fd : Unix.file_descr;
-  chunk : Bytes.t;
-  mutable inbuf : string;
+and entry = {
+  job : job;
+  mutable terminal : (float * outcome) option;  (* wall, outcome *)
 }
 
-let take_line c =
-  match String.index_opt c.inbuf '\n' with
-  | None -> None
-  | Some i ->
-    let line = String.sub c.inbuf 0 i in
-    c.inbuf <-
-      String.sub c.inbuf (i + 1) (String.length c.inbuf - i - 1);
-    Some line
+let locked srv f = Mutex.protect srv.lock f
+let draining srv = Atomic.get srv.stop_flag
+let active srv = locked srv (fun () -> Hashtbl.length srv.live)
 
-(* One request line, or [None] on EOF, idle timeout, or drain. The
-   per-read timeout is [tick] (SO_RCVTIMEO); idle accounting restarts
-   whenever bytes arrive. *)
-let recv_line srv c =
-  let rec go idle_left =
-    match take_line c with
-    | Some l -> Some l
-    | None ->
-      if Atomic.get srv.stop_flag then None
-      else if idle_left <= 0. then None
-      else begin
-        match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
-        | 0 -> None
-        | n ->
-          c.inbuf <- c.inbuf ^ Bytes.sub_string c.chunk 0 n;
-          go srv.cfg.idle_timeout_s
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-          go (idle_left -. tick)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go idle_left
-        | exception Unix.Unix_error (_, _, _) -> None
-      end
-  in
-  go srv.cfg.idle_timeout_s
+(* The one place a job leaves the live table. The first call wins and
+   later ones are no-ops; the job's connection thread, waiting in
+   [await], then journals and sends the terminal frame. *)
+let finalize srv job ~wall outcome =
+  locked srv @@ fun () ->
+  match Hashtbl.find_opt srv.live job.id with
+  | None -> ()
+  | Some e ->
+    e.terminal <- Some (wall, outcome);
+    Hashtbl.remove srv.live job.id;
+    (match outcome with
+     | Done _ ->
+       srv.completed <- srv.completed + 1;
+       Telemetry.Counter.incr m_completed
+     | Timeout ->
+       srv.timeouts <- srv.timeouts + 1;
+       Telemetry.Counter.incr m_timeouts
+     | Failed _ -> srv.errors <- srv.errors + 1);
+    Telemetry.Gauge.set g_active (Hashtbl.length srv.live);
+    Condition.broadcast srv.finished
 
 (* ---- frames ---- *)
 
-let error_frame msg =
-  Json.Obj [ ("frame", Json.Str "error"); ("message", Json.Str msg) ]
+let frame name fields = Json.Obj (("frame", Json.Str name) :: fields)
+let error_frame msg = frame "error" [ ("message", Json.Str msg) ]
 
 let busy_frame srv =
-  let active, draining =
-    locked srv (fun () -> (srv.active, Atomic.get srv.stop_flag))
-  in
-  Json.Obj
-    [ ("frame", Json.Str "busy");
-      ("active", Json.Int active);
+  frame "busy"
+    [ ("active", Json.Int (active srv));
       ("capacity", Json.Int srv.cfg.capacity);
-      ("draining", Json.Bool draining) ]
+      ("draining", Json.Bool (draining srv)) ]
 
 let status_frame srv =
   let active, accepted, completed, timeouts, rejected, errors =
     locked srv (fun () ->
-        ( srv.active, srv.accepted, srv.completed, srv.timeouts,
+        ( Hashtbl.length srv.live, srv.accepted, srv.completed, srv.timeouts,
           srv.rejected, srv.errors ))
   in
-  Json.Obj
-    [ ("frame", Json.Str "status");
-      ("active", Json.Int active);
-      ("queued", Json.Int (Parallel.Pool.queued srv.pool));
-      ("capacity", Json.Int srv.cfg.capacity);
-      ("accepted", Json.Int accepted);
-      ("completed", Json.Int completed);
-      ("timeouts", Json.Int timeouts);
-      ("rejected", Json.Int rejected);
-      ("errors", Json.Int errors);
-      ("draining", Json.Bool (Atomic.get srv.stop_flag)) ]
+  frame "status"
+    ([ ("active", Json.Int active);
+       ("queued", Json.Int (srv.exec.queued ()));
+       ("capacity", Json.Int srv.cfg.capacity);
+       ("accepted", Json.Int accepted);
+       ("completed", Json.Int completed);
+       ("timeouts", Json.Int timeouts);
+       ("rejected", Json.Int rejected);
+       ("errors", Json.Int errors);
+       ("draining", Json.Bool (draining srv)) ]
+     @ srv.exec.status ())
 
-(* ---- job execution ---- *)
+let terminal_frame id wall = function
+  | Done oblig ->
+    frame "done"
+      [ ("job", Json.Int id);
+        ("wall_s", Json.Float wall);
+        ("obligation", Journal.json_of_obligation oblig) ]
+  | Timeout ->
+    frame "timeout" [ ("job", Json.Int id); ("wall_s", Json.Float wall) ]
+  | Failed msg ->
+    frame "error" [ ("job", Json.Int id); ("message", Json.Str msg) ]
+
+(* ---- jobs ---- *)
 
 (* Incremental journal: the meta heads the run (so multi-run grouping
    stays well-formed) and each completed obligation is appended as it
-   finishes — the daemon holds no per-job state for its lifetime. An
-   append failure is reported on stderr but never unwinds the job. *)
+   finishes. An append failure is reported on stderr but never unwinds
+   the job. *)
 let journal_append srv oblig =
   match srv.cfg.journal with
   | None -> ()
   | Some (path, meta) ->
-    Mutex.lock srv.jlock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock srv.jlock) @@ fun () ->
+    Mutex.protect srv.jlock @@ fun () ->
     let records =
       if srv.journal_started then [ Journal.Obligation oblig ]
       else [ Journal.Meta meta; Journal.Obligation oblig ]
@@ -359,83 +391,43 @@ let journal_append srv oblig =
      | exception Sys_error m ->
        Printf.eprintf "serve: journal append failed: %s\n%!" m)
 
-(* Run one admitted job on the shared pool and stream its terminal frame.
-   The solve goes through the exact batch path a direct CLI run uses
-   (store + single-flight cache + certification), so verdict payloads are
-   identical to [verify --journal] records. *)
-let run_job srv fd job design ob ~certify timeout_s =
-  let cancel = Atomic.make false in
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  locked srv (fun () -> srv.jobs <- (job, deadline, cancel) :: srv.jobs);
-  let t0 = Unix.gettimeofday () in
-  (* Admission bookkeeping must survive anything the solve throws — an
-     escaped exception would otherwise leak this job's capacity slot
-     forever. The slot is released in [~finally], *before* the terminal
-     frame below, so a client reacting to that frame finds it free; the
-     post-release path is throw-safe by construction (locked counter
-     bumps, [journal_append] catches its own I/O errors,
-     [send_frame_safe] swallows a dead peer). *)
-  let outcome =
-    Fun.protect
-      ~finally:(fun () ->
-        locked srv (fun () ->
-            srv.jobs <- List.filter (fun (id, _, _) -> id <> job) srv.jobs;
-            srv.active <- srv.active - 1;
-            Telemetry.Gauge.set g_active srv.active))
-    @@ fun () ->
-    try
-      Telemetry.Span.with_ "serve.job"
-        ~args:[ ("job", Telemetry.Int job); ("design", Telemetry.Str design) ]
-      @@ fun () ->
-      match
-        Aqed.Check.run_batch ~pool:srv.pool ~cache:srv.cache
-          ?store:srv.cfg.store ~certify ~cancel [ ob ]
-      with
-      | b -> (
-          match b.Aqed.Check.entries with
-          | [ e ] ->
-            `Done
-              (Journal.of_report ~design ~name:e.Aqed.Check.entry_name
-                 ~cached:e.Aqed.Check.entry_cached
-                 e.Aqed.Check.entry_report)
-          | _ -> `Error "internal: batch returned no entry")
-      | exception Sat.Solver.Cancelled -> `Timeout
-      | exception Bmc.Engine.Certification_failed m ->
-        `Error ("certification failed: " ^ m)
-      | exception Failure m -> `Error m
-    with e ->
-      (* Catch-all: every admitted job reaches exactly one terminal frame
-         and exactly one of completed/timeouts/errors, whatever the solve
-         threw (Invalid_argument, Out_of_memory, ...). *)
-      `Error ("uncaught: " ^ Printexc.to_string e)
+let admit srv spec design ob =
+  locked srv @@ fun () ->
+  if draining srv || Hashtbl.length srv.live >= srv.cfg.capacity then begin
+    srv.rejected <- srv.rejected + 1;
+    None
+  end
+  else begin
+    srv.accepted <- srv.accepted + 1;
+    srv.next_job <- srv.next_job + 1;
+    let job =
+      {
+        id = srv.next_job;
+        spec;
+        design;
+        ob;
+        timeout_s =
+          Option.value spec.sj_timeout_s ~default:srv.cfg.job_timeout_s;
+        submitted = Unix.gettimeofday ();
+        cancel = Atomic.make false;
+      }
+    in
+    let e = { job; terminal = None } in
+    Hashtbl.replace srv.live job.id e;
+    Telemetry.Gauge.set g_active (Hashtbl.length srv.live);
+    Some e
+  end
+
+let await srv e =
+  locked srv @@ fun () ->
+  let rec go () =
+    match e.terminal with
+    | Some t -> t
+    | None ->
+      Condition.wait srv.finished srv.lock;
+      go ()
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  match outcome with
-  | `Done oblig ->
-    locked srv (fun () -> srv.completed <- srv.completed + 1);
-    Telemetry.Counter.incr m_completed;
-    journal_append srv oblig;
-    send_frame_safe fd
-      (Json.Obj
-         [ ("frame", Json.Str "done");
-           ("job", Json.Int job);
-           ("wall_s", Json.Float wall);
-           ("obligation", Journal.json_of_obligation oblig) ])
-  | `Timeout ->
-    locked srv (fun () -> srv.timeouts <- srv.timeouts + 1);
-    Telemetry.Counter.incr m_timeouts;
-    send_frame_safe fd
-      (Json.Obj
-         [ ("frame", Json.Str "timeout");
-           ("job", Json.Int job);
-           ("wall_s", Json.Float wall) ])
-  | `Error msg ->
-    locked srv (fun () -> srv.errors <- srv.errors + 1);
-    send_frame_safe fd
-      (Json.Obj
-         [ ("frame", Json.Str "error");
-           ("job", Json.Int job);
-           ("message", Json.Str msg) ])
+  go ()
 
 (* [`Continue] keeps the connection open for the next request; [`Close]
    tears it down (protocol violations only — typed rejections like [busy]
@@ -443,81 +435,62 @@ let run_job srv fd job design ob ~certify timeout_s =
 let handle_submit srv fd j =
   match job_spec_of_json j with
   | exception (Failure m | Json.Parse_error m) ->
-    send_frame fd (error_frame ("bad submit: " ^ m));
+    Wire.send_frame fd (error_frame ("bad submit: " ^ m));
     `Close
   | spec -> (
       match srv.cfg.resolve spec with
       | Error m ->
-        send_frame fd (error_frame m);
+        Wire.send_frame fd (error_frame m);
         `Close
       | Ok (design, ob) ->
-        let admitted_job =
-          locked srv (fun () ->
-              if Atomic.get srv.stop_flag || srv.active >= srv.cfg.capacity
-              then begin
-                srv.rejected <- srv.rejected + 1;
-                None
-              end
-              else begin
-                srv.active <- srv.active + 1;
-                srv.accepted <- srv.accepted + 1;
-                srv.next_job <- srv.next_job + 1;
-                Telemetry.Gauge.set g_active srv.active;
-                Some srv.next_job
-              end)
-        in
-        (match admitted_job with
+        (match admit srv spec design ob with
          | None ->
            Telemetry.Counter.incr m_rejected;
-           send_frame fd (busy_frame srv)
-         | Some job ->
+           Wire.send_frame fd (busy_frame srv)
+         | Some e ->
            Telemetry.Counter.incr m_accepted;
-           (* The job is admitted: even if this client already vanished
-              (failed accepted-frame write), it must still run to a
-              terminal state so its slot is released and accounting
-              holds. *)
-           send_frame_safe fd
-             (Json.Obj
-                [ ("frame", Json.Str "accepted"); ("job", Json.Int job) ]);
-           let timeout_s =
-             match spec.sj_timeout_s with
-             | Some t -> t
-             | None -> srv.cfg.job_timeout_s
-           in
-           run_job srv fd job design ob ~certify:spec.sj_certify timeout_s);
+           (* Admitted: even if this client already vanished, the job
+              runs to its terminal state so its slot is released and
+              accounting holds — the frame writes below are drop-safe. *)
+           Wire.send_frame_safe fd
+             (frame "accepted" [ ("job", Json.Int e.job.id) ]);
+           srv.exec.run srv e.job;
+           let wall, outcome = await srv e in
+           (match outcome with Done o -> journal_append srv o | _ -> ());
+           Wire.send_frame_safe fd (terminal_frame e.job.id wall outcome));
         `Continue)
 
 let handle_conn srv fd =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO tick;
-  let c = { fd; chunk = Bytes.create 4096; inbuf = "" } in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO Wire.tick;
+  let r = Wire.reader fd in
   let rec loop () =
-    match recv_line srv c with
+    match
+      Wire.read_frame ~budget:srv.cfg.idle_timeout_s ~stop:srv.stop_flag r
+    with
     | None -> ()
-    | Some line ->
-      if String.trim line = "" then loop ()
-      else begin
-        match Json.of_string line with
-        | exception Json.Parse_error m ->
-          (* Crash isolation: a malformed frame poisons this connection
-             only. Reply typed, then close. *)
-          send_frame fd (error_frame ("parse error: " ^ m))
-        | j -> (
-            match Json.str_or "" (Json.member "op" j) with
-            | "status" ->
-              send_frame fd (status_frame srv);
-              loop ()
-            | "submit" -> (
-                match handle_submit srv fd j with
-                | `Continue -> loop ()
-                | `Close -> ())
-            | op ->
-              send_frame fd (error_frame (Printf.sprintf "unknown op %S" op))
-          )
-      end
+    | exception Json.Parse_error m ->
+      (* Crash isolation: a malformed frame poisons this connection
+         only. Reply typed, then close. *)
+      Wire.send_frame fd (error_frame ("parse error: " ^ m))
+    | Some j -> (
+        match Json.str_or "" (Json.member "op" j) with
+        | "status" ->
+          Wire.send_frame fd (status_frame srv);
+          loop ()
+        | "submit" -> (
+            match handle_submit srv fd j with
+            | `Continue -> loop ()
+            | `Close -> ())
+        | op -> (
+            match List.assoc_opt op srv.exec.ops with
+            | Some take_over -> take_over srv fd r j
+            | None ->
+              Wire.send_frame fd
+                (error_frame (Printf.sprintf "unknown op %S" op))))
   in
   (try loop () with _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  (* Self-prune: a long-lived daemon must not retain one Thread.t per
+  (* Self-prune: a long-lived server must not retain one Thread.t per
      connection ever accepted. If the acceptor has not registered this
      thread yet (create/registration race) the handle stays until drain,
      where joining an already-finished thread returns immediately. *)
@@ -527,20 +500,25 @@ let handle_conn srv fd =
 
 (* ---- lifecycle ---- *)
 
+(* Every 50 ms: trip the cancel flag of each job past its deadline, then
+   give the executor its tick (the fleet's lease bookkeeping, and the
+   wake-up that delivers a drain begun from a signal handler). *)
 let watchdog srv () =
   while not (Atomic.get srv.wd_stop) do
     let now = Unix.gettimeofday () in
     locked srv (fun () ->
-        List.iter
-          (fun (_, deadline, cancel) ->
-            if now >= deadline then Atomic.set cancel true)
-          srv.jobs);
+        Hashtbl.iter
+          (fun _ e ->
+            if now >= e.job.submitted +. e.job.timeout_s then
+              Atomic.set e.job.cancel true)
+          srv.live);
+    srv.exec.tick srv;
     Thread.delay 0.05
   done
 
 let accept_loop srv () =
   let rec go () =
-    if not (Atomic.get srv.stop_flag) then begin
+    if not (draining srv) then begin
       (match Unix.select [ srv.listen_fd ] [] [] 0.2 with
        | [], _, _ -> ()
        | _ -> (
@@ -555,12 +533,10 @@ let accept_loop srv () =
   in
   go ()
 
-let start cfg =
-  (* A client that disconnects mid-job must not take the daemon with it:
+let start ~executor cfg =
+  (* A client that disconnects mid-job must not take the server with it:
      with the default disposition, the next frame write to its socket
-     raises SIGPIPE and kills the whole process. Ignored here so writes
-     fail with [Unix_error (EPIPE, _, _)] instead, which
-     [send_frame_safe] drops. *)
+     raises SIGPIPE and kills the whole process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -570,24 +546,24 @@ let start cfg =
      Unix.listen listen_fd 16
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+     executor.shutdown ();
      raise e);
   let srv =
     {
       cfg;
-      pool = Parallel.Pool.create ~workers:cfg.workers ();
-      cache = Aqed.Check.create_cache ();
+      exec = executor;
       listen_fd;
       stop_flag = Atomic.make false;
       wd_stop = Atomic.make false;
       lock = Mutex.create ();
-      active = 0;
+      finished = Condition.create ();
+      live = Hashtbl.create 64;
       next_job = 0;
       accepted = 0;
       completed = 0;
       timeouts = 0;
       rejected = 0;
       errors = 0;
-      jobs = [];
       jlock = Mutex.create ();
       journal_started = false;
       conns = [];
@@ -607,18 +583,16 @@ let wait srv =
   Option.iter Thread.join srv.accept_th;
   (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink srv.cfg.socket_path with Unix.Unix_error _ -> ());
-  (* The accept thread has stopped, so no new entries land in [conns];
-     in-flight jobs finish inside their connection threads (drain loses
-     no accepted job). Threads prune themselves on exit, so a snapshot
-     joined here covers every still-running connection, and a thread
-     finishing concurrently just makes its join immediate. The journal
-     needs no drain-time flush: records were appended as jobs
-     completed. *)
+  (* The acceptor has stopped, so no new entries land in [conns]. Client
+     connections exit after their job's terminal frame, once their next
+     read observes the drain; executor connections (fleet workers) once
+     every admitted job is terminal. The watchdog must outlive them all:
+     its tick is what wakes drain-waiters. *)
   let conns = locked srv (fun () -> srv.conns) in
   List.iter Thread.join conns;
   Atomic.set srv.wd_stop true;
   Option.iter Thread.join srv.watchdog_th;
-  Parallel.Pool.shutdown srv.pool;
+  srv.exec.shutdown ();
   locked srv (fun () ->
       {
         sm_accepted = srv.accepted;
@@ -627,6 +601,27 @@ let wait srv =
         sm_rejected = srv.rejected;
         sm_errors = srv.errors;
       })
+
+(* ---- the in-process executor ---- *)
+
+let in_process ?store ?workers () =
+  let pool = Parallel.Pool.create ?workers () in
+  let cache = Aqed.Check.create_cache () in
+  {
+    run =
+      (fun srv job ->
+        let t0 = Unix.gettimeofday () in
+        let outcome =
+          solve ~pool ~cache ?store ~span:"serve.job" ~id:job.id
+            ~cancel:job.cancel job.spec job.design job.ob
+        in
+        finalize srv job ~wall:(Unix.gettimeofday () -. t0) outcome);
+    tick = ignore;
+    ops = [];
+    queued = (fun () -> Parallel.Pool.queued pool);
+    status = (fun () -> []);
+    shutdown = (fun () -> Parallel.Pool.shutdown pool);
+  }
 
 (* ---- client ---- *)
 
@@ -646,7 +641,7 @@ module Client = struct
 
   let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-  let send t j = send_frame t.fd j
+  let send t j = Wire.send_frame t.fd j
 
   (* Blocking: the server always answers a request with at least one
      frame, and a drain completes in-flight jobs before closing. *)

@@ -1,55 +1,56 @@
-(** The verification service daemon behind [aqed_cli serve].
+(** The verification service behind [aqed_cli serve]: one front end over
+    a pluggable {!executor}.
 
-    A long-running process owning one {!Parallel.Pool}, one in-process
-    obligation cache and (optionally) one persistent verdict {!Store.t},
-    accepting solve jobs over a Unix-domain socket. The wire protocol is
-    JSONL in both directions, printed and parsed with {!Report.Json}; the
-    verdict payload of a completed job is byte-identical to a journal
-    obligation record ({!Report.Journal.json_of_obligation}), so service
-    results diff cleanly against direct [verify --journal] runs.
+    The front end owns everything a client can observe — the Unix-domain
+    socket, the accept and connection loops, admission, the live-job
+    table with per-job deadlines and cancel flags, exactly-once
+    finalization, the lifetime counters, the journal, the status frame
+    and the drain. An executor decides how an admitted job reaches its
+    terminal state: {!in_process} solves it on one shared
+    {!Parallel.Pool}, obligation cache and (optionally) {!Store.t};
+    [Shard.Fleet] leases it to worker processes. The wire protocol is
+    JSONL in both directions, printed and parsed with {!Report.Json};
+    the verdict payload of a completed job is byte-identical to a
+    journal obligation record ({!Report.Journal.json_of_obligation}), so
+    service results diff cleanly against direct [verify --journal] runs.
 
-    Robustness: bounded admission (typed [busy] frame at capacity),
-    per-job wall-clock deadlines enforced through the solver's
-    cooperative cancellation ({!Sat.Solver.Cancelled} becomes a typed
-    [timeout] frame; the worker pool survives), per-connection crash
-    isolation (a malformed frame closes that connection only; a client
-    that disconnects mid-job costs nothing — SIGPIPE is ignored, the
-    failed frame writes are dropped and the job still runs to a terminal
-    state), idle-client read timeouts, incremental journal appends (one
-    record per completed job; no per-job state retained), and graceful
-    drain: {!stop} (wired to SIGTERM/SIGINT by the CLI) stops accepting,
-    in-flight jobs finish and stream their frames, {!wait} returns. *)
+    Robustness, whatever the executor: bounded admission (typed [busy]
+    frame at capacity or while draining), per-job wall-clock deadlines
+    enforced through the solver's cooperative cancellation
+    ({!Sat.Solver.Cancelled} becomes a typed [timeout] frame),
+    per-connection crash isolation (a malformed frame closes that
+    connection only; a client that disconnects mid-job costs nothing —
+    SIGPIPE is ignored, dead-peer writes are dropped and the job still
+    runs to a terminal state), idle-client read timeouts, incremental
+    journal appends, and graceful drain: {!stop} stops accepting, live
+    jobs finish and stream their frames, {!wait} returns. Every admitted
+    job is counted in exactly one of completed/timeouts/errors. *)
 
 (** {1 Wire framing}
 
-    Newline-framed {!Report.Json} values over a connected socket — the
-    lowest layer of the protocol, shared with the shard
-    coordinator/worker wire (lib/shard) so every fleet frame is
-    byte-compatible with the daemon's. *)
+    Newline-framed {!Report.Json} values over a connected socket, shared
+    by the client library, the front end and the fleet's workers. *)
 
 module Wire : sig
-  val send_all : Unix.file_descr -> string -> unit
-
   val send_frame : Unix.file_descr -> Report.Json.t -> unit
   (** One JSON value, newline-terminated. Raises [Unix.Unix_error] on a
       dead peer. *)
 
   val send_frame_safe : Unix.file_descr -> Report.Json.t -> unit
   (** Like {!send_frame} but drops the frame on any [Unix.Unix_error] —
-      for frames whose failure must not unwind the sender (the peer may
-      vanish at any time; SIGPIPE is ignored by {!start}). *)
+      for frames whose failure must not unwind the sender. *)
 
   type reader
   (** Buffered line reader over one socket. *)
 
   val reader : Unix.file_descr -> reader
 
-  val read_line : reader -> string option
-  (** One line, blocking; [None] on EOF or a dead peer. *)
-
-  val read_frame : reader -> Report.Json.t option
-  (** One frame, blocking; skips blank lines; [None] on EOF. Raises
-      [Report.Json.Parse_error] on a malformed line. *)
+  val read_frame :
+    ?budget:float -> ?stop:bool Atomic.t -> reader -> Report.Json.t option
+  (** One frame, skipping blank lines; [None] on EOF or a dead peer.
+      On a socket with a receive timeout (the server's sockets), also
+      [None] after [budget] seconds without a byte or once [stop] is
+      set. Raises [Report.Json.Parse_error] on a malformed line. *)
 end
 
 (** {1 Job specs} *)
@@ -75,35 +76,47 @@ val job_spec_of_json : Report.Json.t -> job_spec
 (** Wire codec for submit requests. [job_spec_of_json] raises [Failure]
     on a missing design and tolerates absent optional fields. *)
 
+(** {1 Solving} *)
+
+type outcome =
+  | Done of Report.Journal.obligation
+  | Timeout  (** the cancel flag was tripped *)
+  | Failed of string
+
+val solve :
+  pool:Parallel.Pool.t -> cache:Aqed.Check.cache -> ?store:Store.t ->
+  span:string -> id:int -> cancel:bool Atomic.t -> job_spec -> string ->
+  Aqed.Check.obligation -> outcome
+(** [solve ~pool ~cache ~span ~id ~cancel spec design ob] runs one
+    obligation through {!Aqed.Check.run_batch}, inside a [span] trace
+    span, and classifies the result. Total: {!Sat.Solver.Cancelled}
+    becomes [Timeout] and any other exception becomes [Failed]. The one
+    outcome classifier shared by {!in_process} and the fleet's workers. *)
+
 (** {1 Server} *)
 
 type config = {
   socket_path : string;
   resolve : job_spec -> (string * Aqed.Check.obligation, string) result;
-      (** maps a job to its (design label, prepared-able obligation); the
-          CLI builds this from its design registry, tests from whatever
-          toy designs they like — the service itself is registry-agnostic.
-          [Error] becomes a typed [error] frame for the client. *)
-  store : Store.t option;       (** shared persistent verdict store *)
-  workers : int;                (** pool width *)
-  capacity : int;               (** max accepted-but-unfinished jobs *)
+      (** maps a job to its (design label, prepared-able obligation) at
+          admission; the CLI builds this from its design registry, tests
+          from whatever toy designs they like. [Error] becomes a typed
+          [error] frame for the client. *)
+  capacity : int;               (** max admitted-but-unfinished jobs *)
   job_timeout_s : float;        (** default per-job wall-clock deadline *)
   idle_timeout_s : float;       (** silent-connection read timeout *)
   journal : (string * Report.Journal.meta) option;
       (** appended incrementally: the meta once, before the first
-          completed obligation, then one record per completion — the
-          meta heads the run so multi-run journal grouping stays
-          well-formed, and the daemon holds no per-job state *)
+          completed obligation, then one record per completion *)
 }
 
 val config :
-  ?store:Store.t -> ?workers:int -> ?capacity:int -> ?job_timeout_s:float ->
-  ?idle_timeout_s:float -> ?journal:(string * Report.Journal.meta) ->
+  ?capacity:int -> ?job_timeout_s:float -> ?idle_timeout_s:float ->
+  ?journal:(string * Report.Journal.meta) ->
   resolve:(job_spec -> (string * Aqed.Check.obligation, string) result) ->
   string -> config
-(** [config ~resolve socket_path]. Defaults: no store,
-    {!Parallel.Pool.default_workers}, capacity 32, 300 s job timeout,
-    30 s idle timeout, no journal. *)
+(** [config ~resolve socket_path]. Defaults: capacity 32, 300 s job
+    timeout, 30 s idle timeout, no journal. *)
 
 type summary = {
   sm_accepted : int;
@@ -117,23 +130,68 @@ type summary = {
 
 type server
 
-val start : config -> server
+(** An admitted job, as the front end hands it to its executor. *)
+type job = {
+  id : int;
+  spec : job_spec;
+  design : string;               (** label from [resolve] *)
+  ob : Aqed.Check.obligation;    (** from [resolve] *)
+  timeout_s : float;             (** effective deadline, in seconds *)
+  submitted : float;             (** admission time *)
+  cancel : bool Atomic.t;        (** tripped by the watchdog at
+                                     [submitted +. timeout_s] *)
+}
+
+(** How admitted jobs are executed. *)
+type executor = {
+  run : server -> job -> unit;
+      (** called on the submitting connection's thread right after the
+          [accepted] frame; must lead to exactly one {!finalize} of the
+          job, now or later, from any thread *)
+  tick : server -> unit;  (** every watchdog tick (50 ms) *)
+  ops :
+    (string
+    * (server -> Unix.file_descr -> Wire.reader -> Report.Json.t -> unit))
+    list;
+      (** extra request ops: the handler takes the connection over and
+          it is closed when the handler returns *)
+  queued : unit -> int;  (** the status frame's ["queued"] *)
+  status : unit -> (string * Report.Json.t) list;
+      (** extra status-frame fields, appended after the front end's *)
+  shutdown : unit -> unit;  (** once the drain is complete *)
+}
+
+val in_process : ?store:Store.t -> ?workers:int -> unit -> executor
+(** Solve each job with {!solve} on the submitting connection's thread,
+    on one shared pool of [workers] domains (default
+    {!Parallel.Pool.default_workers}), one obligation cache, and the
+    optional store. *)
+
+val finalize : server -> job -> wall:float -> outcome -> unit
+(** Record the job's terminal state and release its slot. Exactly-once:
+    every call after the first is a no-op. *)
+
+val active : server -> int
+(** Admitted jobs not yet finalized. *)
+
+val draining : server -> bool
+
+val start : executor:executor -> config -> server
 (** Binds the socket (unlinking a stale one), spawns the acceptor and the
-    deadline watchdog, and returns immediately. Also ignores SIGPIPE
-    process-wide so a client disconnect surfaces as [EPIPE] on the write
-    instead of killing the daemon. Raises [Unix.Unix_error] when the
-    socket cannot be bound. *)
+    watchdog, and returns immediately. Also ignores SIGPIPE process-wide
+    so a client disconnect surfaces as [EPIPE] on the write instead of
+    killing the server. Raises [Unix.Unix_error] (after shutting the
+    executor down) when the socket cannot be bound. *)
 
 val stop : server -> unit
-(** Begins the drain: stop accepting, let in-flight jobs finish. Only
-    flips an atomic, so it is safe from a signal handler. Idempotent. *)
+(** Begins the drain: stop accepting, let live jobs finish. Only flips an
+    atomic, so it is safe from a signal handler. Idempotent. *)
 
 val wait : server -> summary
 (** Blocks until the drain completes: joins the acceptor, every live
-    connection thread and the watchdog, shuts the pool down, removes the
-    socket file (journal records were already appended as jobs
-    completed). Call {!stop} first (or from a signal handler / another
-    thread) — [wait] alone never returns. *)
+    connection thread and the watchdog, shuts the executor down, removes
+    the socket file. Call {!stop} first (or from a signal handler /
+    another thread) — [wait] alone never returns. *)
 
 (** {1 Client} *)
 
@@ -141,8 +199,8 @@ module Client : sig
   type t
 
   val connect : string -> t
-  (** Connect to a daemon's socket path. Raises [Unix.Unix_error] when no
-      daemon is listening. *)
+  (** Connect to a server's socket path. Raises [Unix.Unix_error] when no
+      server is listening. *)
 
   val close : t -> unit
 
@@ -150,7 +208,7 @@ module Client : sig
     | Completed of int * float * Report.Journal.obligation
         (** job id, server-side wall seconds, the verdict record *)
     | Timed_out of int * float
-        (** the job hit its deadline; the daemon and its pool survive *)
+        (** the job hit its deadline; the server survives *)
     | Busy of int * int
         (** rejected at admission: (active, capacity). Also the drain
             answer — retry later or elsewhere *)

@@ -25,6 +25,7 @@ let () =
       Test_report.suite;
       Test_mutate.suite;
       Test_serve.suite;
+      Test_serve.fleet_suite;
       Test_shard.suite;
       Test_cli.suite;
     ]

@@ -7,8 +7,8 @@
    forbids [Unix.fork] once any domain has been spawned in the process,
    and the main runner's suites create domain pools. Discipline here:
    the PARENT process never creates a domain — solves happen in forked
-   children (each child may build its own pool), and the coordinator
-   under test is threads-only. Children communicate verdicts through
+   children (each child may build its own pool), and the server under
+   test runs the fleet executor, which is threads-only. Children communicate verdicts through
    exit codes and never print (a fork'd copy of a parent thread's held
    channel lock would deadlock them). *)
 
@@ -241,27 +241,32 @@ let resolve_stall_in_solve spec =
     (resolve spec)
 
 (* A resolver that hangs before the solve even starts: the worker never
-   reaches its heartbeat loop, so the coordinator sees a lease with
-   total silence — the heartbeat-grace re-queue path. *)
+   makes the lease current for its heartbeat ticker, so the server sees
+   a lease with total silence — the heartbeat-grace re-queue path. *)
 let resolve_stall_silent spec =
   Unix.sleepf 30.;
   resolve spec
 
-let with_coord ?(heartbeat_grace_s = 5.) label f =
+(* A threads-only server over a fresh fleet (no domain in this
+   process): run [f sock fleet], drain, and return [f]'s value, the
+   drain summary and the fleet's counters. *)
+let with_coord ?heartbeat_grace_s label f =
   let sock = tmp_path (label ^ ".sock") in
-  let cfg =
-    Shard.Coordinator.config ~capacity:8 ~job_timeout_s:120.
-      ~idle_timeout_s:10. ~heartbeat_grace_s sock
+  let fleet = Shard.Fleet.create ?heartbeat_grace_s () in
+  let srv =
+    Serve.start ~executor:(Shard.Fleet.executor fleet)
+      (Serve.config ~capacity:8 ~job_timeout_s:120. ~idle_timeout_s:10.
+         ~resolve sock)
   in
-  let srv = Shard.Coordinator.start cfg in
   let finish () =
-    Shard.Coordinator.stop srv;
-    Shard.Coordinator.wait srv
+    Serve.stop srv;
+    let summary = Serve.wait srv in
+    (summary, Shard.Fleet.stats fleet)
   in
-  match f sock srv with
+  match f sock fleet with
   | v ->
-    let summary = finish () in
-    (v, summary)
+    let summary, stats = finish () in
+    (v, summary, stats)
   | exception e ->
     ignore (finish ());
     raise e
@@ -288,17 +293,16 @@ let with_client sock f =
   let c = Serve.Client.connect sock in
   Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
 
-let check_balance (s : Shard.Coordinator.stats) =
+let check_balance (s : Serve.summary) =
   Alcotest.(check int) "accepted = completed + timeouts + errors"
-    s.Shard.Coordinator.st_accepted
-    (s.Shard.Coordinator.st_completed + s.Shard.Coordinator.st_timeouts
-     + s.Shard.Coordinator.st_errors)
+    s.Serve.sm_accepted
+    (s.Serve.sm_completed + s.Serve.sm_timeouts + s.Serve.sm_errors)
 
 (* ---- the tentpole scenario: SIGKILL a worker mid-solve ---- *)
 
 let test_worker_crash_requeues_and_completes () =
-  let (), summary =
-    with_coord "crash" (fun sock srv ->
+  let rescuer, summary, stats =
+    with_coord "crash" (fun sock fleet ->
         (* The saboteur leases first: its builder stalls inside
            run_batch, heartbeats flowing, so the lease is held when we
            kill it. *)
@@ -314,9 +318,9 @@ let test_worker_crash_requeues_and_completes () =
               (Report.Json.str_or "" (Report.Json.member "frame" accepted));
             wait_for ~what:"the victim to hold the lease" (fun () ->
                 List.exists
-                  (fun (l : Shard.Coordinator.lease_view) ->
-                    l.Shard.Coordinator.lv_worker = "victim")
-                  (Shard.Coordinator.leases srv));
+                  (fun (l : Shard.Fleet.lease_view) ->
+                    l.Shard.Fleet.lv_worker = "victim")
+                  (Shard.Fleet.leases fleet));
             Unix.kill victim Sys.sigkill;
             (* A healthy worker joins and steals the re-queued job. *)
             let rescuer = fork_worker ~name:"rescuer" ~resolve sock in
@@ -324,28 +328,25 @@ let test_worker_crash_requeues_and_completes () =
             Alcotest.(check string) "crashed job still completed" "done"
               (Report.Json.str_or "" (Report.Json.member "frame" terminal));
             rescuer))
-      |> fun (rescuer, summary) ->
-      reap rescuer;
-      ((), summary)
   in
-  Alcotest.(check int) "zero lost jobs" 1
-    summary.Shard.Coordinator.st_completed;
-  Alcotest.(check int) "one re-queue" 1 summary.Shard.Coordinator.st_requeued;
-  Alcotest.(check int) "one steal" 1 summary.Shard.Coordinator.st_steals;
+  reap rescuer;
+  Alcotest.(check int) "zero lost jobs" 1 summary.Serve.sm_completed;
+  Alcotest.(check int) "one re-queue" 1 stats.Shard.Fleet.st_requeued;
+  Alcotest.(check int) "one steal" 1 stats.Shard.Fleet.st_steals;
   Alcotest.(check bool) "the death was seen" true
-    (summary.Shard.Coordinator.st_worker_deaths >= 1);
+    (stats.Shard.Fleet.st_worker_deaths >= 1);
   Alcotest.(check int) "two leases for one job" 2
-    summary.Shard.Coordinator.st_leases;
+    stats.Shard.Fleet.st_leases;
   check_balance summary
 
 (* ---- heartbeat silence: a wedged (not dead) worker loses its lease ---- *)
 
 let test_silent_worker_loses_lease () =
-  let (), summary =
-    with_coord ~heartbeat_grace_s:0.8 "silent" (fun sock _srv ->
-        (* This saboteur leases and then hangs before its heartbeat loop
-           starts: the process is alive, the connection open, but the
-           coordinator hears nothing. *)
+  let rescuer, summary, stats =
+    with_coord ~heartbeat_grace_s:0.8 "silent" (fun sock _ ->
+        (* This saboteur leases and then hangs before its ticker has a
+           lease to beat for: the process is alive, the connection open,
+           but the server hears nothing. *)
         let mute =
           fork_worker ~name:"mute" ~resolve:resolve_stall_silent sock
         in
@@ -366,16 +367,13 @@ let test_silent_worker_loses_lease () =
             Alcotest.(check string) "job survived the silent worker" "done"
               (Report.Json.str_or "" (Report.Json.member "frame" terminal));
             rescuer))
-      |> fun (rescuer, summary) ->
-      reap rescuer;
-      ((), summary)
   in
-  Alcotest.(check int) "completed exactly once" 1
-    summary.Shard.Coordinator.st_completed;
+  reap rescuer;
+  Alcotest.(check int) "completed exactly once" 1 summary.Serve.sm_completed;
   Alcotest.(check bool) "silence re-queued the lease" true
-    (summary.Shard.Coordinator.st_requeued >= 1);
+    (stats.Shard.Fleet.st_requeued >= 1);
   Alcotest.(check bool) "silent worker presumed dead" true
-    (summary.Shard.Coordinator.st_worker_deaths >= 1);
+    (stats.Shard.Fleet.st_worker_deaths >= 1);
   check_balance summary
 
 let () =

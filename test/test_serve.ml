@@ -1,7 +1,9 @@
-(* The verification service daemon: submit/complete verdict parity against
-   a direct solve, per-job wall-clock timeouts with a surviving pool,
-   malformed-frame connection isolation, SIGTERM drain flushing the store
-   and journal, and bounded-admission backpressure.
+(* The verification service, run once per executor — in-process and a
+   fleet of two [Shard.Worker.run] threads: submit/complete verdict
+   parity against a direct solve, per-job wall-clock timeouts with a
+   surviving executor, malformed-frame connection isolation, client
+   disconnects mid-job, SIGTERM drain flushing the store and journal,
+   and bounded-admission backpressure.
 
    Cheap jobs use the 4-bit echo design (as in test_store); the "slow"
    job is a deep AES FC obligation, which reliably outlives a
@@ -62,21 +64,38 @@ let tmp_path label =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "aqed_serve_%d_%s" (Unix.getpid ()) label)
 
-(* Start a daemon, run [f], drain, return [f]'s value and the drain
-   summary. *)
-let with_server ?store ?journal ?(capacity = 4) ?(job_timeout_s = 120.)
-    label f =
+type executor = In_process | Fleet
+
+(* Start a server over [executor], run [f srv sock], [drain] it, and
+   return [f]'s value and the drain summary. The fleet brings two worker
+   threads running the real lease loop, sharing [store]. *)
+let with_server ?store ?journal ?(capacity = 4) ?(drain = Serve.stop)
+    executor label f =
+  let label = (if executor = Fleet then "fleet_" else "") ^ label in
   let sock = tmp_path (label ^ ".sock") in
-  let cfg =
-    Serve.config ?store ?journal ~workers:2 ~capacity ~job_timeout_s
-      ~idle_timeout_s:10. ~resolve sock
+  let executor, workers =
+    match executor with
+    | In_process -> (Serve.in_process ?store ~workers:2 (), 0)
+    | Fleet -> (Shard.Fleet.executor (Shard.Fleet.create ()), 2)
   in
-  let srv = Serve.start cfg in
+  let srv =
+    Serve.start ~executor
+      (Serve.config ?journal ~capacity ~job_timeout_s:120.
+         ~idle_timeout_s:10. ~resolve sock)
+  in
+  let worker i () =
+    let name = Printf.sprintf "%s%d" label i in
+    let cfg = Shard.Worker.config ~name ?store ~resolve sock in
+    try ignore (Shard.Worker.run cfg) with _ -> ()
+  in
+  let workers = List.init workers (fun i -> Thread.create (worker i) ()) in
   let finish () =
-    Serve.stop srv;
-    Serve.wait srv
+    drain srv;
+    let summary = Serve.wait srv in
+    List.iter Thread.join workers;
+    summary
   in
-  match f sock with
+  match f srv sock with
   | v ->
     let summary = finish () in
     (v, summary)
@@ -99,12 +118,12 @@ let submit_ok c spec =
 
 (* ---- submit/complete parity against a direct solve ---- *)
 
-let test_submit_parity () =
+let test_submit_parity executor () =
   let direct =
     Aqed.Check.run_obligation ~certify:true (ob_fc ~twist:true ~depth:10 ())
   in
   let (o : Report.Journal.obligation), summary =
-    with_server "parity" (fun sock ->
+    with_server executor "parity" (fun _ sock ->
         with_client sock (fun c ->
             submit_ok c
               (Serve.job_spec ~check:"fc" ~depth:10 ~certify:true
@@ -130,9 +149,9 @@ let test_submit_parity () =
 
 (* ---- per-job timeout: typed reply, daemon and pool survive ---- *)
 
-let test_timeout_keeps_pool_usable () =
+let test_timeout_keeps_pool_usable executor () =
   let (), summary =
-    with_server "timeout" (fun sock ->
+    with_server executor "timeout" (fun _ sock ->
         with_client sock (fun c ->
             (match
                Serve.Client.submit c
@@ -156,9 +175,9 @@ let test_timeout_keeps_pool_usable () =
 
 (* ---- malformed frame: that connection dies, the daemon does not ---- *)
 
-let test_malformed_frame_isolation () =
+let test_malformed_frame_isolation executor () =
   let (), _summary =
-    with_server "malformed" (fun sock ->
+    with_server executor "malformed" (fun _ sock ->
         (* Raw socket, bypassing the typed client. *)
         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Fun.protect
@@ -187,9 +206,9 @@ let test_malformed_frame_isolation () =
 
 (* ---- client disconnect mid-job: EPIPE, not SIGPIPE; slots freed ---- *)
 
-let test_client_disconnect_mid_job () =
+let test_client_disconnect_mid_job executor () =
   let (), summary =
-    with_server "disconnect" (fun sock ->
+    with_server executor "disconnect" (fun _ sock ->
         (* Two clients vanish right after submitting — one job that will
            complete, one that will time out. Every later frame write to
            their sockets (accepted, done, timeout) hits a dead peer: it
@@ -221,7 +240,7 @@ let test_client_disconnect_mid_job () =
 
 (* ---- SIGTERM drain: store and journal are flushed, nothing is lost ---- *)
 
-let test_sigterm_drain_flushes () =
+let test_sigterm_drain_flushes executor () =
   let dir = tmp_path "drain_store" in
   let journal_path = tmp_path "drain.jsonl" in
   rm_rf dir;
@@ -244,24 +263,21 @@ let test_sigterm_drain_flushes () =
           fingerprint = "test;serve";
         }
       in
-      let sock = tmp_path "drain.sock" in
-      let cfg =
-        Serve.config ~store:(Store.open_store dir)
-          ~journal:(journal_path, meta) ~workers:2 ~capacity:4
-          ~job_timeout_s:120. ~idle_timeout_s:10. ~resolve sock
+      let (), summary =
+        (* The real drain path: the signal, not a direct call. *)
+        with_server ~store:(Store.open_store dir)
+          ~journal:(journal_path, meta)
+          ~drain:(fun _ -> Unix.kill (Unix.getpid ()) Sys.sigterm)
+          executor "drain" (fun srv sock ->
+            Sys.set_signal Sys.sigterm
+              (Sys.Signal_handle (fun _ -> Serve.stop srv));
+            let o =
+              with_client sock (fun c ->
+                  submit_ok c (Serve.job_spec ~depth:10 "echo-twist"))
+            in
+            Alcotest.(check string) "bug via service" "bug"
+              o.Report.Journal.ob_verdict)
       in
-      let srv = Serve.start cfg in
-      Sys.set_signal Sys.sigterm
-        (Sys.Signal_handle (fun _ -> Serve.stop srv));
-      let o =
-        with_client sock (fun c ->
-            submit_ok c (Serve.job_spec ~depth:10 "echo-twist"))
-      in
-      Alcotest.(check string) "bug via service" "bug"
-        o.Report.Journal.ob_verdict;
-      (* The real drain path: the signal, not a direct call. *)
-      Unix.kill (Unix.getpid ()) Sys.sigterm;
-      let summary = Serve.wait srv in
       Alcotest.(check int) "accepted" 1 summary.Serve.sm_accepted;
       Alcotest.(check int) "completed — drain lost nothing" 1
         summary.Serve.sm_completed;
@@ -282,9 +298,9 @@ let test_sigterm_drain_flushes () =
 
 (* ---- backpressure: typed busy at capacity, recovery after release ---- *)
 
-let test_backpressure_busy () =
+let test_backpressure_busy executor () =
   let (), summary =
-    with_server ~capacity:1 "busy" (fun sock ->
+    with_server ~capacity:1 executor "busy" (fun _ sock ->
         with_client sock (fun c1 ->
             with_client sock (fun c2 ->
                 (* Occupy the single slot with a job that will run for a
@@ -317,19 +333,21 @@ let test_backpressure_busy () =
   Alcotest.(check int) "one rejected" 1 summary.Serve.sm_rejected;
   Alcotest.(check int) "two accepted" 2 summary.Serve.sm_accepted
 
-let suite =
-  ( "serve",
-    [
+let cases executor =
+  [
     Alcotest.test_case "submit/complete parity vs direct solve" `Quick
-      test_submit_parity;
+      (test_submit_parity executor);
     Alcotest.test_case "job timeout is typed and pool survives" `Quick
-      test_timeout_keeps_pool_usable;
+      (test_timeout_keeps_pool_usable executor);
     Alcotest.test_case "malformed frame closes one connection only" `Quick
-      test_malformed_frame_isolation;
+      (test_malformed_frame_isolation executor);
     Alcotest.test_case "client disconnect mid-job cannot kill the daemon"
-      `Quick test_client_disconnect_mid_job;
+      `Quick (test_client_disconnect_mid_job executor);
     Alcotest.test_case "SIGTERM drain flushes store and journal" `Quick
-      test_sigterm_drain_flushes;
+      (test_sigterm_drain_flushes executor);
     Alcotest.test_case "backpressure: typed busy at capacity" `Quick
-      test_backpressure_busy;
-  ] )
+      (test_backpressure_busy executor);
+  ]
+
+let suite = ("serve", cases In_process)
+let fleet_suite = ("fleet", cases Fleet)

@@ -1,8 +1,10 @@
-(* The sharded verification fleet, in-process half: client-protocol
-   parity with the single-process daemon (verdicts, keys, certificates
-   vs a direct solve), worker-side deadlines, and a fleet that never
-   forms at all. In every scenario the drain accounting must balance
-   exactly: accepted = completed + timeouts + errors.
+(* The fleet executor, in-process half: client-protocol parity with the
+   in-process executor (verdicts, keys, certificates vs a direct solve),
+   worker-side deadlines, a fleet that never forms at all, the pending
+   queue's lease order, and the latency of a cached repeat. In every
+   scenario the drain accounting must balance exactly: accepted =
+   completed + timeouts + errors. test_serve.ml runs the service's
+   client-facing cases against both executors.
 
    Workers here are threads over the real [Shard.Worker.run] lease loop,
    each with its own domain pool. The process-level failure scenarios —
@@ -57,37 +59,36 @@ let tmp_path label =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "aqed_shard_%d_%s" (Unix.getpid ()) label)
 
-let with_coord ?(capacity = 8) ?(job_timeout_s = 120.)
-    ?(heartbeat_grace_s = 5.) ?(pending_grace_s = 60.) ?(max_requeues = 3)
-    label f =
+(* A server over a fresh fleet with one worker thread per name in
+   [workers], each running the real lease loop: run [f sock], drain,
+   join the workers, and return [f]'s value, the drain summary and the
+   fleet's counters. *)
+let with_coord ?(capacity = 8) ?pending_grace_s ?(workers = []) label f =
   let sock = tmp_path (label ^ ".sock") in
-  let cfg =
-    Shard.Coordinator.config ~capacity ~job_timeout_s ~idle_timeout_s:10.
-      ~heartbeat_grace_s ~pending_grace_s ~max_requeues sock
+  let fleet = Shard.Fleet.create ?pending_grace_s () in
+  let srv =
+    Serve.start ~executor:(Shard.Fleet.executor fleet)
+      (Serve.config ~capacity ~job_timeout_s:120. ~idle_timeout_s:10.
+         ~resolve sock)
   in
-  let srv = Shard.Coordinator.start cfg in
+  let worker name () =
+    try ignore (Shard.Worker.run (Shard.Worker.config ~name ~resolve sock))
+    with _ -> ()
+  in
+  let workers = List.map (fun n -> Thread.create (worker n) ()) workers in
   let finish () =
-    Shard.Coordinator.stop srv;
-    Shard.Coordinator.wait srv
+    Serve.stop srv;
+    let summary = Serve.wait srv in
+    List.iter Thread.join workers;
+    (summary, Shard.Fleet.stats fleet)
   in
-  match f sock srv with
+  match f sock with
   | v ->
-    let summary = finish () in
-    (v, summary)
+    let summary, stats = finish () in
+    (v, summary, stats)
   | exception e ->
     ignore (finish ());
     raise e
-
-(* A healthy in-process worker: runs the real lease loop on a thread,
-   exits when the coordinator drains. *)
-let start_worker ?name ?(resolve = resolve) sock =
-  Thread.create
-    (fun () ->
-      try
-        ignore
-          (Shard.Worker.run (Shard.Worker.config ?name ~resolve sock))
-      with _ -> ())
-    ()
 
 let with_client sock f =
   let c = Serve.Client.connect sock in
@@ -102,41 +103,31 @@ let submit_ok c spec =
     Alcotest.failf "unexpectedly busy (%d/%d)" a cap
   | Serve.Client.Refused m -> Alcotest.failf "refused: %s" m
 
-let check_balance (s : Shard.Coordinator.stats) =
+let check_balance (s : Serve.summary) =
   Alcotest.(check int) "accepted = completed + timeouts + errors"
-    s.Shard.Coordinator.st_accepted
-    (s.Shard.Coordinator.st_completed + s.Shard.Coordinator.st_timeouts
-     + s.Shard.Coordinator.st_errors)
+    s.Serve.sm_accepted
+    (s.Serve.sm_completed + s.Serve.sm_timeouts + s.Serve.sm_errors)
 
-(* ---- protocol parity: the daemon's client cannot tell the modes apart ---- *)
+(* ---- protocol parity: the client cannot tell the executors apart ---- *)
 
 let test_fleet_parity_vs_direct () =
   let direct =
     Aqed.Check.run_obligation ~certify:true (ob_fc ~twist:true ~depth:10 ())
   in
-  let (o : Report.Journal.obligation), summary =
-    with_coord "parity" (fun sock _srv ->
-        let w1 = start_worker ~name:"p1" sock in
-        let w2 = start_worker ~name:"p2" sock in
-        let o =
-          with_client sock (fun c ->
-              (* The unmodified single-process client end-to-end. *)
-              let o =
-                submit_ok c
-                  (Serve.job_spec ~check:"fc" ~depth:10 ~certify:true
-                     "echo-twist")
-              in
-              ignore (submit_ok c (Serve.job_spec ~depth:8 "echo"));
-              (* The status frame advertises the fleet. *)
-              let st = Serve.Client.status c in
-              Alcotest.(check int) "two workers visible" 2
-                (Report.Json.int_or 0 (Report.Json.member "workers" st));
-              o)
-        in
-        (o, [ w1; w2 ]))
-      |> fun ((o, ws), summary) ->
-      List.iter Thread.join ws;
-      (o, summary)
+  let (o : Report.Journal.obligation), summary, stats =
+    with_coord ~workers:[ "p1"; "p2" ] "parity" (fun sock ->
+        with_client sock (fun c ->
+            let o =
+              submit_ok c
+                (Serve.job_spec ~check:"fc" ~depth:10 ~certify:true
+                   "echo-twist")
+            in
+            ignore (submit_ok c (Serve.job_spec ~depth:8 "echo"));
+            (* The status frame advertises the fleet. *)
+            let st = Serve.Client.status c in
+            Alcotest.(check int) "two workers visible" 2
+              (Report.Json.int_or 0 (Report.Json.member "workers" st));
+            o))
   in
   Alcotest.(check string) "verdict" "bug" o.Report.Journal.ob_verdict;
   Alcotest.(check string) "structural key parity" direct.Aqed.Check.key
@@ -147,20 +138,17 @@ let test_fleet_parity_vs_direct () =
        (Printf.sprintf "replayed:%d" k)
        o.Report.Journal.ob_certificate
    | _ -> Alcotest.fail "direct certified bug must carry a replay cert");
-  Alcotest.(check int) "two accepted" 2 summary.Shard.Coordinator.st_accepted;
-  Alcotest.(check int) "two completed" 2
-    summary.Shard.Coordinator.st_completed;
-  Alcotest.(check int) "two leases" 2 summary.Shard.Coordinator.st_leases;
-  Alcotest.(check int) "no deaths" 0
-    summary.Shard.Coordinator.st_worker_deaths;
+  Alcotest.(check int) "two accepted" 2 summary.Serve.sm_accepted;
+  Alcotest.(check int) "two completed" 2 summary.Serve.sm_completed;
+  Alcotest.(check int) "two leases" 2 stats.Shard.Fleet.st_leases;
+  Alcotest.(check int) "no deaths" 0 stats.Shard.Fleet.st_worker_deaths;
   check_balance summary
 
 (* ---- worker-side deadline: typed timeout, fleet survives ---- *)
 
 let test_worker_deadline_typed_timeout () =
-  let (), summary =
-    with_coord "timeout" (fun sock _srv ->
-        let w = start_worker ~name:"t1" sock in
+  let (), summary, stats =
+    with_coord ~workers:[ "t1" ] "timeout" (fun sock ->
         with_client sock (fun c ->
             (match
                Serve.Client.submit c
@@ -177,24 +165,19 @@ let test_worker_deadline_typed_timeout () =
                cancellation, not death. *)
             let o = submit_ok c (Serve.job_spec ~depth:8 "echo") in
             Alcotest.(check string) "clean after timeout" "clean"
-              o.Report.Journal.ob_verdict);
-        [ w ])
-      |> fun (ws, summary) ->
-      List.iter Thread.join ws;
-      ((), summary)
+              o.Report.Journal.ob_verdict))
   in
-  Alcotest.(check int) "one timeout" 1 summary.Shard.Coordinator.st_timeouts;
-  Alcotest.(check int) "one completed" 1
-    summary.Shard.Coordinator.st_completed;
+  Alcotest.(check int) "one timeout" 1 summary.Serve.sm_timeouts;
+  Alcotest.(check int) "one completed" 1 summary.Serve.sm_completed;
   Alcotest.(check int) "worker survived its own timeout" 0
-    summary.Shard.Coordinator.st_worker_deaths;
+    stats.Shard.Fleet.st_worker_deaths;
   check_balance summary
 
 (* ---- no fleet: pending jobs get a typed error, not a hang ---- *)
 
 let test_no_worker_pending_grace () =
-  let (), summary =
-    with_coord ~pending_grace_s:0.5 "noworker" (fun sock _srv ->
+  let (), summary, _ =
+    with_coord ~pending_grace_s:0.5 "noworker" (fun sock ->
         with_client sock (fun c ->
             Serve.Client.send c
               (Serve.json_of_job_spec (Serve.job_spec ~depth:6 "echo"));
@@ -210,10 +193,50 @@ let test_no_worker_pending_grace () =
             Alcotest.(check bool) "message names the missing fleet" true
               (String.length msg > 0)))
   in
-  Alcotest.(check int) "one error" 1 summary.Shard.Coordinator.st_errors;
-  Alcotest.(check int) "nothing completed" 0
-    summary.Shard.Coordinator.st_completed;
+  Alcotest.(check int) "one error" 1 summary.Serve.sm_errors;
+  Alcotest.(check int) "nothing completed" 0 summary.Serve.sm_completed;
   check_balance summary
+
+(* ---- a cached repeat pays no per-job heartbeat floor ---- *)
+
+let test_cached_repeat_latency () =
+  let wall, _, _ =
+    with_coord ~workers:[ "c1" ] "cached" (fun sock ->
+        with_client sock (fun c ->
+            let spec = Serve.job_spec ~depth:8 "echo" in
+            ignore (submit_ok c spec);
+            match Serve.Client.submit c spec with
+            | Serve.Client.Completed (_, wall, o) ->
+              Alcotest.(check bool) "answered from the worker's cache" true
+                o.Report.Journal.ob_cached;
+              wall
+            | _ -> Alcotest.fail "expected the repeat to complete"))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "cached repeat wall_s %.4f < 0.025" wall)
+    true (wall < 0.025)
+
+(* ---- pending queue: re-queued first, then fresh oldest first ---- *)
+
+let test_pending_order () =
+  let q = Shard.Pending.create () in
+  let rec drain acc =
+    match Shard.Pending.pop q with
+    | Some x -> drain (x :: acc)
+    | None -> List.rev acc
+  in
+  List.iter (Shard.Pending.push q) [ 1; 2; 3 ];
+  Shard.Pending.requeue q 10;
+  Shard.Pending.requeue q 11;
+  Alcotest.(check int) "length counts both ends" 5 (Shard.Pending.length q);
+  Alcotest.(check (list int)) "re-queued (latest first), then fresh FIFO"
+    [ 11; 10; 1; 2; 3 ] (drain []);
+  Alcotest.(check int) "empty" 0 (Shard.Pending.length q);
+  Shard.Pending.push q 4;
+  Shard.Pending.requeue q 12;
+  Shard.Pending.push q 5;
+  Alcotest.(check (list int)) "order holds after interleaving" [ 12; 4; 5 ]
+    (drain [])
 
 let suite =
   ( "shard",
@@ -224,4 +247,8 @@ let suite =
         test_worker_deadline_typed_timeout;
       Alcotest.test_case "no worker: pending job gets a typed error" `Quick
         test_no_worker_pending_grace;
+      Alcotest.test_case "cached repeat pays no heartbeat floor" `Quick
+        test_cached_repeat_latency;
+      Alcotest.test_case "pending queue: re-queued first, then FIFO" `Quick
+        test_pending_order;
     ] )
