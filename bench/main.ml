@@ -5,23 +5,19 @@
      fig5     bug-detection coverage comparison
      table2   A-QED on the HLS designs (AES v1-v4, dataflow, optical flow, GSM)
      fig2     the motivating clock-enable example
-     reduce   structural-reduction A/B: same obligations with and without
-              the Logic.Reduce pipeline; exits 1 on any verdict mismatch
-     certify  verdict-certification A/B: same obligations uncertified and
-              with ~certify:true (replayed counterexamples, RUP-certified
-              UNSAT frames); exits 1 on any divergence or missing
-              certificate, and records the wall-time overhead
-     sat      solver-modernization A/B: same obligations with the legacy
-              solver configuration and the modern default (LBD-tiered
-              database, inprocessing, warm assumption prefixes); exits 1
-              on any verdict or depth mismatch, and records the aggregate
-              speedup (tracked floor: >= 1.25x on the hardest obligations)
-     store    persistent verdict-store legs: the same obligation suite run
-              cold (empty store), warm (everything answers from
-              revalidated entries; >= 5x faster with identical verdicts)
-              and dirty (one design swapped for its bug variant; only the
-              changed obligation re-solves); exits 1 on any parity break,
-              warm miss, extra re-solve or a speedup below the floor
+     reduce   structural reduction: reduced and raw (--no-reduce) legs
+     certify  certification: plain and certified legs (replayed
+              counterexamples, RUP-certified UNSAT frames); exits 1 on any
+              divergence or missing certificate, records the overhead
+     sat      the default solver alone on its known answers; records the
+              per-obligation solver statistics and journals every report
+     overhead the sat entries with the time-series sampler off and on
+     store    persistent verdict store: cold (empty store), warm (all hits,
+              >= 5x faster) and dirty (one design swapped for its bug
+              variant; only it re-solves) legs
+     serve    the store entries through an in-process service daemon
+     shard    the store entries through 1- and 4-worker fleets, plus a
+              crash-injection leg
      mutate   mutation fault-injection campaign on the three memctrl
               configurations (fixed seed): generated faults instead of the
               hand-written registry; records the mutation score, kill-depth
@@ -32,20 +28,25 @@
      kernels  Bechamel micro-benchmarks of the substrate (SAT, BMC, sim)
      ablate   ablations called out in DESIGN.md
 
+   reduce, certify, sat, overhead and store draw on one declarative
+   obligation suite, each entry carrying its known verdict@depth, and run
+   through one runner: every leg is checked against the known answer and
+   the other legs, and any mismatch exits 1.
+
    Run with no argument for the paper artefacts (table1 fig5 table2 fig2);
-   pass subcommand names to select; `all` adds reduce, ablations and
-   kernels.
+   pass target names to select; `all` runs every target but overhead. An
+   unknown target exits 2 before anything runs.
 
    `-j N` sizes the domain pool: table2 then runs both the sequential
    baseline and the parallel batch driver, checks the outcomes agree and
    reports the speedup. `-p N` additionally races N diversified solver
    configurations inside each obligation. Every run also emits
-   machine-readable BENCH_results.json (schema 7: run metadata, per-table
-   wall times, solver stats including the glue-tier tallies, speedups,
-   pre/post reduction node and clause counts, certification overhead,
-   solver-modernization A/B speedups, verdict-store cold/warm/dirty legs,
-   mutation-campaign scores, and a final snapshot of the global telemetry
-   metrics registry) so the perf trajectory is tracked across PRs. *)
+   machine-readable BENCH_results.json (schema 8: run metadata, per-table
+   wall times, one uniform row per A/B obligation — per leg its verdict,
+   wall time, solver stats including the glue-tier tallies, certificate
+   and cache hit — plus each target's gates, mutation-campaign scores,
+   and a final snapshot of the global telemetry metrics registry) so the
+   perf trajectory is tracked across changes. *)
 
 module M = Accel.Memctrl
 module C = Testbench.Conventional
@@ -164,7 +165,7 @@ let write_json_results ~jobs ~portfolio ~total_wall =
   json_out buf
     (Obj
        ([
-          ("schema", Int 7);
+          ("schema", Int 8);
           ( "meta",
             Obj
               ([ ("jobs", Int jobs); ("portfolio", Int portfolio);
@@ -469,13 +470,11 @@ let table2_specs () =
   in
   List.map aes [ 1; 2; 3; 4 ] @ [ dataflow; optflow; gsm ]
 
-let same_outcome (a : Aqed.Check.report) (b : Aqed.Check.report) =
-  match (a.Aqed.Check.verdict, b.Aqed.Check.verdict) with
-  | Aqed.Check.Bug t1, Aqed.Check.Bug t2 ->
-    Bmc.Trace.length t1 = Bmc.Trace.length t2
-  | Aqed.Check.No_bug_up_to k1, Aqed.Check.No_bug_up_to k2 -> k1 = k2
-  | Aqed.Check.Proved k1, Aqed.Check.Proved k2 -> k1 = k2
-  | _, _ -> false
+let verdict_sig (r : Aqed.Check.report) =
+  match r.Aqed.Check.verdict with
+  | Aqed.Check.Bug t -> Printf.sprintf "bug@%d" (Bmc.Trace.length t)
+  | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean@%d" k
+  | Aqed.Check.Proved k -> Printf.sprintf "proved@%d" k
 
 let print_table2 ~jobs ~portfolio () =
   let specs = table2_specs () in
@@ -530,7 +529,10 @@ let print_table2 ~jobs ~portfolio () =
         (List.map (fun s -> s.ob) specs)
     in
     let par_reports = Aqed.Check.batch_reports batch in
-    let matches = List.map2 same_outcome seq_reports par_reports in
+    let matches =
+      List.map2 (fun a b -> verdict_sig a = verdict_sig b) seq_reports
+        par_reports
+    in
     let all_match = List.for_all (fun m -> m) matches in
     let speedup =
       if batch.Aqed.Check.batch_wall > 0. then
@@ -614,387 +616,390 @@ let print_fig2 () =
      | Aqed.Check.Proved k -> Printf.sprintf "proved at depth %d" k
      | Aqed.Check.Bug _ -> "UNEXPECTED BUG")
 
-(* ---- reduction A/B ---- *)
+(* ---- A/B targets: one obligation suite, one runner ---- *)
 
-(* The same obligation solved twice — with the structural reduction
-   pipeline (the default) and with --no-reduce — must produce the same
-   verdict at the same depth; the A/B also quantifies what reduction buys
-   in AIG nodes and in encoded CNF size (solver variables + clauses over
-   the whole run, which is the per-frame encoding summed across the depths
-   both runs explore identically). Any verdict or depth mismatch fails the
-   bench (exit 1) — this is the CI smoke for the pipeline's soundness
-   invariant. *)
-let reduce_suite () =
+(* The reduce, certify, sat, store and overhead targets all draw their
+   obligations from one declarative suite and run them through one runner
+   ([run_ab]): a target is a list of variants (legs) plus its gates. Every
+   leg of every target is checked against the entry's known answer and
+   against the other legs, so a wrong verdict fails the bench (exit 1)
+   even when all legs agree on it. *)
+
+type ab_target = [ `Reduce | `Certify | `Sat | `Store ]
+
+type ab_entry = {
+  design : string;
+  note : string;  (* row-label suffix after "design/CHECK" *)
+  check : [ `Fc of (Aqed.Iface.t -> Rtl.Ir.signal) option | `Rb of int ];
+      (* FC with its optional shared operand, or RB with its tau *)
+  depth : int;
+  build : unit -> Aqed.Iface.t;
+  sweep : bool;
+  targets : ab_target list;  (* overhead runs the sat entries *)
+  expect : string;  (* the known answer, verdict@depth *)
+  dirty : ((unit -> Aqed.Iface.t) * string) option;
+      (* store's dirty leg: the bug variant built instead, and its answer *)
+}
+
+let ab ?(note = "") ?(sweep = false) ?dirty ~targets ~expect design check
+    depth build =
+  { design; note; check; depth; build; sweep; targets; expect; dirty }
+
+let ab_suite =
+  let every = [ `Reduce; `Certify; `Sat; `Store ] in
   [
     (* The sweep showcase: the checker datapath is functionally equal but
        structurally disjoint from the functional one, so only SAT sweeping
-       (opt-in, [~sweep:true]; ignored when [~reduce:false]) can collapse
-       it. *)
-    ( "dualpath/FC bug (sweep)",
-      fun ~reduce ->
-        Aqed.Check.prepare_fc ~name:"dualpath/FC" ~max_depth:12 ~reduce
-          ~sweep:true
-          (fun () -> Accel.Dualpath.build ~bug:true ()) );
-    ( "dualpath/FC (sweep)",
-      fun ~reduce ->
-        Aqed.Check.prepare_fc ~name:"dualpath/FC" ~max_depth:10 ~reduce
-          ~sweep:true
-          (fun () -> Accel.Dualpath.build ()) );
-    ( "memctrl-fifo/FC",
-      fun ~reduce ->
-        Aqed.Check.prepare_fc ~name:"memctrl-fifo/FC" ~max_depth:10 ~reduce
-          (fun () -> M.build M.Fifo_mode ()) );
-    ( "fig2/FC bug",
-      fun ~reduce ->
-        Aqed.Check.prepare_fc ~name:"fig2/FC" ~max_depth:16 ~reduce
-          (fun () -> Accel.Fig2.build ~bug:true ()) );
-    ( "AES v1/FC",
-      fun ~reduce ->
-        Aqed.Check.prepare_fc ~name:"AES v1/FC" ~max_depth:18
-          ~shared:Accel.Aes.shared_key ~reduce
-          (fun () -> Accel.Aes.build ~version:1 ()) );
-    ( "GSM/FC bug",
-      fun ~reduce ->
-        Aqed.Check.prepare_fc ~name:"GSM/FC" ~max_depth:16 ~reduce
-          (fun () -> Accel.Gsm.build ~bug:true ()) );
-    ( "Dataflow/RB bug",
-      fun ~reduce ->
-        Aqed.Check.prepare_rb ~name:"Dataflow/RB" ~max_depth:16
-          ~tau:Accel.Dataflow.tau ~reduce
-          (fun () -> Accel.Dataflow.build ~bug:true ()) );
-    ( "Optical Flow/RB bug",
-      fun ~reduce ->
-        Aqed.Check.prepare_rb ~name:"Optical Flow/RB" ~max_depth:16
-          ~tau:Accel.Optflow.tau ~reduce
-          (fun () -> Accel.Optflow.build ~bug:true ()) );
+       (opt-in; ignored by the raw leg) can collapse it. *)
+    ab "dualpath" (`Fc None) 12 ~note:" bug (sweep)" ~sweep:true
+      ~targets:[ `Reduce ] ~expect:"bug@6"
+      (fun () -> Accel.Dualpath.build ~bug:true ());
+    ab "dualpath" (`Fc None) 10 ~note:" (sweep)" ~sweep:true
+      ~targets:[ `Reduce ] ~expect:"clean@10"
+      (fun () -> Accel.Dualpath.build ());
+    ab "memctrl-fifo" (`Fc None) 10 ~targets:[ `Reduce; `Sat ]
+      ~expect:"clean@10"
+      (fun () -> M.build M.Fifo_mode ());
+    (* fig2 at depth 16 and AES at depth 18 are the two searches dominated
+       by frame-solve time rather than encoding; certification leaves them
+       out (RUP replay is proportional to the clauses learned). *)
+    ab "fig2" (`Fc None) 16 ~note:" bug" ~targets:[ `Reduce; `Sat ]
+      ~expect:"bug@14"
+      (fun () -> Accel.Fig2.build ~bug:true ());
+    ab "AES v1" (`Fc (Some Accel.Aes.shared_key)) 18 ~targets:[ `Reduce; `Sat ]
+      ~expect:"bug@13"
+      (fun () -> Accel.Aes.build ~version:1 ());
+    ab "GSM" (`Fc None) 16 ~note:" bug" ~targets:every ~expect:"bug@14"
+      (fun () -> Accel.Gsm.build ~bug:true ());
+    ab "Dataflow" (`Rb Accel.Dataflow.tau) 16 ~note:" bug" ~targets:every
+      ~expect:"bug@16"
+      (fun () -> Accel.Dataflow.build ~bug:true ());
+    ab "Optical Flow" (`Rb Accel.Optflow.tau) 16 ~note:" bug"
+      ~targets:[ `Reduce; `Certify; `Sat ] ~expect:"bug@10"
+      (fun () -> Accel.Optflow.build ~bug:true ());
+    ab "memctrl-fifo" (`Fc None) 12 ~note:" bug" ~targets:[ `Certify; `Store ]
+      ~expect:"bug@8"
+      (fun () -> M.build ~bug:M.Fifo_oversize_ready M.Fifo_mode ());
+    ab "memctrl-fifo" (`Fc None) 8 ~note:" clean" ~targets:[ `Certify; `Store ]
+      ~expect:"clean@8"
+      (fun () -> M.build M.Fifo_mode ());
+    ab "fig2" (`Fc None) 8 ~note:" clean" ~targets:[ `Certify; `Store ]
+      ~expect:"clean@8"
+      (fun () -> Accel.Fig2.build ());
+    ab "dualpath" (`Fc None) 12 ~note:" bug" ~targets:[ `Certify; `Sat ]
+      ~expect:"bug@6"
+      (fun () -> Accel.Dualpath.build ~bug:true ());
+    (* The dirty leg flips this design's stale-operand bug on: its key
+       changes, so it alone re-solves, and must find the bug. *)
+    ab "dualpath" (`Fc None) 8 ~targets:[ `Store ] ~expect:"clean@8"
+      ~dirty:((fun () -> Accel.Dualpath.build ~bug:true ()), "bug@6")
+      (fun () -> Accel.Dualpath.build ());
   ]
 
-let print_reduce () =
-  pf "\n== Reduction pipeline A/B (verdict parity vs --no-reduce) ==\n";
-  pf "%s\n" (line 100);
-  pf "%-20s %-8s %5s | %9s %9s | %12s %12s %7s\n" "obligation" "verdict"
-    "depth" "aig raw" "reduced" "v+c raw" "v+c reduced" "drop";
-  pf "%s\n" (line 100);
-  let encoded (r : Aqed.Check.report) =
-    r.Aqed.Check.solver_stats.Sat.Solver.max_var
-    + r.Aqed.Check.solver_stats.Sat.Solver.clauses
+let ab_name e =
+  Printf.sprintf "%s/%s" e.design
+    (match e.check with `Fc _ -> "FC" | `Rb _ -> "RB")
+
+let ab_label e = ab_name e ^ e.note
+
+let ab_prepare ?(reduce = true) ?(dirty = false) e =
+  let name = ab_name e and max_depth = e.depth and sweep = e.sweep in
+  let build =
+    match e.dirty with Some (bug, _) when dirty -> bug | Some _ | None -> e.build
   in
-  let best_drop = ref 0. in
-  let rows =
-    List.map
-      (fun (name, make) ->
-        let on = Aqed.Check.run_obligation (make ~reduce:true) in
-        let off = Aqed.Check.run_obligation (make ~reduce:false) in
-        let ok = same_outcome on off in
-        if not ok then bench_failed := true;
-        let e_on = encoded on and e_off = encoded off in
-        let drop =
-          if e_off > 0 then 1. -. (float_of_int e_on /. float_of_int e_off)
-          else 0.
-        in
-        if drop > !best_drop then best_drop := drop;
-        let verdict, depth =
-          match on.Aqed.Check.verdict with
-          | Aqed.Check.Bug t -> ("bug", Bmc.Trace.length t)
-          | Aqed.Check.No_bug_up_to k -> ("clean", k)
-          | Aqed.Check.Proved k -> ("proved", k)
-        in
-        pf "%-20s %-8s %5d | %9d %9d | %12d %12d %6.0f%%%s\n" name verdict
-          depth on.Aqed.Check.aig_nodes_raw on.Aqed.Check.aig_nodes e_off e_on
-          (100. *. drop)
-          (if ok then "" else "  << VERDICT MISMATCH");
-        Obj
-          ([
-             ("name", Str name);
-             ("outcomes_match", Bool ok);
-             ("verdict", Str verdict);
-             ("depth", Int depth);
-             ("aig_nodes_raw", Int on.Aqed.Check.aig_nodes_raw);
-             ("aig_nodes_reduced", Int on.Aqed.Check.aig_nodes);
-             ( "encoded_raw",
-               json_of_solver_stats off.Aqed.Check.solver_stats );
-             ( "encoded_reduced",
-               json_of_solver_stats on.Aqed.Check.solver_stats );
-             ("vars_clauses_drop", Num drop);
-             ("wall_s_reduced", Num on.Aqed.Check.wall_time);
-             ("wall_s_raw", Num off.Aqed.Check.wall_time);
-           ]
-           @
-           match on.Aqed.Check.reduce_stats with
-           | None -> []
-           | Some s -> [ ("reduce", json_of_reduce_stats s) ]))
-      (reduce_suite ())
+  match e.check with
+  | `Fc shared ->
+    Aqed.Check.prepare_fc ~name ~max_depth ?shared ~reduce ~sweep build
+  | `Rb tau ->
+    Aqed.Check.prepare_rb ~name ~max_depth ~tau ~reduce ~sweep build
+
+let ab_entries target = List.filter (fun e -> List.mem target e.targets) ab_suite
+
+(* A target's obligations, labelled, as the service benches submit them. *)
+let ab_obligations target =
+  List.map (fun e -> (ab_label e, ab_prepare e)) (ab_entries target)
+
+(* One variant's answer on one entry: verdict@depth (or why there is
+   none), wall time, whether a cache or store answered, and the report. *)
+type leg = {
+  answer : string;
+  wall : float;
+  cached : bool;
+  report : Aqed.Check.report option;
+}
+
+let solved ?(cached = false) ?wall (r : Aqed.Check.report) =
+  { answer = verdict_sig r; cached; report = Some r;
+    wall = Option.value wall ~default:r.Aqed.Check.wall_time }
+
+let certificate l =
+  match l.report with
+  | Some { Aqed.Check.certificate = Aqed.Check.Replayed c; _ } ->
+    Printf.sprintf "replayed@%d" c
+  | Some { Aqed.Check.certificate = Aqed.Check.Rup_certified k; _ } ->
+    Printf.sprintf "rup@%d" k
+  | Some _ | None -> "-"
+
+let json_of_leg l =
+  Obj
+    ([ ("answer", Str l.answer); ("wall_s", Num l.wall);
+       ("cached", Bool l.cached); ("certificate", Str (certificate l)) ]
+     @ match l.report with
+       | Some r -> [ ("report", json_of_report r) ]
+       | None -> [])
+
+(* How a variant solves: one obligation at a time on this domain (its
+   wall time is the sum of its legs'), or the whole list at once —
+   one leg per obligation, in order, and the leg's wall time. *)
+type solve =
+  | Each of (ab_entry -> Aqed.Check.obligation -> leg)
+  | Batch of ((ab_entry * Aqed.Check.obligation) list -> leg list * float)
+
+type variant = {
+  label : string;
+  reduce : bool;  (* prepare through the reduction pipeline *)
+  dirty : bool;  (* prepare the entries' dirty swaps *)
+  solve : solve;
+}
+
+let variant ?(reduce = true) ?(dirty = false) label solve =
+  { label; reduce; dirty; solve }
+
+let run_plain = Each (fun _ ob -> solved (Aqed.Check.run_obligation ob))
+
+(* The obligations as one batch on [jobs] domains, through [store] when
+   one is given. *)
+let batch ?store ~jobs () =
+  Batch
+    (fun obs ->
+      let b = Aqed.Check.run_batch ~jobs ?store (List.map snd obs) in
+      ( List.map
+          (fun (be : Aqed.Check.batch_entry) ->
+            solved ~cached:be.Aqed.Check.entry_cached
+              ~wall:be.Aqed.Check.entry_wall be.Aqed.Check.entry_report)
+          b.Aqed.Check.entries,
+        b.Aqed.Check.batch_wall ))
+
+let expected v (e : ab_entry) =
+  match e.dirty with
+  | Some (_, answer) when v.dirty -> answer
+  | Some _ | None -> e.expect
+
+let rec transpose = function
+  | [] | [] :: _ -> []
+  | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
+
+type ab_run = {
+  entries : ab_entry list;
+  legs : (variant * leg list * float) list;
+      (* per variant: one leg per entry and the variant's wall time *)
+  outcomes_ok : bool;
+  rows : json list;
+}
+
+let legs_of run label =
+  match List.find_opt (fun (v, _, _) -> v.label = label) run.legs with
+  | Some (_, legs, wall) -> (legs, wall)
+  | None -> invalid_arg ("legs_of: no variant " ^ label)
+
+(* Runs every variant over the target's entries and checks every answer
+   against the entry's known answer and against the other variants'.
+   [rounds] > 1 repeats the variants interleaved (v1 v2 v1 v2 ...); a leg
+   then keeps its fastest round, and rounds that disagree show up in its
+   answer. When every variant solves one obligation at a time, the
+   runner goes entry by entry — all of an entry's legs back to back — so
+   drift slower than one solve hits every variant alike. One uniform row
+   per entry: the known answer, each leg's wall time ([*] = a cache or
+   store answered) and any certificate. *)
+let run_ab ?(rounds = 1) ~title target variants =
+  pf "\n== %s ==\n" title;
+  let entries = ab_entries target in
+  let solve v es =
+    let obs =
+      List.map (fun e -> (e, ab_prepare ~reduce:v.reduce ~dirty:v.dirty e)) es
+    in
+    match v.solve with
+    | Batch f -> f obs
+    | Each f ->
+      let legs = List.map (fun (e, ob) -> f e ob) obs in
+      (legs, List.fold_left (fun acc l -> acc +. l.wall) 0. legs)
   in
-  pf "%s\n" (line 100);
-  pf "best vars+clauses drop: %.0f%%%s\n" (100. *. !best_drop)
-    (if !bench_failed then "  (FAILURE: some verdict changed under reduction)"
-     else "");
-  record "reduce"
-    (Obj
-       [
-         ("outcomes_match", Bool (not !bench_failed));
-         ("best_vars_clauses_drop", Num !best_drop);
-         ("rows", Arr rows);
-       ])
-
-(* ---- certification A/B ---- *)
-
-(* The same obligations solved uncertified and with [~certify:true]:
-   verdicts and depths must agree, every certified report must carry an
-   actual certificate (a replayed counterexample or RUP-certified frames),
-   and a [Certification_failed] divergence fails the bench (exit 1). The
-   recorded overhead is the acceptance metric for the certification layer:
-   it must stay within 2x of the uncertified wall time over the suite.
-   (The suite runs the bundled designs at their standard bench depths; the
-   forward RUP check is proportional to the clauses the solver learned, so
-   pathologically hard searches — fig2's depth-14 bug, AES at depth 18 —
-   are measured by their own targets, uncertified.) *)
-let certify_suite () =
-  [
-    ( "memctrl-fifo/FC bug",
-      Aqed.Check.prepare_fc ~name:"memctrl-fifo/FC" ~max_depth:12
-        (fun () -> M.build ~bug:M.Fifo_oversize_ready M.Fifo_mode ()) );
-    ( "memctrl-fifo/FC clean",
-      Aqed.Check.prepare_fc ~name:"memctrl-fifo/FC" ~max_depth:8
-        (fun () -> M.build M.Fifo_mode ()) );
-    ( "fig2/FC clean",
-      Aqed.Check.prepare_fc ~name:"fig2/FC" ~max_depth:8
-        (fun () -> Accel.Fig2.build ()) );
-    ( "GSM/FC bug",
-      Aqed.Check.prepare_fc ~name:"GSM/FC" ~max_depth:16
-        (fun () -> Accel.Gsm.build ~bug:true ()) );
-    ( "Dataflow/RB bug",
-      Aqed.Check.prepare_rb ~name:"Dataflow/RB" ~max_depth:16
-        ~tau:Accel.Dataflow.tau
-        (fun () -> Accel.Dataflow.build ~bug:true ()) );
-    ( "Optical Flow/RB bug",
-      Aqed.Check.prepare_rb ~name:"Optical Flow/RB" ~max_depth:16
-        ~tau:Accel.Optflow.tau
-        (fun () -> Accel.Optflow.build ~bug:true ()) );
-    ( "dualpath/FC bug",
-      Aqed.Check.prepare_fc ~name:"dualpath/FC" ~max_depth:12
-        (fun () -> Accel.Dualpath.build ~bug:true ()) );
-  ]
-
-let print_certify () =
-  pf "\n== Verdict certification A/B (replay + RUP vs uncertified) ==\n";
-  pf "%s\n" (line 88);
-  pf "%-24s %-8s %5s | %9s %9s %6s | %s\n" "obligation" "verdict" "depth"
-    "plain(s)" "cert(s)" "ratio" "certificate";
-  pf "%s\n" (line 88);
-  let plain_total = ref 0. and cert_total = ref 0. in
-  let rows =
+  let merge = function
+    | [] -> invalid_arg "run_ab: no rounds"
+    | l :: _ as ls ->
+      { l with
+        wall = List.fold_left (fun m l -> Float.min m l.wall) infinity ls;
+        answer = String.concat "/" (List.sort_uniq compare
+                                      (List.map (fun l -> l.answer) ls)) }
+  in
+  (* Per variant over [es]: its merged legs and its fastest round's wall. *)
+  let run es =
     List.map
-      (fun (name, ob) ->
-        let plain = Aqed.Check.run_obligation ob in
-        plain_total := !plain_total +. plain.Aqed.Check.wall_time;
-        match Aqed.Check.run_obligation ~certify:true ob with
-        | exception Bmc.Engine.Certification_failed msg ->
-          bench_failed := true;
-          pf "%-24s DIVERGED: %s\n" name msg;
-          Obj [ ("name", Str name); ("diverged", Bool true);
-                ("error", Str msg) ]
-        | cert ->
-          cert_total := !cert_total +. cert.Aqed.Check.wall_time;
-          let ok = same_outcome plain cert in
-          let certified =
-            cert.Aqed.Check.certificate <> Aqed.Check.Uncertified
-          in
-          if not (ok && certified) then bench_failed := true;
-          let cert_str =
-            match cert.Aqed.Check.certificate with
-            | Aqed.Check.Replayed c -> Printf.sprintf "replayed@%d" c
-            | Aqed.Check.Rup_certified k -> Printf.sprintf "rup@%d" k
-            | Aqed.Check.Uncertified -> "UNCERTIFIED"
-          in
-          let verdict, depth =
-            match cert.Aqed.Check.verdict with
-            | Aqed.Check.Bug t -> ("bug", Bmc.Trace.length t)
-            | Aqed.Check.No_bug_up_to k -> ("clean", k)
-            | Aqed.Check.Proved k -> ("proved", k)
-          in
-          let ratio =
-            if plain.Aqed.Check.wall_time > 0. then
-              cert.Aqed.Check.wall_time /. plain.Aqed.Check.wall_time
-            else 1.
-          in
-          pf "%-24s %-8s %5d | %9.3f %9.3f %5.2fx | %s%s\n" name verdict
-            depth plain.Aqed.Check.wall_time cert.Aqed.Check.wall_time ratio
-            cert_str
-            (if ok then "" else "  << VERDICT MISMATCH");
+      (fun runs ->
+        ( List.map merge (transpose (List.map fst runs)),
+          List.fold_left (fun m (_, wall) -> Float.min m wall) infinity runs ))
+      (transpose
+         (List.init rounds (fun _ -> List.map (fun v -> solve v es) variants)))
+  in
+  let per_variant =
+    if List.for_all (fun v -> match v.solve with Each _ -> true | Batch _ -> false)
+         variants
+    then
+      List.map
+        (fun runs ->
+          ( List.concat_map fst runs,
+            List.fold_left (fun acc (_, wall) -> acc +. wall) 0. runs ))
+        (transpose (List.map (fun e -> run [ e ]) entries))
+    else run entries
+  in
+  let legs = List.map2 (fun v (ls, wall) -> (v, ls, wall)) variants per_variant in
+  let rows =
+    List.map2
+      (fun e ls ->
+        let answers = List.combine variants ls in
+        let ok =
+          List.for_all
+            (fun (v, l) ->
+              l.answer = expected v e
+              && List.for_all
+                   (fun (v', l') ->
+                     expected v e <> expected v' e || l.answer = l'.answer)
+                   answers)
+            answers
+        in
+        pf "%-26s %-9s" (ab_label e) e.expect;
+        List.iter
+          (fun (v, l) ->
+            pf " | %s %.3fs%s" v.label l.wall (if l.cached then "*" else ""))
+          answers;
+        List.iter
+          (fun (_, l) -> if certificate l <> "-" then pf " %s" (certificate l))
+          answers;
+        if not ok then
+          pf "  << UNEXPECTED: %s"
+            (String.concat ", "
+               (List.map (fun (v, l) -> v.label ^ "=" ^ l.answer) answers));
+        pf "\n";
+        ( ok,
           Obj
-            [
-              ("name", Str name);
-              ("diverged", Bool false);
-              ("outcomes_match", Bool ok);
-              ("verdict", Str verdict);
-              ("depth", Int depth);
-              ("certificate", Str cert_str);
-              ("wall_s_plain", Num plain.Aqed.Check.wall_time);
-              ("wall_s_certified", Num cert.Aqed.Check.wall_time);
-              ("overhead", Num ratio);
-            ])
-      (certify_suite ())
+            [ ("name", Str (ab_label e)); ("max_depth", Int e.depth);
+              ("expect", Str e.expect); ("outcomes_match", Bool ok);
+              ( "legs",
+                Obj (List.map (fun (v, l) -> (v.label, json_of_leg l)) answers)
+              ) ] ))
+      entries
+      (transpose (List.map (fun (_, ls, _) -> ls) legs))
   in
-  pf "%s\n" (line 88);
-  let overhead =
-    if !plain_total > 0. then !cert_total /. !plain_total else 1.
-  in
-  pf "suite: %.3fs uncertified, %.3fs certified — %.2fx overhead%s\n"
-    !plain_total !cert_total overhead
-    (if !bench_failed then "  (FAILURE: divergence or verdict mismatch)"
-     else "");
-  record "certify"
+  let outcomes_ok = List.for_all fst rows in
+  pf "legs: %s%s\n"
+    (String.concat ", "
+       (List.map (fun (v, _, wall) -> Printf.sprintf "%s %.3fs" v.label wall)
+          legs))
+    (if outcomes_ok then "" else "  (FAILURE: an unexpected verdict)");
+  { entries; legs; outcomes_ok; rows = List.map snd rows }
+
+(* Records a target's result; [ok] is the target's gate, and a failed gate
+   fails the bench. *)
+let record_ab key run ~ok extra =
+  if not ok then bench_failed := true;
+  record key
     (Obj
-       [
-         ("zero_divergences", Bool (not !bench_failed));
-         ("wall_s_plain", Num !plain_total);
-         ("wall_s_certified", Num !cert_total);
-         ("overhead", Num overhead);
-         ("rows", Arr rows);
-       ])
+       ([ ("outcomes_match", Bool run.outcomes_ok); ("gates_ok", Bool ok);
+          ( "wall_s",
+            Obj (List.map (fun (v, _, wall) -> (v.label, Num wall)) run.legs) )
+        ]
+        @ extra
+        @ [ ("rows", Arr run.rows) ]))
 
-(* ---- solver modernization A/B ---- *)
+(* Reduced vs raw (--no-reduce): same verdict at the same depth, and what
+   reduction buys in encoded CNF size (solver variables + clauses over the
+   whole run) — the CI smoke for the pipeline's soundness invariant. *)
+let print_reduce () =
+  let run =
+    run_ab `Reduce ~title:"Reduction pipeline A/B (reduced vs --no-reduce)"
+      [ variant "reduced" run_plain; variant ~reduce:false "raw" run_plain ]
+  in
+  let encoded l =
+    match l.report with
+    | Some r ->
+      r.Aqed.Check.solver_stats.Sat.Solver.max_var
+      + r.Aqed.Check.solver_stats.Sat.Solver.clauses
+    | None -> 0
+  in
+  let best_drop =
+    List.fold_left2
+      (fun best on off ->
+        if encoded off > 0 then
+          Float.max best
+            (1. -. (float_of_int (encoded on) /. float_of_int (encoded off)))
+        else best)
+      0. (fst (legs_of run "reduced")) (fst (legs_of run "raw"))
+  in
+  pf "best vars+clauses drop: %.0f%%\n" (100. *. best_drop);
+  record_ab "reduce" run ~ok:run.outcomes_ok
+    [ ("best_vars_clauses_drop", Num best_drop) ]
 
-(* The same obligations solved with the legacy solver configuration
-   (pre-modernization CDCL: activity-only reduction, one-reason-deep
-   minimization, no between-frame inprocessing) and with the modern
-   default (LBD-tiered clause database, recursive minimization, clause
-   vivification between frames, warm assumption prefixes). Both must
-   produce the same verdict at the same depth on every obligation — any
-   mismatch fails the bench (exit 1). The recorded speedup is the
-   acceptance metric for the solver work: the modern configuration must
-   be >= 1.25x faster in aggregate on the hardest obligations (AES v1/FC
-   at depth 18 and fig2/FC at depth 16, the two searches dominated by
-   frame-solve time rather than encoding). *)
-let sat_suite () =
-  [
-    ( "AES v1/FC", true,
-      Aqed.Check.prepare_fc ~name:"AES v1/FC" ~max_depth:18
-        ~shared:Accel.Aes.shared_key
-        (fun () -> Accel.Aes.build ~version:1 ()) );
-    ( "fig2/FC bug", true,
-      Aqed.Check.prepare_fc ~name:"fig2/FC" ~max_depth:16
-        (fun () -> Accel.Fig2.build ~bug:true ()) );
-    ( "GSM/FC bug", false,
-      Aqed.Check.prepare_fc ~name:"GSM/FC" ~max_depth:16
-        (fun () -> Accel.Gsm.build ~bug:true ()) );
-    ( "Dataflow/RB bug", false,
-      Aqed.Check.prepare_rb ~name:"Dataflow/RB" ~max_depth:16
-        ~tau:Accel.Dataflow.tau
-        (fun () -> Accel.Dataflow.build ~bug:true ()) );
-    ( "Optical Flow/RB bug", false,
-      Aqed.Check.prepare_rb ~name:"Optical Flow/RB" ~max_depth:16
-        ~tau:Accel.Optflow.tau
-        (fun () -> Accel.Optflow.build ~bug:true ()) );
-    ( "memctrl-fifo/FC", false,
-      Aqed.Check.prepare_fc ~name:"memctrl-fifo/FC" ~max_depth:10
-        (fun () -> M.build M.Fifo_mode ()) );
-    ( "dualpath/FC bug", false,
-      Aqed.Check.prepare_fc ~name:"dualpath/FC" ~max_depth:12
-        (fun () -> Accel.Dualpath.build ~bug:true ()) );
-  ]
+(* Plain vs certified (replayed counterexamples, RUP-certified frames):
+   zero divergences and a certificate on every certified leg; the suite
+   overhead is recorded (CI gates it at <= 2x). Hard clean searches stay
+   out of this target: the forward RUP check is proportional to the
+   clauses the solver learned. *)
+let print_certify () =
+  let certified =
+    Each
+      (fun _ ob ->
+        match Aqed.Check.run_obligation ~certify:true ob with
+        | r -> solved r
+        | exception Bmc.Engine.Certification_failed msg ->
+          { answer = "diverged: " ^ msg; wall = 0.; cached = false;
+            report = None })
+  in
+  let run =
+    run_ab `Certify
+      ~title:"Verdict certification A/B (replay + RUP vs uncertified)"
+      [ variant "plain" run_plain; variant "certified" certified ]
+  in
+  let cert, cert_wall = legs_of run "certified" in
+  let _, plain_wall = legs_of run "plain" in
+  let zero_divergences = List.for_all (fun l -> Option.is_some l.report) cert in
+  let all_certified = List.for_all (fun l -> certificate l <> "-") cert in
+  let overhead = if plain_wall > 0. then cert_wall /. plain_wall else 1. in
+  pf "suite: %.2fx certification overhead%s\n" overhead
+    (if all_certified then "" else "  (FAILURE: a leg is uncertified)");
+  record_ab "certify" run ~ok:(run.outcomes_ok && all_certified)
+    [ ("zero_divergences", Bool zero_divergences);
+      ("all_certified", Bool all_certified);
+      ("overhead", Num overhead) ]
 
+(* The default solver alone on its known answers, every report journaled;
+   the per-obligation solver statistics in each row are the deterministic
+   trace of the search. *)
 let print_sat () =
-  pf "\n== Solver modernization A/B (legacy vs modern CDCL) ==\n";
-  pf "%s\n" (line 96);
-  pf "%-22s %-8s %5s | %10s %10s %7s | %8s %5s %4s\n" "obligation" "verdict"
-    "depth" "legacy(s)" "modern(s)" "speedup" "glue c/m/l" "redu" "viv";
-  pf "%s\n" (line 96);
-  let legacy_total = ref 0. and modern_total = ref 0. in
-  let legacy_hard = ref 0. and modern_hard = ref 0. in
-  let rows =
-    List.map
-      (fun (name, hardest, ob) ->
-        let legacy =
-          Aqed.Check.run_obligation ~solver:Bmc.Engine.legacy_config ob
-        in
-        let modern = Aqed.Check.run_obligation ob in
-        journal_add
-          [ Report.Journal.Obligation
-              (Report.Journal.of_report ~design:name
-                 ~name:(Aqed.Check.obligation_name ob) modern) ];
-        let ok = same_outcome legacy modern in
-        if not ok then bench_failed := true;
-        let lw = legacy.Aqed.Check.wall_time
-        and mw = modern.Aqed.Check.wall_time in
-        legacy_total := !legacy_total +. lw;
-        modern_total := !modern_total +. mw;
-        if hardest then begin
-          legacy_hard := !legacy_hard +. lw;
-          modern_hard := !modern_hard +. mw
-        end;
-        let verdict, depth =
-          match modern.Aqed.Check.verdict with
-          | Aqed.Check.Bug t -> ("bug", Bmc.Trace.length t)
-          | Aqed.Check.No_bug_up_to k -> ("clean", k)
-          | Aqed.Check.Proved k -> ("proved", k)
-        in
-        let ms = modern.Aqed.Check.solver_stats in
-        pf "%-22s %-8s %5d | %10.3f %10.3f %6.2fx | %3d/%d/%d %5d %4d%s\n"
-          name verdict depth lw mw
-          (if mw > 0. then lw /. mw else 0.)
-          ms.Sat.Solver.lbd_core ms.Sat.Solver.lbd_mid
-          ms.Sat.Solver.lbd_local ms.Sat.Solver.reductions
-          ms.Sat.Solver.vivified
-          (if ok then "" else "  << VERDICT MISMATCH");
-        Obj
-          [
-            ("name", Str name);
-            ("hardest", Bool hardest);
-            ("outcomes_match", Bool ok);
-            ("verdict", Str verdict);
-            ("depth", Int depth);
-            ("wall_s_legacy", Num lw);
-            ("wall_s_modern", Num mw);
-            ("speedup", Num (if mw > 0. then lw /. mw else 0.));
-            ("solver_legacy", json_of_solver_stats legacy.Aqed.Check.solver_stats);
-            ("solver_modern", json_of_solver_stats ms);
-          ])
-      (sat_suite ())
+  let journaled e ob =
+    let r = Aqed.Check.run_obligation ob in
+    journal_add
+      [ Report.Journal.Obligation
+          (Report.Journal.of_report ~design:(ab_label e)
+             ~name:(Aqed.Check.obligation_name ob) r) ];
+    solved r
   in
-  pf "%s\n" (line 96);
-  let speedup_all =
-    if !modern_total > 0. then !legacy_total /. !modern_total else 0.
+  let run =
+    run_ab `Sat ~title:"Solver known answers (default CDCL)"
+      [ variant "default" (Each journaled) ]
   in
-  let speedup_hard =
-    if !modern_hard > 0. then !legacy_hard /. !modern_hard else 0.
-  in
-  let outcomes_match = not !bench_failed in
-  pf "suite: %.3fs legacy, %.3fs modern — %.2fx overall, %.2fx on the \
-      hardest obligations%s\n"
-    !legacy_total !modern_total speedup_all speedup_hard
-    (if outcomes_match then ""
-     else "  (FAILURE: some verdict changed between configurations)");
-  record "sat"
-    (Obj
-       [
-         ("outcomes_match", Bool outcomes_match);
-         ("wall_s_legacy", Num !legacy_total);
-         ("wall_s_modern", Num !modern_total);
-         ("speedup", Num speedup_all);
-         ("speedup_hardest", Num speedup_hard);
-         ("rows", Arr rows);
-       ])
+  record_ab "sat" run ~ok:run.outcomes_ok []
 
 (* ---- journal + sampler overhead (EXPERIMENTS.md E9) ---- *)
 
-(* The sat-suite obligations solved with the time-series sampler off and
-   journaling inert, and with the sampler configured and every report
-   serialized to a journal file (so the measured cost covers sampling,
-   collection and JSONL encoding). The acceptance floor is on-to-off
-   <= 1.05x — well inside single-run noise on a shared container, so the
-   legs are interleaved per obligation (off, on, off, on) and each leg
-   takes the faster of its two rounds: container-level drift (GC heap
-   growth, CPU throttling) hits both legs alike and cancels, instead of
-   masquerading as sampler cost. *)
+(* The sat entries solved with the time-series sampler off and journaling
+   inert, and with the sampler configured and every report serialized to
+   a journal file (so the measured cost covers sampling, collection and
+   JSONL encoding). Two interleaved rounds, each leg keeping its faster
+   one: container-level drift (GC heap growth, CPU throttling) hits both
+   legs alike instead of masquerading as sampler cost. Gate: parity. *)
 let print_overhead () =
-  pf "\n== Journal + sampler overhead (sat obligation suite) ==\n";
-  let n = List.length (sat_suite ()) in
   let tmp = Filename.temp_file "aqed_overhead" ".jsonl" in
-  let solve ~sampled i =
-    (* Rebuild the suite so every solve starts from a fresh obligation. *)
-    let _, _, ob = List.nth (sat_suite ()) i in
+  let timed ~sampled _ ob =
     if sampled then Telemetry.Series.configure ()
     else Telemetry.Series.disable ();
     let t0 = Unix.gettimeofday () in
@@ -1008,82 +1013,38 @@ let print_overhead () =
         [ Report.Journal.Obligation
             (Report.Journal.of_report ~design:name ~name r) ]
     end;
-    (Unix.gettimeofday () -. t0, r)
+    solved ~wall:(Unix.gettimeofday () -. t0) r
   in
-  let off_total = ref 0. and on_total = ref 0. in
-  let parity = ref true in
-  for i = 0 to n - 1 do
-    let off1, base = solve ~sampled:false i in
-    let on1, r1 = solve ~sampled:true i in
-    let off2, r2 = solve ~sampled:false i in
-    let on2, r3 = solve ~sampled:true i in
-    List.iter
-      (fun r -> if not (same_outcome base r) then parity := false)
-      [ r1; r2; r3 ];
-    off_total := !off_total +. Float.min off1 off2;
-    on_total := !on_total +. Float.min on1 on2
-  done;
+  let run =
+    run_ab `Sat ~rounds:2 ~title:"Journal + sampler overhead (sat entries)"
+      [ variant "off" (Each (timed ~sampled:false));
+        variant "on" (Each (timed ~sampled:true)) ]
+  in
   Sys.remove tmp;
   (* Leave the sampler on: the bench run as a whole journals. *)
   Telemetry.Series.configure ();
-  let off = !off_total and on = !on_total in
+  let _, off = legs_of run "off" and _, on = legs_of run "on" in
   let ratio = if off > 0. then on /. off else 0. in
-  pf "suite (per-obligation min of 2 interleaved rounds):\n";
-  pf "  %.3fs sampler off, %.3fs sampler+journal on — %.2fx overhead%s\n"
-    off on ratio
-    (if !parity then "" else "  (FAILURE: verdicts changed under sampling)");
-  if not !parity then bench_failed := true;
-  record "overhead"
-    (Obj
-       [
-         ("wall_s_off", Num off);
-         ("wall_s_on", Num on);
-         ("ratio", Num ratio);
-         ("outcomes_match", Bool !parity);
-       ])
+  pf "sampler+journal overhead: %.2fx\n" ratio;
+  record_ab "overhead" run ~ok:run.outcomes_ok [ ("ratio", Num ratio) ]
 
 (* ---- persistent verdict store: cold / warm / dirty ---- *)
 
-(* The incremental re-verification bench (DESIGN.md §15): one obligation
-   suite run three times against a single on-disk verdict store.
+(* The incremental re-verification bench (DESIGN.md §15): the store
+   entries run three times against one on-disk verdict store.
 
      cold  — empty store: every obligation solves (certified) and writes
              its entry.
      warm  — unchanged suite: every obligation must answer from a
-             revalidated entry (all hits, byte-identical verdicts and
-             depths), and the leg must beat cold by store_speedup_floor.
-     dirty — one design swapped for its bug variant: its structural key
-             changes, so it — and only it — re-solves; everything else
-             still hits.
+             revalidated entry, and the leg must beat cold by
+             store_speedup_floor.
+     dirty — each entry with a dirty swap builds its bug variant: its
+             structural key changes, so it — and only it — re-solves;
+             everything else still hits.
 
-   Any parity break, a warm non-hit, an extra dirty re-solve, or a warm
+   Any unexpected verdict, a warm miss, a wrong dirty re-solve or a warm
    speedup below the floor fails the bench (exit 1). *)
 let store_speedup_floor = 5.0
-
-let store_suite ~dirty_bug () =
-  [
-    ( "memctrl-fifo/FC bug",
-      Aqed.Check.prepare_fc ~name:"memctrl-fifo/FC" ~max_depth:12
-        (fun () -> M.build ~bug:M.Fifo_oversize_ready M.Fifo_mode ()) );
-    ( "memctrl-fifo/FC clean",
-      Aqed.Check.prepare_fc ~name:"memctrl-fifo/FC" ~max_depth:8
-        (fun () -> M.build M.Fifo_mode ()) );
-    ( "fig2/FC",
-      Aqed.Check.prepare_fc ~name:"fig2/FC" ~max_depth:8
-        (fun () -> Accel.Fig2.build ()) );
-    ( "GSM/FC bug",
-      Aqed.Check.prepare_fc ~name:"GSM/FC" ~max_depth:16
-        (fun () -> Accel.Gsm.build ~bug:true ()) );
-    ( "Dataflow/RB bug",
-      Aqed.Check.prepare_rb ~name:"Dataflow/RB" ~max_depth:16
-        ~tau:Accel.Dataflow.tau
-        (fun () -> Accel.Dataflow.build ~bug:true ()) );
-    ( "dualpath/FC",
-      (* The dirty leg flips this design's stale-operand bug on: its key
-         changes, and its fresh solve must find the bug (depth 6 < 8). *)
-      Aqed.Check.prepare_fc ~name:"dualpath/FC" ~max_depth:8
-        (fun () -> Accel.Dualpath.build ~bug:dirty_bug ()) );
-  ]
 
 let rec rm_rf path =
   match Unix.lstat path with
@@ -1094,107 +1055,53 @@ let rec rm_rf path =
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
 let print_store ~jobs () =
-  pf "\n== Persistent verdict store (cold / warm / dirty re-verification) ==\n";
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "aqed_bench_store.%d" (Unix.getpid ()))
   in
   rm_rf dir;
   let store = Store.open_store dir in
-  let leg ~dirty_bug =
-    let suite = store_suite ~dirty_bug () in
-    (List.map fst suite,
-     Aqed.Check.run_batch ~jobs ~store (List.map snd suite))
+  let batch = batch ~store ~jobs () in
+  let run =
+    run_ab `Store
+      ~title:"Persistent verdict store (cold / warm / dirty re-verification)"
+      [ variant "cold" batch; variant "warm" batch;
+        variant ~dirty:true "dirty" batch ]
   in
-  let names, cold = leg ~dirty_bug:false in
-  let _, warm = leg ~dirty_bug:false in
-  let _, dirty = leg ~dirty_bug:true in
-  let verdict_sig (r : Aqed.Check.report) =
-    match r.Aqed.Check.verdict with
-    | Aqed.Check.Bug t -> Printf.sprintf "bug@%d" (Bmc.Trace.length t)
-    | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean@%d" k
-    | Aqed.Check.Proved k -> Printf.sprintf "proved@%d" k
+  let _, cold_wall = legs_of run "cold" in
+  let warm, warm_wall = legs_of run "warm" in
+  let dirty, _ = legs_of run "dirty" in
+  let warm_all_hits = List.for_all (fun l -> l.cached) warm in
+  let dirty_resolves =
+    List.length (List.filter (fun l -> not l.cached) dirty)
   in
-  pf "%s\n" (line 80);
-  pf "%-24s %-10s | %8s %8s hit | %8s hit\n" "obligation" "verdict"
-    "cold(s)" "warm(s)" "dirty";
-  pf "%s\n" (line 80);
-  let parity = ref true and warm_all_hits = ref true in
-  let dirty_resolves = ref 0 in
-  let rows =
-    List.map2
-      (fun name
-           ((c : Aqed.Check.batch_entry),
-            ((w : Aqed.Check.batch_entry), (d : Aqed.Check.batch_entry))) ->
-        let vc = verdict_sig c.Aqed.Check.entry_report
-        and vw = verdict_sig w.Aqed.Check.entry_report in
-        if vc <> vw then parity := false;
-        if not w.Aqed.Check.entry_cached then warm_all_hits := false;
-        if not d.Aqed.Check.entry_cached then incr dirty_resolves;
-        pf "%-24s %-10s | %8.3f %8.3f %-3s | %8.3f %-3s%s\n" name vc
-          c.Aqed.Check.entry_wall w.Aqed.Check.entry_wall
-          (if w.Aqed.Check.entry_cached then "yes" else "NO")
-          d.Aqed.Check.entry_wall
-          (if d.Aqed.Check.entry_cached then "yes" else "no")
-          (if vc = vw then "" else "  << VERDICT MISMATCH");
-        Obj
-          [
-            ("name", Str name);
-            ("verdict_cold", Str vc);
-            ("verdict_warm", Str vw);
-            ("wall_s_cold", Num c.Aqed.Check.entry_wall);
-            ("wall_s_warm", Num w.Aqed.Check.entry_wall);
-            ("warm_hit", Bool w.Aqed.Check.entry_cached);
-            ("dirty_hit", Bool d.Aqed.Check.entry_cached);
-          ])
-      names
-      (List.combine cold.Aqed.Check.entries
-         (List.combine warm.Aqed.Check.entries dirty.Aqed.Check.entries))
-  in
-  pf "%s\n" (line 80);
-  (* Exactly one obligation (the dualpath bug swap) changes key on the
-     dirty leg; its fresh solve must now report the bug. *)
-  let dirty_swap = List.nth dirty.Aqed.Check.entries 5 in
+  (* Exactly the entries with a dirty swap re-solve. *)
   let dirty_ok =
-    !dirty_resolves = 1
-    && (not dirty_swap.Aqed.Check.entry_cached)
-    && Aqed.Check.found_bug dirty_swap.Aqed.Check.entry_report
+    List.for_all2
+      (fun (e : ab_entry) l -> l.cached = (e.dirty = None))
+      run.entries dirty
   in
-  let speedup =
-    if warm.Aqed.Check.batch_wall > 0. then
-      cold.Aqed.Check.batch_wall /. warm.Aqed.Check.batch_wall
-    else 0.
-  in
+  let speedup = if warm_wall > 0. then cold_wall /. warm_wall else 0. in
   let ok =
-    !parity && !warm_all_hits && dirty_ok && speedup >= store_speedup_floor
+    run.outcomes_ok && warm_all_hits && dirty_ok
+    && speedup >= store_speedup_floor
   in
-  if not ok then bench_failed := true;
-  pf "cold %.3fs, warm %.3fs — %.1fx warm speedup (floor %.1fx)%s\n"
-    cold.Aqed.Check.batch_wall warm.Aqed.Check.batch_wall speedup
-    store_speedup_floor
+  pf "%.1fx warm speedup (floor %.1fx); dirty leg: %d re-solve(s), \
+      expected exactly the dirty swaps%s\n"
+    speedup store_speedup_floor dirty_resolves
     (if ok then ""
-     else "  (FAILURE: parity, warm hit, dirty re-solve or speedup floor)");
-  pf "dirty leg: %d re-solve(s) (expected 1: the swapped dualpath variant)\n"
-    !dirty_resolves;
+     else "  (FAILURE: verdict, warm hit, dirty re-solve or speedup floor)");
   let st = Store.stats store in
   pf "store: %d entries, %d bytes on disk\n" st.Store.n_entries
     st.Store.n_bytes;
-  record "store"
-    (Obj
-       [
-         ("parity", Bool !parity);
-         ("warm_all_hits", Bool !warm_all_hits);
-         ("dirty_resolves", Int !dirty_resolves);
-         ("dirty_ok", Bool dirty_ok);
-         ("wall_s_cold", Num cold.Aqed.Check.batch_wall);
-         ("wall_s_warm", Num warm.Aqed.Check.batch_wall);
-         ("wall_s_dirty", Num dirty.Aqed.Check.batch_wall);
-         ("speedup", Num speedup);
-         ("speedup_floor", Num store_speedup_floor);
-         ("entries", Int st.Store.n_entries);
-         ("bytes", Int st.Store.n_bytes);
-         ("rows", Arr rows);
-       ]);
+  record_ab "store" run ~ok
+    [ ("warm_all_hits", Bool warm_all_hits);
+      ("dirty_resolves", Int dirty_resolves);
+      ("dirty_ok", Bool dirty_ok);
+      ("speedup", Num speedup);
+      ("speedup_floor", Num store_speedup_floor);
+      ("entries", Int st.Store.n_entries);
+      ("bytes", Int st.Store.n_bytes) ];
   rm_rf dir
 
 (* ---- verification service daemon ---- *)
@@ -1220,8 +1127,54 @@ let print_store ~jobs () =
    solved everything fresh — parity and all-hits are gated regardless. *)
 let serve_speedup_floor = 5.0
 
+(* One job over its own client connection; a transport failure is a
+   refusal. *)
+let submit socket spec =
+  try
+    let c = Serve.Client.connect socket in
+    let r = Serve.Client.submit c spec in
+    Serve.Client.close c;
+    r
+  with e -> Serve.Client.Refused (Printexc.to_string e)
+
+let served_leg outcome =
+  let none answer = { answer; wall = 0.; cached = false; report = None } in
+  match outcome with
+  | Some (Serve.Client.Completed (_, wall, ob)) ->
+    { answer =
+        Printf.sprintf "%s@%d" ob.Report.Journal.ob_verdict
+          ob.Report.Journal.ob_depth;
+      wall; cached = ob.Report.Journal.ob_cached; report = None }
+  | Some (Serve.Client.Timed_out (_, wall)) -> { (none "timeout") with wall }
+  | Some (Serve.Client.Busy _) -> none "busy"
+  | Some (Serve.Client.Refused m) -> none ("refused: " ^ m)
+  | None -> none "no reply"
+
+(* A service leg: every obligation submitted at once by its row label, one
+   client thread each; the leg's wall time runs to the last answer. *)
+let submit_all socket obs =
+  let t0 = Unix.gettimeofday () in
+  let pending =
+    List.map
+      (fun (e, _) ->
+        let cell = ref None in
+        ( Thread.create
+            (fun () ->
+              cell := Some (submit socket (Serve.job_spec (ab_label e))))
+            (),
+          cell ))
+      obs
+  in
+  let legs =
+    List.map
+      (fun (th, cell) ->
+        Thread.join th;
+        served_leg !cell)
+      pending
+  in
+  (legs, Unix.gettimeofday () -. t0)
+
 let print_serve ~jobs () =
-  pf "\n== Verification service (N concurrent clients vs direct, warm store) ==\n";
   let dir, persistent =
     match Sys.getenv_opt "AQED_SERVE_STORE" with
     | Some d -> (d, true)
@@ -1236,18 +1189,8 @@ let print_serve ~jobs () =
       (Printf.sprintf "aqed_bench_serve.%d.sock" (Unix.getpid ()))
   in
   let store = Store.open_store dir in
-  let suite () = store_suite ~dirty_bug:false () in
-  let names = List.map fst (suite ()) in
-  (* Direct baseline: the cold leg. Fills the store the daemon shares. *)
-  let direct = Aqed.Check.run_batch ~jobs ~store (List.map snd (suite ())) in
-  let verdict_sig (r : Aqed.Check.report) =
-    match r.Aqed.Check.verdict with
-    | Aqed.Check.Bug t -> Printf.sprintf "bug@%d" (Bmc.Trace.length t)
-    | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean@%d" k
-    | Aqed.Check.Proved k -> Printf.sprintf "proved@%d" k
-  in
   let resolve (spec : Serve.job_spec) =
-    match List.assoc_opt spec.Serve.sj_design (suite ()) with
+    match List.assoc_opt spec.Serve.sj_design (ab_obligations `Store) with
     | Some ob -> Ok (spec.Serve.sj_design, ob)
     | None ->
       if spec.Serve.sj_design = "aes-deep" then
@@ -1258,34 +1201,23 @@ let print_serve ~jobs () =
               (fun () -> Accel.Aes.build ()) )
       else Error (Printf.sprintf "unknown bench design %S" spec.Serve.sj_design)
   in
-  let srv =
-    Serve.start
-      ~executor:(Serve.in_process ~store ~workers:(max 1 jobs) ())
-      (Serve.config ~job_timeout_s:120. ~resolve socket)
+  (* The direct leg is the cold baseline and fills the store the daemon
+     then shares; the served leg is one concurrent client per obligation. *)
+  let daemon = ref None in
+  let served obs =
+    daemon :=
+      Some
+        (Serve.start
+           ~executor:(Serve.in_process ~store ~workers:(max 1 jobs) ())
+           (Serve.config ~job_timeout_s:120. ~resolve socket));
+    submit_all socket obs
   in
-  (* Served leg: one client thread per obligation, all concurrent. *)
-  let n = List.length names in
-  let outcomes = Array.make n None in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.mapi
-      (fun i name ->
-        Thread.create
-          (fun () ->
-            let r =
-              try
-                let c = Serve.Client.connect socket in
-                let r = Serve.Client.submit c (Serve.job_spec name) in
-                Serve.Client.close c;
-                r
-              with e -> Serve.Client.Refused (Printexc.to_string e)
-            in
-            outcomes.(i) <- Some r)
-          ())
-      names
+  let run =
+    run_ab `Store
+      ~title:"Verification service (N concurrent clients vs direct, warm store)"
+      [ variant "direct" (batch ~store ~jobs ()); variant "served" (Batch served) ]
   in
-  List.iter Thread.join threads;
-  let serve_wall = Unix.gettimeofday () -. t0 in
+  let srv = Option.get !daemon in
   (* Robustness: a deep job against a sub-second deadline must come back
      as a typed timeout, then the same daemon must still complete work. *)
   let timeout_ok, revive_ok =
@@ -1298,7 +1230,7 @@ let print_serve ~jobs () =
       match t with Serve.Client.Timed_out _ -> true | _ -> false
     in
     let revive_ok =
-      match Serve.Client.submit c (Serve.job_spec "fig2/FC") with
+      match Serve.Client.submit c (Serve.job_spec "fig2/FC clean") with
       | Serve.Client.Completed _ -> true
       | _ -> false
     in
@@ -1307,49 +1239,11 @@ let print_serve ~jobs () =
   in
   Serve.stop srv;
   let sm = Serve.wait srv in
-  pf "%s\n" (line 80);
-  pf "%-24s %-10s %-10s | %8s %8s hit\n" "obligation" "direct" "served"
-    "direct(s)" "served(s)";
-  pf "%s\n" (line 80);
-  let parity = ref true and warm_all_hits = ref true in
-  let rows =
-    List.map
-      (fun ((name, (d : Aqed.Check.batch_entry)), outcome) ->
-        let vd = verdict_sig d.Aqed.Check.entry_report in
-        let vs, ws, hit =
-          match outcome with
-          | Some (Serve.Client.Completed (_, wall, ob)) ->
-            ( Printf.sprintf "%s@%d" ob.Report.Journal.ob_verdict
-                ob.Report.Journal.ob_depth,
-              wall, ob.Report.Journal.ob_cached )
-          | Some (Serve.Client.Timed_out (_, wall)) -> ("timeout", wall, false)
-          | Some (Serve.Client.Busy _) -> ("busy", 0., false)
-          | Some (Serve.Client.Refused m) -> ("refused:" ^ m, 0., false)
-          | None -> ("no reply", 0., false)
-        in
-        if vd <> vs then parity := false;
-        if not hit then warm_all_hits := false;
-        pf "%-24s %-10s %-10s | %8.3f %8.3f %-3s%s\n" name vd vs
-          d.Aqed.Check.entry_wall ws
-          (if hit then "yes" else "NO")
-          (if vd = vs then "" else "  << VERDICT MISMATCH");
-        Obj
-          [
-            ("name", Str name);
-            ("verdict_direct", Str vd);
-            ("verdict_served", Str vs);
-            ("wall_s_direct", Num d.Aqed.Check.entry_wall);
-            ("wall_s_served", Num ws);
-            ("served_hit", Bool hit);
-          ])
-      (List.combine
-         (List.combine names direct.Aqed.Check.entries)
-         (Array.to_list outcomes))
-  in
-  pf "%s\n" (line 80);
-  let speedup =
-    if serve_wall > 0. then direct.Aqed.Check.batch_wall /. serve_wall else 0.
-  in
+  let direct, direct_wall = legs_of run "direct" in
+  let served, serve_wall = legs_of run "served" in
+  let n = List.length served in
+  let warm_all_hits = List.for_all (fun l -> l.cached) served in
+  let speedup = if serve_wall > 0. then direct_wall /. serve_wall else 0. in
   (* n suite jobs + the timeout probe + its revival job, all accepted. *)
   let drain_ok =
     sm.Serve.sm_accepted = n + 2
@@ -1358,53 +1252,44 @@ let print_serve ~jobs () =
     && sm.Serve.sm_rejected = 0
     && sm.Serve.sm_errors = 0
   in
-  let direct_all_fresh =
-    List.for_all
-      (fun (e : Aqed.Check.batch_entry) -> not e.Aqed.Check.entry_cached)
-      direct.Aqed.Check.entries
-  in
+  let direct_all_fresh = List.for_all (fun l -> not l.cached) direct in
   let speedup_ok =
     (not direct_all_fresh) || speedup >= serve_speedup_floor
   in
   let ok =
-    !parity && !warm_all_hits && timeout_ok && revive_ok && drain_ok
+    run.outcomes_ok && warm_all_hits && timeout_ok && revive_ok && drain_ok
     && speedup_ok
   in
-  if not ok then bench_failed := true;
   pf "direct %s %.3fs, served warm %.3fs (%d clients) — %.1fx speedup (floor %.1fx%s)%s\n"
     (if direct_all_fresh then "cold" else "warm")
-    direct.Aqed.Check.batch_wall serve_wall n speedup serve_speedup_floor
+    direct_wall serve_wall n speedup serve_speedup_floor
     (if direct_all_fresh then "" else ", waived: direct leg answered warm")
     (if ok then ""
-     else "  (FAILURE: parity, warm hit, timeout, drain or speedup floor)");
+     else "  (FAILURE: verdict, warm hit, timeout, drain or speedup floor)");
   pf "timeout probe: %s; post-timeout job: %s\n"
     (if timeout_ok then "typed timeout" else "NOT A TIMEOUT")
     (if revive_ok then "completed" else "FAILED");
   pf "drain: %d accepted, %d completed, %d timeouts, %d rejected, %d errors\n"
     sm.Serve.sm_accepted sm.Serve.sm_completed sm.Serve.sm_timeouts
     sm.Serve.sm_rejected sm.Serve.sm_errors;
-  record "serve"
-    (Obj
-       [
-         ("parity", Bool !parity);
-         ("warm_all_hits", Bool !warm_all_hits);
-         ("timeout_typed", Bool timeout_ok);
-         ("post_timeout_completed", Bool revive_ok);
-         ("drain_ok", Bool drain_ok);
-         ("clients", Int n);
-         ("wall_s_direct", Num direct.Aqed.Check.batch_wall);
-         ("wall_s_served", Num serve_wall);
-         ("speedup", Num speedup);
-         ("speedup_floor", Num serve_speedup_floor);
-         ("direct_all_fresh", Bool direct_all_fresh);
-         ("speedup_ok", Bool speedup_ok);
-         ("accepted", Int sm.Serve.sm_accepted);
-         ("completed", Int sm.Serve.sm_completed);
-         ("timeouts", Int sm.Serve.sm_timeouts);
-         ("rejected", Int sm.Serve.sm_rejected);
-         ("errors", Int sm.Serve.sm_errors);
-         ("rows", Arr rows);
-       ]);
+  record_ab "serve" run ~ok
+    [
+      ("parity", Bool run.outcomes_ok);
+      ("warm_all_hits", Bool warm_all_hits);
+      ("timeout_typed", Bool timeout_ok);
+      ("post_timeout_completed", Bool revive_ok);
+      ("drain_ok", Bool drain_ok);
+      ("clients", Int n);
+      ("speedup", Num speedup);
+      ("speedup_floor", Num serve_speedup_floor);
+      ("direct_all_fresh", Bool direct_all_fresh);
+      ("speedup_ok", Bool speedup_ok);
+      ("accepted", Int sm.Serve.sm_accepted);
+      ("completed", Int sm.Serve.sm_completed);
+      ("timeouts", Int sm.Serve.sm_timeouts);
+      ("rejected", Int sm.Serve.sm_rejected);
+      ("errors", Int sm.Serve.sm_errors);
+    ];
   if not persistent then rm_rf dir
 
 (* ---- sharded fleet: 1 vs 4 workers, crash injection ---- *)
@@ -1421,7 +1306,6 @@ let print_serve ~jobs () =
    orphaned job must be re-queued, stolen by the surviving worker, and
    completed, with the fleet accounting balancing exactly. *)
 let print_shard ~jobs () =
-  pf "\n== Sharded fleet (1 vs 4 workers, parity, crash injection) ==\n";
   let dir, persistent =
     match Sys.getenv_opt "AQED_SHARD_STORE" with
     | Some d -> (d, true)
@@ -1434,39 +1318,18 @@ let print_shard ~jobs () =
   (* The per-leg stores live in subdirectories; [Store.open_store] only
      creates the leaf. *)
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let suite () = store_suite ~dirty_bug:false () in
-  let names = List.map fst (suite ()) in
-  let n = List.length names in
-  (* Direct baseline, no store: both fleet legs must re-derive these
-     verdicts through the wire. *)
-  let direct = Aqed.Check.run_batch ~jobs (List.map snd (suite ())) in
-  let verdict_sig (r : Aqed.Check.report) =
-    match r.Aqed.Check.verdict with
-    | Aqed.Check.Bug t -> Printf.sprintf "bug@%d" (Bmc.Trace.length t)
-    | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean@%d" k
-    | Aqed.Check.Proved k -> Printf.sprintf "proved@%d" k
-  in
   let resolve (spec : Serve.job_spec) =
-    match List.assoc_opt spec.Serve.sj_design (suite ()) with
+    match List.assoc_opt spec.Serve.sj_design (ab_obligations `Store) with
     | Some ob -> Ok (spec.Serve.sj_design, ob)
     | None ->
       Error (Printf.sprintf "unknown bench design %S" spec.Serve.sj_design)
   in
-  let outcome_sig = function
-    | Some (Serve.Client.Completed (_, wall, ob)) ->
-      ( Printf.sprintf "%s@%d" ob.Report.Journal.ob_verdict
-          ob.Report.Journal.ob_depth,
-        wall )
-    | Some (Serve.Client.Timed_out (_, wall)) -> ("timeout", wall)
-    | Some (Serve.Client.Busy _) -> ("busy", 0.)
-    | Some (Serve.Client.Refused m) -> ("refused:" ^ m, 0.)
-    | None -> ("no reply", 0.)
-  in
   (* One fleet leg: a coordinator plus [workers] in-process lease loops
      (threads over the real [Shard.Worker.run]), every client submitting
      concurrently, its own store subdirectory so the legs' solve work is
-     comparable. *)
-  let fleet_leg ~tag ~workers =
+     comparable. The drain summary and fleet stats land in [fleets]. *)
+  let fleets = ref [] in
+  let fleet_leg ~tag ~workers obs =
     let socket =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "aqed_bench_shard.%d.%s.sock" (Unix.getpid ()) tag)
@@ -1475,7 +1338,8 @@ let print_shard ~jobs () =
     let fleet = Shard.Fleet.create () in
     let srv =
       Serve.start ~executor:(Shard.Fleet.executor fleet)
-        (Serve.config ~capacity:(n + 4) ~job_timeout_s:120. ~resolve socket)
+        (Serve.config ~capacity:(List.length obs + 4) ~job_timeout_s:120.
+           ~resolve socket)
     in
     let ws =
       List.init workers (fun i ->
@@ -1490,59 +1354,24 @@ let print_shard ~jobs () =
               with _ -> ())
             ())
     in
-    let outcomes = Array.make n None in
-    let t0 = Unix.gettimeofday () in
-    let threads =
-      List.mapi
-        (fun i name ->
-          Thread.create
-            (fun () ->
-              let r =
-                try
-                  let c = Serve.Client.connect socket in
-                  let r = Serve.Client.submit c (Serve.job_spec name) in
-                  Serve.Client.close c;
-                  r
-                with e -> Serve.Client.Refused (Printexc.to_string e)
-              in
-              outcomes.(i) <- Some r)
-            ())
-        names
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
+    let legs = submit_all socket obs in
     Serve.stop srv;
     let sm = Serve.wait srv in
     List.iter Thread.join ws;
-    (outcomes, wall, sm, Shard.Fleet.stats fleet)
+    fleets := (tag, (sm, Shard.Fleet.stats fleet)) :: !fleets;
+    legs
   in
-  let o1, wall1, sm1, st1 = fleet_leg ~tag:"w1" ~workers:1 in
-  let o4, wall4, sm4, st4 = fleet_leg ~tag:"w4" ~workers:4 in
-  pf "%s\n" (line 80);
-  pf "%-24s %-10s %-10s %-10s | %8s %8s\n" "obligation" "direct" "1-worker"
-    "4-worker" "w1(s)" "w4(s)";
-  pf "%s\n" (line 80);
-  let parity = ref true in
-  let rows =
-    List.mapi
-      (fun i ((name, (d : Aqed.Check.batch_entry))) ->
-        let vd = verdict_sig d.Aqed.Check.entry_report in
-        let v1, w1 = outcome_sig o1.(i) and v4, w4 = outcome_sig o4.(i) in
-        if vd <> v1 || vd <> v4 then parity := false;
-        pf "%-24s %-10s %-10s %-10s | %8.3f %8.3f%s\n" name vd v1 v4 w1 w4
-          (if vd = v1 && vd = v4 then "" else "  << VERDICT MISMATCH");
-        Obj
-          [
-            ("name", Str name);
-            ("verdict_direct", Str vd);
-            ("verdict_w1", Str v1);
-            ("verdict_w4", Str v4);
-            ("wall_s_w1", Num w1);
-            ("wall_s_w4", Num w4);
-          ])
-      (List.combine names direct.Aqed.Check.entries)
+  (* The direct baseline has no store: both fleet legs must re-derive its
+     verdicts through the wire. *)
+  let run =
+    run_ab `Store ~title:"Sharded fleet (1 vs 4 workers, parity, crash injection)"
+      [ variant "direct" (batch ~jobs ());
+        variant "w1" (Batch (fleet_leg ~tag:"w1" ~workers:1));
+        variant "w4" (Batch (fleet_leg ~tag:"w4" ~workers:4)) ]
   in
-  pf "%s\n" (line 80);
+  let n = List.length run.entries in
+  let _, wall1 = legs_of run "w1" and _, wall4 = legs_of run "w4" in
+  let sm1, st1 = List.assoc "w1" !fleets and sm4, st4 = List.assoc "w4" !fleets in
   let leg_ok (sm : Serve.summary) (st : Shard.Fleet.stats) =
     sm.Serve.sm_accepted = n
     && sm.Serve.sm_completed = n
@@ -1598,18 +1427,7 @@ let print_shard ~jobs () =
           Serve.job_spec ~check:"fc" ~depth:16 "simd" ]
       in
       let submit_async spec cell =
-        Thread.create
-          (fun () ->
-            let r =
-              try
-                let c = Serve.Client.connect socket in
-                let r = Serve.Client.submit c spec in
-                Serve.Client.close c;
-                r
-              with e -> Serve.Client.Refused (Printexc.to_string e)
-            in
-            cell := Some r)
-          ()
+        Thread.create (fun () -> cell := Some (submit socket spec)) ()
       in
       let slow_out = ref None in
       let slow_th = submit_async slow_spec slow_out in
@@ -1650,7 +1468,7 @@ let print_shard ~jobs () =
       List.iter
         (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
         [ pid_a; pid_b ];
-      let slow_sig, slow_wall = outcome_sig !slow_out in
+      let slow = served_leg !slow_out in
       let quick_done =
         List.for_all
           (fun o ->
@@ -1659,7 +1477,7 @@ let print_shard ~jobs () =
       in
       let ok =
         killed
-        && slow_sig = "clean@20"
+        && slow.answer = "clean@20"
         && quick_done
         && sm.Serve.sm_accepted = 4
         && sm.Serve.sm_completed = 4
@@ -1673,7 +1491,7 @@ let print_shard ~jobs () =
         (match victim with
          | Some pid -> Printf.sprintf "pid %d SIGKILLed mid-solve" pid
          | None -> "NOT FOUND (no lease observed)")
-        slow_sig slow_wall
+        slow.answer slow.wall
         (if ok then "" else "  << LOST JOBS OR BROKEN ACCOUNTING");
       pf "crash drain: %d accepted, %d completed, %d timeouts, %d errors; \
           %d leases, %d steals, %d requeued, %d worker deaths\n"
@@ -1683,8 +1501,8 @@ let print_shard ~jobs () =
       ( ok,
         [
           ("victim_killed", Bool killed);
-          ("orphan_verdict", Str slow_sig);
-          ("orphan_wall_s", Num slow_wall);
+          ("orphan_verdict", Str slow.answer);
+          ("orphan_wall_s", Num slow.wall);
           ("accepted", Int sm.Serve.sm_accepted);
           ("completed", Int sm.Serve.sm_completed);
           ("timeouts", Int sm.Serve.sm_timeouts);
@@ -1696,29 +1514,25 @@ let print_shard ~jobs () =
         ] )
     end
   in
-  let ok = !parity && leg_ok sm1 st1 && leg_ok sm4 st4 && crash_ok in
-  if not ok then bench_failed := true;
+  let fleet_ok = run.outcomes_ok && leg_ok sm1 st1 && leg_ok sm4 st4 in
   pf "fleet legs: %s; crash leg: %s\n"
-    (if !parity && leg_ok sm1 st1 && leg_ok sm4 st4 then "parity + exact accounting"
+    (if fleet_ok then "parity + exact accounting"
      else "FAILURE (parity or accounting)")
     (if crash_ok then "zero lost jobs" else "FAILURE");
-  record "shard"
-    (Obj
-       [
-         ("parity", Bool !parity);
-         ("clients", Int n);
-         ("wall_s_direct", Num direct.Aqed.Check.batch_wall);
-         ("wall_s_w1", Num wall1);
-         ("wall_s_w4", Num wall4);
-         ("speedup_w4_vs_w1", Num speedup);
-         ("leg1_ok", Bool (leg_ok sm1 st1));
-         ("leg4_ok", Bool (leg_ok sm4 st4));
-         ("leg1_leases", Int st1.Shard.Fleet.st_leases);
-         ("leg4_leases", Int st4.Shard.Fleet.st_leases);
-         ("crash_ok", Bool crash_ok);
-         ("crash", Obj crash_detail);
-         ("rows", Arr rows);
-       ]);
+  record_ab "shard" run ~ok:(fleet_ok && crash_ok)
+    [
+      ("parity", Bool run.outcomes_ok);
+      ("clients", Int n);
+      ("wall_s_w1", Num wall1);
+      ("wall_s_w4", Num wall4);
+      ("speedup_w4_vs_w1", Num speedup);
+      ("leg1_ok", Bool (leg_ok sm1 st1));
+      ("leg4_ok", Bool (leg_ok sm4 st4));
+      ("leg1_leases", Int st1.Shard.Fleet.st_leases);
+      ("leg4_leases", Int st4.Shard.Fleet.st_leases);
+      ("crash_ok", Bool crash_ok);
+      ("crash", Obj crash_detail);
+    ];
   if not persistent then rm_rf dir
 
 (* ---- mutation campaign ---- *)
@@ -2095,6 +1909,25 @@ let print_ablations () =
   pf "  throughput: 16 txns in %d cycles sequential, %d cycles pipelined\n"
     (throughput Hls.Codegen.Sequential) (throughput Hls.Codegen.Pipelined)
 
+(* Every target, in `all` order; the flag says whether `all` runs it. *)
+let bench_targets ~jobs ~portfolio =
+  [
+    ("table1", true, print_table1);
+    ("fig5", true, print_fig5);
+    ("table2", true, print_table2 ~jobs ~portfolio);
+    ("fig2", true, print_fig2);
+    ("reduce", true, print_reduce);
+    ("certify", true, print_certify);
+    ("sat", true, print_sat);
+    ("overhead", false, print_overhead);
+    ("store", true, print_store ~jobs);
+    ("serve", true, print_serve ~jobs);
+    ("shard", true, print_shard ~jobs);
+    ("mutate", true, print_mutate ~jobs);
+    ("ablate", true, print_ablations);
+    ("kernels", true, print_kernels);
+  ]
+
 let () =
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
   let pos_int flag n =
@@ -2115,6 +1948,16 @@ let () =
   let targets =
     if targets = [] then [ "table1"; "fig5"; "table2"; "fig2" ] else targets
   in
+  let table = bench_targets ~jobs ~portfolio in
+  let names = List.map (fun (name, _, _) -> name) table @ [ "all" ] in
+  (match List.filter (fun t -> not (List.mem t names)) targets with
+   | [] -> ()
+   | unknown ->
+     Printf.eprintf "bench: unknown target%s %s (try: %s)\n"
+       (if List.length unknown > 1 then "s" else "")
+       (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+       (String.concat " " names);
+     exit 2);
   (* Every bench run journals: the sampler feeds per-obligation solver
      time-series into the records collected by journal_add. *)
   Telemetry.Series.configure ();
@@ -2141,33 +1984,10 @@ let () =
   List.iter
     (fun t ->
       let t1 = Unix.gettimeofday () in
-      (match t with
-       | "table1" -> print_table1 ()
-       | "fig5" -> print_fig5 ()
-       | "table2" -> print_table2 ~jobs ~portfolio ()
-       | "fig2" -> print_fig2 ()
-       | "reduce" -> print_reduce ()
-       | "certify" -> print_certify ()
-       | "sat" -> print_sat ()
-       | "overhead" -> print_overhead ()
-       | "store" -> print_store ~jobs ()
-       | "serve" -> print_serve ~jobs ()
-       | "shard" -> print_shard ~jobs ()
-       | "mutate" -> print_mutate ~jobs ()
-       | "kernels" -> print_kernels ()
-       | "ablate" -> print_ablations ()
-       | "all" ->
-         print_table1 (); print_fig5 ();
-         print_table2 ~jobs ~portfolio (); print_fig2 ();
-         print_reduce (); print_certify (); print_sat ();
-         print_store ~jobs ();
-         print_serve ~jobs ();
-         print_shard ~jobs ();
-         print_mutate ~jobs ();
-         print_ablations (); print_kernels ()
-       | other ->
-         pf "unknown bench target %S (try: table1 fig5 table2 fig2 reduce certify sat overhead store serve shard mutate kernels ablate all)\n"
-           other);
+      List.iter
+        (fun (name, in_all, run) ->
+          if name = t || (t = "all" && in_all) then run ())
+        table;
       record ("wall_s_" ^ t) (Num (Unix.gettimeofday () -. t1)))
     targets;
   let total = Unix.gettimeofday () -. t0 in

@@ -71,17 +71,11 @@ type solver_config = {
   phase_saving : bool;
   restarts : Solver.restart_style;
   inprocess : bool;
-  legacy : bool;
 }
 
 let default_config =
   { seed = 0; restart_base = 100; phase_init = false; phase_saving = true;
-    restarts = Solver.Luby; inprocess = true; legacy = false }
-
-(* The historical solver, byte-for-byte: Luby-only restarts, activity-halving
-   reduction without watch purge, shallow clause minimization, no
-   between-frame inprocessing. The baseline leg of the [bench sat] A/B. *)
-let legacy_config = { default_config with inprocess = false; legacy = true }
+    restarts = Solver.Luby; inprocess = true }
 
 (* Diversification menu: the first entry is always the base config (so a
    1-member portfolio is the sequential engine), later members vary the
@@ -93,9 +87,7 @@ let portfolio_configs ?(base = default_config) n =
   List.init (max 1 n) (fun i ->
       if i = 0 then base
       else
-        let restarts =
-          if base.legacy || i mod 2 = 0 then Solver.Luby else Solver.Ema
-        in
+        let restarts = if i mod 2 = 0 then Solver.Luby else Solver.Ema in
         {
           base with
           seed = i;
@@ -111,13 +103,12 @@ let portfolio_configs ?(base = default_config) n =
 let solver_of_config (c : solver_config) =
   Solver.create ~seed:c.seed ~restart_base:c.restart_base
     ~phase_init:c.phase_init ~phase_saving:c.phase_saving
-    ~restarts:c.restarts ~legacy:c.legacy ()
+    ~restarts:c.restarts ()
 
 (* A stable, human-readable identity for a configuration — what the journal
    records as the portfolio winner. *)
 let config_label (c : solver_config) =
-  Printf.sprintf "%s%s:rb%d:seed%d%s%s%s"
-    (if c.legacy then "legacy-" else "")
+  Printf.sprintf "%s:rb%d:seed%d%s%s%s"
     (match c.restarts with Solver.Luby -> "luby" | Solver.Ema -> "ema")
     c.restart_base c.seed
     (if c.inprocess then "" else ":noinp")
@@ -477,10 +468,11 @@ let export_aiger circuit ~prop oc =
     }
 
 (* The sequential bounded search over one (shared, read-only) relation,
-   parameterized by a solver configuration and an optional cancellation
-   flag. The flag is polled both inside the CDCL loop (via
-   [Solver.set_cancel]) and between frames, so a losing portfolio member
-   stops within a bounded amount of work wherever it happens to be. *)
+   parameterized by a solver configuration and a list of cancellation
+   flags (a portfolio's race flag, a caller's job flag). The flags are
+   polled both inside the CDCL loop (via [Solver.set_cancel]) and between
+   frames, so a cancelled search stops within a bounded amount of work
+   wherever it happens to be. *)
 (* [warm] frames at the start of the search are trusted clean (the caller
    holds a certified verdict store entry covering them): each is encoded
    and its bad literal blocked as a problem clause, but never solved. The
@@ -504,7 +496,7 @@ let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let solver = solver_of_config config in
-  (match cancel with Some f -> Solver.set_cancel solver f | None -> ());
+  Solver.set_cancel solver cancel;
   let cert =
     match certify with
     | None -> None
@@ -528,9 +520,7 @@ let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
     }
   in
   let rec go envs_rev depth =
-    (match cancel with
-     | Some f when Atomic.get f -> raise Solver.Cancelled
-     | Some _ | None -> ());
+    if List.exists Atomic.get cancel then raise Solver.Cancelled;
     if depth > max_depth then
       let certificate =
         match cert with Some _ -> Rup_certified max_depth | None -> Uncertified
@@ -630,22 +620,10 @@ let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
    wall time depend on the race. *)
 let race_portfolio ?ext_cancel configs run =
   let cancel = Atomic.make false in
-  (* An external cancellation flag (per-job timeout in the serve daemon)
-     must reach the racing members, which poll only the race's own flag. A
-     cheap bridge domain forwards it; the race flag is never written back
-     to the caller's, so a shared external flag stays untouched when a
-     winner trips the internal one. *)
-  let stop_bridge = Atomic.make false in
-  let bridge =
-    Option.map
-      (fun ext ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop_bridge) do
-              if Atomic.get ext then Atomic.set cancel true;
-              Unix.sleepf 0.002
-            done))
-      ext_cancel
-  in
+  (* Members poll the race flag and the external one (per-job timeout in
+     the serve daemon) side by side. Only the race flag is ever written, so
+     a shared external flag stays untouched when a winner trips it. *)
+  let flags = cancel :: Option.to_list ext_cancel in
   let lock = Mutex.create () in
   let winner = ref None in
   let error = ref None in
@@ -653,7 +631,7 @@ let race_portfolio ?ext_cancel configs run =
     List.map
       (fun config ->
         Domain.spawn (fun () ->
-            match run ~config ~cancel:(Some cancel) with
+            match run ~config ~cancel:flags with
             | r ->
               Mutex.lock lock;
               (match !winner with
@@ -680,8 +658,6 @@ let race_portfolio ?ext_cancel configs run =
       configs
   in
   List.iter Domain.join domains;
-  Atomic.set stop_bridge true;
-  Option.iter Domain.join bridge;
   match (!winner, !error) with
   | Some r, _ -> r
   | None, Some e -> raise e
@@ -799,7 +775,7 @@ let check_prepared ?(max_depth = 64) ?(trace_regs = true) ?(portfolio = 1)
     bounded_search ~certify ~warm p.rel ~name:p.prepared_name ~max_depth
       ~trace_regs ~frame_consts ~config ~cancel
   in
-  if portfolio <= 1 then run ~config ~cancel
+  if portfolio <= 1 then run ~config ~cancel:(Option.to_list cancel)
   else
     race_portfolio ?ext_cancel:cancel
       (portfolio_configs ~base:config portfolio)

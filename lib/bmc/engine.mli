@@ -99,8 +99,8 @@ type report = {
 
     A portfolio races one bounded search per solver configuration, each in
     its own domain, on a shared read-only transition relation. The first
-    finisher trips a cancellation flag polled inside every other member's
-    CDCL loop ({!Sat.Solver.set_cancel}) and between their frames; losers
+    finisher trips a race flag polled inside every other member's CDCL
+    loop ({!Sat.Solver.set_cancel}) and between their frames; losers
     unwind and are discarded. Because every member explores depths in
     order, the winning outcome and counterexample depth are identical to
     the sequential engine's — diversification only changes which member
@@ -117,18 +117,10 @@ type solver_config = {
                              restarts *)
   inprocess : bool;      (** run {!Sat.Solver.simplify_inplace} between
                              frames *)
-  legacy : bool;         (** historical solver behaviour (A/B baseline);
-                             forces Luby restarts *)
 }
 
 val default_config : solver_config
 (** The sequential engine's configuration: Luby restarts, inprocessing on. *)
-
-val legacy_config : solver_config
-(** The pre-modernization solver, for A/B comparison and differential
-    testing: legacy reduction/minimization and no between-frame
-    inprocessing. Verdicts and counterexample depths are identical to
-    {!default_config} on every obligation — only speed differs. *)
 
 val config_label : solver_config -> string
 (** A stable, human-readable identity for a configuration (e.g.
@@ -139,7 +131,7 @@ val portfolio_configs : ?base:solver_config -> int -> solver_config list
 (** [portfolio_configs n] is [n] diversified configurations; the first is
     always [base] (default {!default_config}). Later members vary the seed,
     polarity heuristics and the restart {e strategy} — odd members run EMA
-    restarts (unless [base] is legacy), so the portfolio races genuinely
+    restarts, so the portfolio races genuinely
     different searches rather than reseedings of one. *)
 
 (** {1 Prepared obligations}
@@ -215,11 +207,11 @@ val check_prepared :
 
     [cancel] is an external cooperative stop flag (e.g. a job timeout):
     when it flips to [true] the in-flight SAT solve unwinds and the call
-    raises {!Sat.Solver.Cancelled}. Sequentially the flag is polled inside
-    the CDCL loop; a portfolio bridges it onto the internal race flag from
-    a monitor domain. The flag is only read, never written — a portfolio
-    win cancels losers through its own internal flag, so a caller-shared
-    [cancel] is not tripped by normal completion. *)
+    raises {!Sat.Solver.Cancelled}. The flag is polled inside the CDCL
+    loop and between frames; under a portfolio every member polls it
+    beside the internal race flag. The flag is only read, never written —
+    a portfolio win cancels losers through its own internal flag, so a
+    caller-shared [cancel] is not tripped by normal completion. *)
 
 val prove_prepared : ?max_depth:int -> prepared -> report
 (** The prepared value must come from [prepare ~induction:true]. *)

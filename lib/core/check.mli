@@ -122,8 +122,8 @@ val single_action :
     solver configurations per BMC run and keeps the first answer — see
     {!Bmc.Engine.check}. Ignored when [induction] is set (the inductive
     path is sequential). [solver] (default {!Bmc.Engine.default_config})
-    selects the solver configuration — restart strategy, between-frame
-    inprocessing, legacy baseline; every configuration returns the same
+    selects the solver configuration — restart strategy and between-frame
+    inprocessing; every configuration returns the same
     verdict at the same depth, so it is a speed knob only (CLI
     [--restarts] / [--no-inprocess]).
 

@@ -107,10 +107,6 @@ type t = {
   mutable phase_init : bool;         (* initial saved phase of fresh vars *)
   mutable phase_saving : bool;       (* when false, always branch phase_init *)
   mutable restart_style : restart_style;
-  mutable legacy : bool;
-  (* when true, reproduce the historical solver exactly: Luby restarts,
-     activity-halving reduction with no watch purge, one-reason-deep clause
-     minimization, no inprocessing effects. The A/B baseline. *)
   (* EMA restart state. *)
   mutable ema_fast : float;
   mutable ema_slow : float;
@@ -125,8 +121,9 @@ type t = {
      [lvl] as already counted for the clause currently being measured. *)
   mutable level_stamp : int array;
   mutable stamp : int;
-  (* Cooperative cancellation: polled periodically from the CDCL loop. *)
-  mutable cancel : bool Atomic.t option;
+  (* Cooperative cancellation: polled periodically from the CDCL loop;
+     any set flag stops the search. *)
+  mutable cancel : bool Atomic.t list;
   mutable poll : int;
   (* Conflict budget for [solve_limited]; [max_int] when unlimited. *)
   mutable conflict_ceiling : int;
@@ -171,8 +168,7 @@ let m_reductions = Telemetry.Counter.make "sat.reductions"
 let m_vivified = Telemetry.Counter.make "sat.vivified"
 
 let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
-    ?(phase_saving = true) ?(restarts = Luby) ?(reduce_first = 2000)
-    ?(legacy = false) () =
+    ?(phase_saving = true) ?(restarts = Luby) ?(reduce_first = 2000) () =
   let reduce_interval = max 100 reduce_first in
   {
     nvars = 0;
@@ -200,8 +196,7 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     restart_base = max 1 restart_base;
     phase_init;
     phase_saving;
-    restart_style = (if legacy then Luby else restarts);
-    legacy;
+    restart_style = restarts;
     ema_fast = 0.;
     ema_slow = 0.;
     reduce_next = reduce_interval;
@@ -209,7 +204,7 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     last_assumptions = [||];
     level_stamp = Array.make 16 0;
     stamp = 0;
-    cancel = None;
+    cancel = [];
     poll = 0;
     conflict_ceiling = max_int;
     proof_enabled = false;
@@ -245,7 +240,7 @@ let next_random s =
   s.rng <- x;
   x
 
-let set_cancel s flag = s.cancel <- Some flag
+let set_cancel s flags = s.cancel <- flags
 
 (* One snapshot of the per-solve series, shared between the rate-limited
    poll-site sample below and the forced first/last samples in [solve]. *)
@@ -263,9 +258,7 @@ let series_snapshot s () =
 let check_cancel s =
   s.poll <- s.poll + 1;
   if s.poll land 255 = 0 then begin
-    (match s.cancel with
-     | Some flag when Atomic.get flag -> raise Cancelled
-     | Some _ | None -> ());
+    if List.exists Atomic.get s.cancel then raise Cancelled;
     (* Piggyback the progress sample on the cancellation-poll cadence: the
        fast path below is one Atomic.get when no reporter is configured. *)
     Telemetry.Progress.tick (fun () ->
@@ -624,46 +617,30 @@ let analyze s conflict =
   done;
   let learnt = - !lit :: !learnt in
   (* Clause minimization: drop a literal whose negation is already implied
-     by the rest of the clause. The legacy configuration keeps the
-     historical non-recursive variant (one reason deep); the modern one
-     follows reason chains through intermediate propagated literals. *)
+     by the rest of the clause, following reason chains through
+     intermediate propagated literals. *)
   let seen_marks = List.map var_of (List.tl learnt) in
   List.iter (fun v -> s.seen.(v) <- true) seen_marks;
   let kept =
     match learnt with
     | [] -> assert false
     | uip :: rest ->
-      if s.legacy then begin
-        let redundant q =
-          let v = var_of q in
-          let r = s.reason.(v) in
-          r != dummy_clause
-          && Array.for_all
-               (fun p ->
-                 let u = var_of p in
-                 u = v || s.seen.(u) || s.level.(u) = 0)
-               r.lits
-        in
-        uip :: List.filter (fun q -> not (redundant q)) rest
-      end
-      else begin
-        let abstract_levels =
-          List.fold_left
-            (fun acc q -> acc lor (1 lsl (s.level.(var_of q) land 31)))
-            0 rest
-        in
-        let extra = ref [] in
-        let kept =
-          uip
-          :: List.filter
-               (fun q ->
-                 s.reason.(var_of q) == dummy_clause
-                 || not (lit_redundant s extra abstract_levels q))
-               rest
-        in
-        List.iter (fun v -> s.seen.(v) <- false) !extra;
-        kept
-      end
+      let abstract_levels =
+        List.fold_left
+          (fun acc q -> acc lor (1 lsl (s.level.(var_of q) land 31)))
+          0 rest
+      in
+      let extra = ref [] in
+      let kept =
+        uip
+        :: List.filter
+             (fun q ->
+               s.reason.(var_of q) == dummy_clause
+               || not (lit_redundant s extra abstract_levels q))
+             rest
+      in
+      List.iter (fun v -> s.seen.(v) <- false) !extra;
+      kept
   in
   List.iter (fun v -> s.seen.(v) <- false) seen_marks;
   (* Recompute the backtrack level from the kept literals. *)
@@ -800,52 +777,33 @@ let rebuild_watches s =
 let reduce_db s =
   s.n_reductions <- s.n_reductions + 1;
   Telemetry.Counter.incr m_reductions;
-  if s.legacy then begin
-    (* Historical behaviour, kept as the A/B baseline: sort by activity,
-       drop the bottom half, and leave dead clauses attached (propagate
-       drops them lazily but the watch vectors never shrink). *)
-    let n = Vec.size s.learnts in
-    let arr = Array.init n (Vec.get s.learnts) in
+  (* Three-tier policy: core clauses (glue <= core_glue), binaries and
+     locked clauses are permanent; the mid tier ages out its least active
+     quarter; the local tier loses half every round. The watch lists are
+     rebuilt afterwards so propagation never scans a dead clause. *)
+  let mid = ref [] and local = ref [] in
+  for i = 0 to Vec.size s.learnts - 1 do
+    let c = Vec.get s.learnts i in
+    if not
+         (c.deleted || locked s c || Array.length c.lits = 2
+         || c.lbd <= core_glue)
+    then
+      if c.lbd <= mid_glue then mid := c :: !mid else local := c :: !local
+  done;
+  let drop_least_active frac cs =
+    let arr = Array.of_list cs in
     Array.sort (fun a b -> Float.compare a.cla_act b.cla_act) arr;
-    let limit = n / 2 in
-    Vec.clear s.learnts;
-    Array.iteri
-      (fun i c ->
-        if (i >= limit || locked s c || Array.length c.lits = 2)
-           && not c.deleted
-        then Vec.push s.learnts c
-        else c.deleted <- true)
-      arr
-  end
-  else begin
-    (* Three-tier policy: core clauses (glue <= core_glue), binaries and
-       locked clauses are permanent; the mid tier ages out its least active
-       quarter; the local tier loses half every round. The watch lists are
-       rebuilt afterwards so propagation never scans a dead clause. *)
-    let mid = ref [] and local = ref [] in
-    for i = 0 to Vec.size s.learnts - 1 do
-      let c = Vec.get s.learnts i in
-      if not
-           (c.deleted || locked s c || Array.length c.lits = 2
-           || c.lbd <= core_glue)
-      then
-        if c.lbd <= mid_glue then mid := c :: !mid else local := c :: !local
-    done;
-    let drop_least_active frac cs =
-      let arr = Array.of_list cs in
-      Array.sort (fun a b -> Float.compare a.cla_act b.cla_act) arr;
-      let k = int_of_float (frac *. float_of_int (Array.length arr)) in
-      for i = 0 to k - 1 do
-        arr.(i).deleted <- true
-      done
-    in
-    drop_least_active 0.25 !mid;
-    drop_least_active 0.5 !local;
-    rebuild_watches s;
-    (* Stretch the schedule so reduction cost stays amortized. *)
-    s.reduce_interval <- s.reduce_interval + 300;
-    s.reduce_next <- s.n_conflicts + s.reduce_interval
-  end
+    let k = int_of_float (frac *. float_of_int (Array.length arr)) in
+    for i = 0 to k - 1 do
+      arr.(i).deleted <- true
+    done
+  in
+  drop_least_active 0.25 !mid;
+  drop_least_active 0.5 !local;
+  rebuild_watches s;
+  (* Stretch the schedule so reduction cost stays amortized. *)
+  s.reduce_interval <- s.reduce_interval + 300;
+  s.reduce_next <- s.n_conflicts + s.reduce_interval
 
 (* ---- inprocessing: clause vivification ---- *)
 
@@ -1072,10 +1030,7 @@ let search s ~assumptions ~restart_budget =
           cancel_until s 0;
           raise Exit
         end;
-        if s.legacy then begin
-          if Vec.size s.learnts >= 8000 + Vec.size s.clauses then reduce_db s
-        end
-        else if s.n_conflicts >= s.reduce_next then reduce_db s;
+        if s.n_conflicts >= s.reduce_next then reduce_db s;
         (* Decide: first re-establish assumptions, then VSIDS. *)
         let lvl = decision_level s in
         if lvl < Array.length assumptions then begin

@@ -52,8 +52,8 @@ type stats = {
 }
 
 exception Cancelled
-(** Raised out of {!solve} when the registered cancellation flag was
-    observed set (see {!set_cancel}). The solver remains usable: the
+(** Raised out of {!solve} when one of the registered cancellation flags
+    was observed set (see {!set_cancel}). The solver remains usable: the
     assumption levels are unwound and propagation state is reset, so a
     later {!solve} on the same instance is sound. *)
 
@@ -64,7 +64,6 @@ val create :
   ?phase_saving:bool ->
   ?restarts:restart_style ->
   ?reduce_first:int ->
-  ?legacy:bool ->
   unit -> t
 (** The optional knobs diversify search for portfolio solving.
 
@@ -79,15 +78,7 @@ val create :
     false, every decision uses [phase_init]. [restarts] (default [Luby])
     selects the restart strategy. [reduce_first] (default 2000) is the
     conflict count of the first learned-database reduction; the interval
-    then stretches by 300 conflicts per round.
-
-    [legacy] (default false) reproduces the historical solver exactly —
-    Luby restarts only, activity-halving reduction triggered at
-    [8000 + clauses] learnts with no watch purge, one-reason-deep clause
-    minimization, and {!simplify_inplace} still honoured but typically
-    withheld by callers. It exists as the honest baseline for the
-    [bench sat] A/B and for differential fuzzing; both configurations must
-    agree on every verdict. *)
+    then stretches by 300 conflicts per round. *)
 
 val new_var : t -> int
 (** Allocates a fresh variable and returns its index (positive). *)
@@ -135,10 +126,13 @@ val simplify_inplace : ?budget:int -> t -> unit
     Nothing this pass derives falls outside RUP, hence nothing is disabled
     under {!enable_proof}. The BMC engine calls this between frames. *)
 
-val set_cancel : t -> bool Atomic.t -> unit
-(** Registers a cancellation flag shared with other domains. The CDCL loop
-    polls it every 256 iterations and raises {!Cancelled} when set — the
-    mechanism the portfolio uses to stop losing solvers. *)
+val set_cancel : t -> bool Atomic.t list -> unit
+(** Registers the cancellation flags shared with other domains, replacing
+    any earlier set. The CDCL loop polls them every 256 iterations and
+    raises {!Cancelled} when any one is set — the mechanism a portfolio
+    uses to stop losing solvers (its race flag) and a caller uses to stop
+    a job (its own flag), with no domain copying one flag into the other.
+    The flags are only read, never written. *)
 
 val value : t -> int -> bool
 (** [value s v] is the value of variable [v] in the model of the last [Sat]

@@ -1,15 +1,15 @@
-(* Randomized differential fuzzing of the CDCL solver.
+(* Randomized fuzzing of the CDCL solver against independent certificates.
 
-   The modern solver (LBD-tiered database, recursive minimization,
-   vivification, warm assumption prefixes) and the legacy configuration
-   ([~legacy:true]) are two very different searches over the same clause
-   set, so running them side by side on random instances is a cheap
-   soundness oracle: every verdict must agree, every Sat answer must carry
-   a model that satisfies the original clauses, and every Unsat answer must
-   come with a RUP-replayable proof. The incremental fuzz additionally
-   interleaves clause additions, prefix-correlated assumption solves and
+   Every answer is checked by something that shares no code with the
+   solver's search: a Sat answer must carry a model that satisfies the
+   original clauses (and the assumptions), and an Unsat answer must be
+   confirmed by {!Sat.Rup}, the reverse-unit-propagation checker, replaying
+   the solver's proof log. The incremental fuzz interleaves clause
+   additions, prefix-correlated assumption solves and
    {!Sat.Solver.simplify_inplace} calls, the exact shape of the BMC frame
-   loop. Seeds are fixed (Testbench.Prng), so failures reproduce. *)
+   loop, and certifies each answer from the proof delta as the engine's
+   certified mode does. Seeds are fixed (Testbench.Prng), so failures
+   reproduce. *)
 
 module S = Sat.Solver
 module P = Testbench.Prng
@@ -26,9 +26,9 @@ let random_3sat rng ~nvars ~ratio =
           let v = 1 + P.below rng nvars in
           if P.bool rng then v else -v))
 
-let solver_of ?(legacy = false) ?(proof = false) nvars clauses =
-  let s = S.create ~legacy () in
-  if proof then S.enable_proof s;
+let solver_of nvars clauses =
+  let s = S.create () in
+  S.enable_proof s;
   for _ = 1 to nvars do
     ignore (S.new_var s)
   done;
@@ -44,21 +44,15 @@ let test_random_3sat () =
     let nvars = 20 + P.below rng 41 in
     let ratio = 3.8 +. (float_of_int (P.below rng 10) /. 10.) in
     let clauses = random_3sat rng ~nvars ~ratio in
-    let modern = solver_of ~proof:true nvars clauses in
-    let legacy = solver_of ~legacy:true nvars clauses in
-    let rm = S.solve modern in
-    let rl = S.solve legacy in
-    if is_sat rm <> is_sat rl then
-      Alcotest.failf "round %d (n=%d): legacy/modern verdict mismatch" round
-        nvars;
-    match rm with
+    let s = solver_of nvars clauses in
+    match S.solve s with
     | S.Sat ->
-      if not (model_satisfies modern clauses) then
+      if not (model_satisfies s clauses) then
         Alcotest.failf "round %d (n=%d): Sat model violates a clause" round
           nvars
     | S.Unsat -> (
         let cnf = { Sat.Dimacs.nvars; clauses } in
-        match Sat.Rup.check cnf (S.proof modern) with
+        match Sat.Rup.check cnf (S.proof s) with
         | Sat.Rup.Valid -> ()
         | Sat.Rup.Invalid i ->
           Alcotest.failf "round %d (n=%d): proof invalid at step %d" round
@@ -70,16 +64,20 @@ let test_random_3sat () =
 (* The incremental shape: clauses arrive in batches, solves run under
    assumption lists that share prefixes with the previous call (so the
    warm-start path is exercised), and inprocessing fires between solves.
-   The legacy solver sees the identical sequence without inprocessing. *)
+   After every solve the RUP checker takes the delta since the last one —
+   the new problem clauses on trust, each newly learned or vivified clause
+   only if it is RUP — and then judges the answer: Unsat must refute the
+   assumptions by unit propagation alone, Sat must not. *)
 let test_incremental_fuzz () =
   let rng = P.create 0xBEEF in
   for round = 1 to 20 do
     let nvars = 12 + P.below rng 17 in
-    let modern = S.create () in
-    let legacy = S.create ~legacy:true () in
+    let s = S.create () in
+    S.enable_proof s;
+    let ck = Sat.Rup.create ~nvars () in
+    let mark = ref (S.mark s) in
     for _ = 1 to nvars do
-      ignore (S.new_var modern);
-      ignore (S.new_var legacy)
+      ignore (S.new_var s)
     done;
     let added = ref [] in
     let assumptions = ref [] in
@@ -96,11 +94,10 @@ let test_incremental_fuzz () =
       in
       List.iter
         (fun c ->
-          S.add_clause modern c;
-          S.add_clause legacy c;
+          S.add_clause s c;
           added := c :: !added)
         batch;
-      if P.chance rng 0.3 then S.simplify_inplace ~budget:2_000 modern;
+      if P.chance rng 0.3 then S.simplify_inplace ~budget:2_000 s;
       (* Keep a random prefix of the previous assumptions, then extend —
          matched prefixes are exactly what the warm start keeps decided. *)
       let keep = P.below rng (List.length !assumptions + 1) in
@@ -110,20 +107,33 @@ let test_incremental_fuzz () =
             if P.bool rng then v else -v)
       in
       assumptions := List.filteri (fun i _ -> i < keep) !assumptions @ tail;
-      let rm = S.solve ~assumptions:!assumptions modern in
-      let rl = S.solve ~assumptions:!assumptions legacy in
-      if is_sat rm <> is_sat rl then
-        Alcotest.failf "round %d step %d: verdict mismatch under assumptions"
-          round step;
-      if is_sat rm then begin
-        if not (model_satisfies modern !added) then
+      let r = S.solve ~assumptions:!assumptions s in
+      List.iter (Sat.Rup.add_clause ck) (S.clauses_since s !mark);
+      List.iteri
+        (fun i lemma ->
+          if not (Sat.Rup.add_step ck lemma) then
+            Alcotest.failf "round %d step %d: proof step #%d is not RUP" round
+              step i)
+        (S.proof_since s !mark);
+      mark := S.mark s;
+      let refuted =
+        Sat.Rup.contradictory ck
+        || Sat.Rup.check_step ck (List.map (fun a -> -a) !assumptions)
+      in
+      if is_sat r then begin
+        if not (model_satisfies s !added) then
           Alcotest.failf "round %d step %d: model violates an added clause"
             round step;
-        if not (List.for_all (fun a -> S.lit_value modern a) !assumptions)
-        then
+        if not (List.for_all (fun a -> S.lit_value s a) !assumptions) then
           Alcotest.failf "round %d step %d: model violates an assumption"
-            round step
+            round step;
+        if refuted then
+          Alcotest.failf "round %d step %d: Sat, yet the checker refutes the \
+                          assumptions" round step
       end
+      else if not refuted then
+        Alcotest.failf "round %d step %d: Unsat not confirmed by RUP" round
+          step
     done
   done
 

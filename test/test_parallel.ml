@@ -283,7 +283,7 @@ let test_cancelled_resolve () =
   let s = Solver.create () in
   pigeonhole s 6;
   let flag = Atomic.make true in
-  Solver.set_cancel s flag;
+  Solver.set_cancel s [ flag ];
   Alcotest.(check bool) "pre-set flag cancels the solve" true
     (match Solver.solve s with
      | _ -> false
@@ -306,7 +306,7 @@ let test_cancelled_resolve_with_assumptions () =
            if Testbench.Prng.bool rng then v else -v))
   done;
   let flag = Atomic.make true in
-  Solver.set_cancel s flag;
+  Solver.set_cancel s [ flag ];
   (match Solver.solve ~assumptions:[ 1; 2; 3 ] s with
    | _ -> ()   (* solved before the first poll: also fine *)
    | exception Solver.Cancelled -> ());
@@ -330,6 +330,32 @@ let test_cancelled_resolve_with_assumptions () =
      Alcotest.(check bool) "assumption -1 honoured" false (Solver.value s 1);
      Alcotest.(check bool) "assumption 4 honoured" true (Solver.value s 4)
    | Solver.Unsat -> ())
+
+(* The portfolio's external cancel path: every member polls the caller's
+   flag beside the race flag, so a pre-set flag stops the whole race, and a
+   normal win trips only the race flag, never the caller's. *)
+let test_portfolio_external_cancel () =
+  let c = Ir.create "count_par" in
+  let en = Ir.input c "en" 1 in
+  let cnt =
+    Ir.reg_fb c "cnt" ~init:(Bitvec.create ~width:4 0) (fun r ->
+        Ir.mux en (Ir.add r (Ir.constant c ~width:4 1)) r)
+  in
+  let p = Bmc.Engine.prepare c ~prop:(Ir.ne cnt (Ir.constant c ~width:4 5)) in
+  let cancel = Atomic.make true in
+  Alcotest.(check bool) "pre-set flag raises Cancelled" true
+    (match Bmc.Engine.check_prepared ~max_depth:8 ~portfolio:2 ~cancel p with
+     | _ -> false
+     | exception Solver.Cancelled -> true);
+  Atomic.set cancel false;
+  let r = Bmc.Engine.check_prepared ~max_depth:8 ~portfolio:2 ~cancel p in
+  Alcotest.(check (option int)) "race finds the 6-frame counterexample"
+    (Some 6)
+    (match r.Bmc.Engine.outcome with
+     | Bmc.Engine.Cex t -> Some (Bmc.Trace.length t)
+     | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ -> None);
+  Alcotest.(check bool) "a win leaves the caller's flag false" false
+    (Atomic.get cancel)
 
 let test_solver_config_knobs_same_result () =
   (* Diversified configurations must agree on satisfiability. *)
@@ -375,6 +401,8 @@ let suite =
       Alcotest.test_case "cancelled re-solve" `Quick test_cancelled_resolve;
       Alcotest.test_case "cancelled re-solve with assumptions" `Quick
         test_cancelled_resolve_with_assumptions;
+      Alcotest.test_case "portfolio external cancel" `Quick
+        test_portfolio_external_cancel;
       Alcotest.test_case "config knobs agree" `Quick
         test_solver_config_knobs_same_result;
     ] )

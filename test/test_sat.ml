@@ -107,9 +107,9 @@ let test_bad_literal () =
 
 (* ---- modern-CDCL machinery ---- *)
 
-let php_solver ?(legacy = false) ?(restarts = S.Luby) ?restart_base
+let php_solver ?(restarts = S.Luby) ?restart_base
     ?reduce_first ~proof pigeons holes =
-  let s = S.create ~legacy ~restarts ?restart_base ?reduce_first () in
+  let s = S.create ~restarts ?restart_base ?reduce_first () in
   if proof then S.enable_proof s;
   let v = Array.init (pigeons + 1) (fun _ -> Array.make (holes + 1) 0) in
   for p = 1 to pigeons do
