@@ -223,13 +223,12 @@ let json_of_report (r : Aqed.Check.report) =
          Str
            (match r.Aqed.Check.verdict with
             | Aqed.Check.Bug _ -> "bug"
-            | Aqed.Check.No_bug_up_to _ -> "clean"
-            | Aqed.Check.Proved _ -> "proved") );
+            | Aqed.Check.No_bug_up_to _ -> "clean") );
        ( "depth",
          Int
            (match r.Aqed.Check.verdict with
             | Aqed.Check.Bug t -> Bmc.Trace.length t
-            | Aqed.Check.No_bug_up_to k | Aqed.Check.Proved k -> k) );
+            | Aqed.Check.No_bug_up_to k -> k) );
        ("wall_s", Num r.Aqed.Check.wall_time);
        ("aig_nodes", Int r.Aqed.Check.aig_nodes);
        ("aig_nodes_raw", Int r.Aqed.Check.aig_nodes_raw);
@@ -474,7 +473,6 @@ let verdict_sig (r : Aqed.Check.report) =
   match r.Aqed.Check.verdict with
   | Aqed.Check.Bug t -> Printf.sprintf "bug@%d" (Bmc.Trace.length t)
   | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean@%d" k
-  | Aqed.Check.Proved k -> Printf.sprintf "proved@%d" k
 
 let print_table2 ~jobs ~portfolio () =
   let specs = table2_specs () in
@@ -604,8 +602,7 @@ let print_fig2 () =
      pf "the trace pauses clock_enable on %d cycle(s) — the corner the\n"
        (List.length pauses);
      pf "conventional flow's application-style stimulus never exercises.\n"
-   | Aqed.Check.No_bug_up_to k -> pf "UNEXPECTED: clean to %d\n" k
-   | Aqed.Check.Proved k -> pf "UNEXPECTED: proved at %d\n" k);
+   | Aqed.Check.No_bug_up_to k -> pf "UNEXPECTED: clean to %d\n" k);
   let clean =
     Aqed.Check.functional_consistency ~max_depth:8
       (fun () -> Accel.Fig2.build ())
@@ -613,7 +610,6 @@ let print_fig2 () =
   pf "bug-free design: %s\n"
     (match clean.Aqed.Check.verdict with
      | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean up to depth %d" k
-     | Aqed.Check.Proved k -> Printf.sprintf "proved at depth %d" k
      | Aqed.Check.Bug _ -> "UNEXPECTED BUG")
 
 (* ---- A/B targets: one obligation suite, one runner ---- *)
@@ -1785,32 +1781,9 @@ let print_ablations () =
         (match r.Aqed.Check.verdict with
          | Aqed.Check.Bug t ->
            Printf.sprintf "bug at depth %d" (Bmc.Trace.length t)
-         | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to %d" k
-         | Aqed.Check.Proved k -> Printf.sprintf "proved at %d" k)
+         | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to %d" k)
         r.Aqed.Check.wall_time r.Aqed.Check.aig_nodes)
     [ 4; 6; 8; 10 ];
-
-  pf "\n[A3] bounded check vs k-induction on the clean line buffer (RB):\n";
-  let bounded =
-    Aqed.Check.response_bound ~max_depth:10 ~tau:(M.tau M.Line_buffer)
-      (fun () -> M.build ~assume_enabled:true M.Line_buffer ())
-  in
-  let inductive =
-    Aqed.Check.response_bound ~max_depth:10 ~tau:(M.tau M.Line_buffer)
-      ~induction:true
-      (fun () -> M.build ~assume_enabled:true M.Line_buffer ())
-  in
-  let show name (r : Aqed.Check.report) =
-    pf "  %-10s %-26s %.3fs\n" name
-      (match r.Aqed.Check.verdict with
-       | Aqed.Check.Bug t ->
-         Printf.sprintf "bug at depth %d" (Bmc.Trace.length t)
-       | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to %d" k
-       | Aqed.Check.Proved k -> Printf.sprintf "PROVED at %d" k)
-      r.Aqed.Check.wall_time
-  in
-  show "bounded" bounded;
-  show "induction" inductive;
 
   pf "\n[A4] the shared-key customization (Sec. IV.B), on the CORRECT AES:\n";
   let with_shared =
@@ -1827,8 +1800,7 @@ let print_ablations () =
        | Aqed.Check.Bug t ->
          Printf.sprintf "SPURIOUS bug at depth %d (false positive)"
            (Bmc.Trace.length t)
-       | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to %d" k
-       | Aqed.Check.Proved k -> Printf.sprintf "proved at %d" k)
+       | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to %d" k)
       r.Aqed.Check.wall_time
   in
   show "shared key" with_shared;
@@ -1852,8 +1824,7 @@ let print_ablations () =
       (match r.Aqed.Check.verdict with
        | Aqed.Check.Bug t ->
          Printf.sprintf "bug at depth %d" (Bmc.Trace.length t)
-       | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to %d" k
-       | Aqed.Check.Proved k -> Printf.sprintf "proved at %d" k)
+       | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to %d" k)
       r.Aqed.Check.wall_time
   in
   show "batch (2 lanes)" batch;
@@ -1893,8 +1864,7 @@ let print_ablations () =
     pf "  %-12s FC %-22s %.3fs (aig %d nodes)\n" name
       (match r.Aqed.Check.verdict with
        | Aqed.Check.Bug t -> Printf.sprintf "BUG at %d" (Bmc.Trace.length t)
-       | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to depth %d" k
-       | Aqed.Check.Proved k -> Printf.sprintf "proved at %d" k)
+       | Aqed.Check.No_bug_up_to k -> Printf.sprintf "clean to depth %d" k)
       r.Aqed.Check.wall_time r.Aqed.Check.aig_nodes
   in
   fc_style "sequential" Hls.Codegen.Sequential;

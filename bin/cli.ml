@@ -332,7 +332,7 @@ let cmd_check design_name bug check depth jobs stats no_reduce sweep certify
   end;
   (match report.Aqed.Check.verdict with
    | Aqed.Check.Bug t -> Format.printf "%a@." Bmc.Trace.pp t
-   | Aqed.Check.No_bug_up_to _ | Aqed.Check.Proved _ -> ());
+   | Aqed.Check.No_bug_up_to _ -> ());
   if store <> None then store_summary ();
   (match journal with
    | None -> ()
@@ -394,7 +394,7 @@ let cmd_verify design_name bug depth jobs portfolio stats no_reduce sweep
     (fun r ->
       match r.Aqed.Check.verdict with
       | Aqed.Check.Bug t -> Format.printf "%a@." Bmc.Trace.pp t
-      | Aqed.Check.No_bug_up_to _ | Aqed.Check.Proved _ -> ())
+      | Aqed.Check.No_bug_up_to _ -> ())
     reports;
   if store <> None then store_summary ();
   (match journal with

@@ -96,4 +96,4 @@ let () =
   Format.printf "  %a@." Aqed.Check.pp_report fc_bug;
   match fc_bug.Aqed.Check.verdict with
   | Aqed.Check.Bug t -> Format.printf "%a@." Bmc.Trace.pp_waveform t
-  | Aqed.Check.No_bug_up_to _ | Aqed.Check.Proved _ -> ()
+  | Aqed.Check.No_bug_up_to _ -> ()

@@ -6,7 +6,6 @@ module Rup = Sat.Rup
 type outcome =
   | Cex of Trace.t
   | Bounded_ok of int
-  | Proved of int
 
 type certificate =
   | Replayed of int
@@ -34,12 +33,10 @@ type report = {
 let pp_outcome fmt = function
   | Cex t -> Format.fprintf fmt "counterexample at depth %d" (Trace.length t)
   | Bounded_ok k -> Format.fprintf fmt "no counterexample up to depth %d" k
-  | Proved k -> Format.fprintf fmt "proved by %d-induction" k
 
 let outcome_label = function
   | Cex _ -> "cex"
   | Bounded_ok _ -> "bounded_ok"
-  | Proved _ -> "proved"
 
 (* Telemetry series for the engine layer: frame throughput, the depth the
    engine is currently working at, per-frame solve latency, and how the
@@ -133,18 +130,16 @@ type relation = {
   reduce_stats : Logic.Reduce.stats option;
 }
 
-(* [constants] gates the reachable-constant-latch pass: folding reachability
-   facts into the relation is sound for bounded checks from reset but can
-   strengthen a k-induction step (turning Bounded_ok into Proved), so the
-   induction path builds its relation without it.
+(* The reachable-constant-latch pass always runs: folding reachability
+   facts into the relation is sound for bounded checks from reset, the only
+   search this engine performs.
    [sweep] (default off here, though on in [Logic.Reduce.run]) gates SAT
    sweeping: on this repository's obligations the proven merges are few
    (2-4% of nodes) and their CNF savings are reproducibly outweighed on
    some instances by the solver-trajectory perturbation — the AES FC
    obligation solves 4x slower at depth 13 with its 22 merges applied —
    so the engine treats sweeping as an explicit opt-in (CLI [--sweep]). *)
-let build_relation ?(reduce = true) ?(constants = true) ?(sweep = false)
-    circuit ~prop =
+let build_relation ?(reduce = true) ?(sweep = false) circuit ~prop =
   if Rtl.Ir.width prop <> 1 then
     invalid_arg "Bmc: property must be a 1-bit signal";
   let blast = Rtl.Blast.create circuit in
@@ -176,7 +171,7 @@ let build_relation ?(reduce = true) ?(constants = true) ?(sweep = false)
     }
   else begin
     let red =
-      Logic.Reduce.run ~constants ~sweep aig ~bad ~assumes:assume_lits
+      Logic.Reduce.run ~sweep aig ~bad ~assumes:assume_lits
         ~latches:
           (Array.map
              (fun (cur, next, init) -> { Logic.Reduce.cur; next; init })
@@ -205,12 +200,11 @@ let build_relation ?(reduce = true) ?(constants = true) ?(sweep = false)
   end
 
 (* One frame: a Tseitin instantiation of the relation with the latch inputs
-   bound to the reset constants (frame 0), to the previous frame's
-   next-state values (constants fold through), or left free (induction). *)
+   bound to the reset constants (frame 0) or to the previous frame's
+   next-state values (constants fold through). *)
 type binding =
   | Bind_init
   | Bind_prev of Tseitin.env
-  | Bind_free
 
 (* [consts], when given, is the temporal-decomposition row for this frame
    ({!Logic.Reduce.frame_constants}): a latch bit known to hold a constant
@@ -232,8 +226,7 @@ let make_frame ?consts solver rel binding =
       | Bind_prev prev, None -> (
           match Tseitin.value_of prev next with
           | Tseitin.Cst b -> Tseitin.bind_const env cur b
-          | Tseitin.Lit s -> Tseitin.bind env cur s)
-      | Bind_free, _ -> ())
+          | Tseitin.Lit s -> Tseitin.bind env cur s))
     rel.latch_bits;
   List.iter (fun a -> Tseitin.assert_true env a) rel.assume_lits;
   env
@@ -723,11 +716,8 @@ let key_of_relation rel =
     rel.latch_bits;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let prepare ?(reduce = true) ?(sweep = false) ?(induction = false) circuit
-    ~prop =
-  let rel =
-    build_relation ~reduce ~constants:(not induction) ~sweep circuit ~prop
-  in
+let prepare ?(reduce = true) ?(sweep = false) circuit ~prop =
+  let rel = build_relation ~reduce ~sweep circuit ~prop in
   {
     rel;
     prepared_name = prop_name circuit prop;
@@ -785,81 +775,6 @@ let check ?max_depth ?trace_regs ?portfolio ?certify ?config ?(reduce = true)
     ?(sweep = false) circuit ~prop =
   check_prepared ?max_depth ?trace_regs ?portfolio ?certify ?config
     (prepare ~reduce ~sweep circuit ~prop)
-
-(* Simple k-induction step: frames 0..k from a free start state, property
-   assumed in frames 0..k-1, violated in frame k. UNSAT means any reachable
-   violation must occur within depth k, which the base case has excluded. *)
-let induction_step rel k =
-  let solver = Solver.create () in
-  let rec frames i prev acc =
-    if i > k then List.rev acc
-    else begin
-      let binding = match prev with None -> Bind_free | Some e -> Bind_prev e in
-      let env = make_frame solver rel binding in
-      frames (i + 1) (Some env) (env :: acc)
-    end
-  in
-  let envs = frames 0 None [] in
-  List.iteri
-    (fun i env ->
-      if i < k then Tseitin.assert_false env rel.bad
-      else Tseitin.assert_true env rel.bad)
-    envs;
-  Solver.solve solver = Solver.Unsat
-
-let prove_prepared ?(max_depth = 64) p =
-  let t0 = Unix.gettimeofday () in
-  let rel = p.rel in
-  let solver = Solver.create () in
-  let name = p.prepared_name in
-  let finish outcome depth =
-    {
-      outcome;
-      frames_explored = depth;
-      wall_time = Unix.gettimeofday () -. t0;
-      solver_stats = Solver.stats solver;
-      aig_nodes = Aig.nb_nodes rel.aig;
-      aig_nodes_raw = rel.raw_nodes;
-      reduce_stats = rel.reduce_stats;
-      certificate = Uncertified;
-      winner = "induction";
-    }
-  in
-  let rec go envs_rev depth =
-    if depth > max_depth then finish (Bounded_ok max_depth) max_depth
-    else begin
-      let binding =
-        match envs_rev with [] -> Bind_init | prev :: _ -> Bind_prev prev
-      in
-      let env = make_frame solver rel binding in
-      let envs_rev = env :: envs_rev in
-      match query_frame ~depth solver env rel.bad with
-      | Violated ->
-        let trace =
-          extract_trace solver rel (List.rev envs_rev) ~prop_name:name
-            ~trace_regs:true
-        in
-        finish (Cex trace) depth
-      | Clean ->
-        let proved =
-          Telemetry.Span.with_ "bmc.induction"
-            ~args:[ ("k", Telemetry.Int depth) ]
-            ~end_args:(fun ok -> [ ("proved", Telemetry.Bool ok) ])
-            (fun () -> induction_step rel depth)
-        in
-        if proved then finish (Proved depth) depth
-        else begin
-          (* Same between-frame inprocessing as [bounded_search]; the
-             induction solver is rebuilt per step and unaffected. *)
-          if depth < max_depth then Solver.simplify_inplace solver;
-          go envs_rev (depth + 1)
-        end
-    end
-  in
-  go [] 1
-
-let prove ?max_depth ?(reduce = true) ?(sweep = false) circuit ~prop =
-  prove_prepared ?max_depth (prepare ~reduce ~sweep ~induction:true circuit ~prop)
 
 let obligation_key ?(reduce = true) ?(sweep = false) circuit ~prop =
   prepared_key (prepare ~reduce ~sweep circuit ~prop)

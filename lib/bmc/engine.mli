@@ -12,12 +12,11 @@
     [dup_done -> fc_check] and the RB property.
 
     Observability: each bounded search emits a [bmc.search] telemetry span
-    enclosing one [bmc.frame] span per depth (k-induction steps emit
-    [bmc.induction]); portfolio race outcomes appear as
-    [bmc.portfolio.win]/[bmc.portfolio.cancelled] instants. The engine feeds
-    the [bmc.frames] counter, the [bmc.frame_depth] gauge and the
-    [bmc.frame_solve_s] latency histogram, and reports the current frame
-    through {!Telemetry.Progress} between frames. *)
+    enclosing one [bmc.frame] span per depth; portfolio race outcomes
+    appear as [bmc.portfolio.win]/[bmc.portfolio.cancelled] instants. The
+    engine feeds the [bmc.frames] counter, the [bmc.frame_depth] gauge and
+    the [bmc.frame_solve_s] latency histogram, and reports the current
+    frame through {!Telemetry.Progress} between frames. *)
 
 type outcome =
   | Cex of Trace.t
@@ -25,8 +24,6 @@ type outcome =
           the bug was found (the minimum, since depths are tried in order). *)
   | Bounded_ok of int
       (** No violation within the given bound. *)
-  | Proved of int
-      (** Established by k-induction at the reported depth ({!prove} only). *)
 
 (** {1 Verdict certification}
 
@@ -61,8 +58,7 @@ type certificate =
       (** Every UNSAT frame up to the reported depth passed the RUP
           check. *)
   | Uncertified
-      (** Certification was not requested (or not applicable: the
-          k-induction path of {!prove} is not certified). *)
+      (** Certification was not requested. *)
 
 exception Certification_failed of string
 (** A certified run diverged: the replay did not confirm the
@@ -91,8 +87,7 @@ type report = {
   certificate : certificate;
   winner : string;       (** {!config_label} of the configuration that
                              produced this report — under a portfolio race,
-                             the member that finished first; ["induction"]
-                             on the inductive path *)
+                             the member that finished first *)
 }
 
 (** {1 Portfolio solving}
@@ -146,7 +141,7 @@ val portfolio_configs : ?base:solver_config -> int -> solver_config list
 type prepared
 
 val prepare :
-  ?reduce:bool -> ?sweep:bool -> ?induction:bool ->
+  ?reduce:bool -> ?sweep:bool ->
   Rtl.Ir.circuit -> prop:Rtl.Ir.signal ->
   prepared
 (** [reduce] (default true) runs the structural reduction pipeline.
@@ -154,10 +149,7 @@ val prepare :
     pipeline: equivalence-preserving, but on some obligations the few
     proven merges perturb the solver enough to cost more than they save
     (measured 4x slower on the AES FC check), so it is opt-in (CLI
-    [--sweep]). [induction] (default false) must be set when the relation
-    will be used for {!prove_prepared}: it disables the
-    reachable-constant-latch pass, whose reachability facts are sound for
-    bounded search from reset but could strengthen an induction step. *)
+    [--sweep]). *)
 
 val prepared_key : prepared -> string
 (** A digest of the (reduced) obligation: the AIG gate structure, the bad
@@ -213,9 +205,6 @@ val check_prepared :
     a portfolio win cancels losers through its own internal flag, so a
     caller-shared [cancel] is not tripped by normal completion. *)
 
-val prove_prepared : ?max_depth:int -> prepared -> report
-(** The prepared value must come from [prepare ~induction:true]. *)
-
 val replay_prepared : prepared -> Trace.t -> int option
 (** Replays a trace on the cycle-accurate simulator against the prepared
     obligation's source circuit and returns the first violating cycle
@@ -238,15 +227,6 @@ val check :
     engine with no extra domains. [reduce] (default true) runs the
     structural reduction pipeline first; verdicts and counterexample depths
     are identical either way. *)
-
-val prove :
-  ?max_depth:int -> ?reduce:bool -> ?sweep:bool ->
-  Rtl.Ir.circuit -> prop:Rtl.Ir.signal -> report
-(** Interleaves the bounded search with simple k-induction: if no
-    counterexample exists at depth [k] and the inductive step at [k] is
-    unsatisfiable, the property is reported [Proved]. Sound; incomplete
-    (no unique-state constraints), so [Bounded_ok] may be returned at the
-    bound even for true properties. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

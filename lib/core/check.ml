@@ -3,7 +3,6 @@ module Ir = Rtl.Ir
 type verdict =
   | Bug of Bmc.Trace.t
   | No_bug_up_to of int
-  | Proved of int
 
 type certificate = Bmc.Engine.certificate =
   | Replayed of int
@@ -39,13 +38,12 @@ let m_bugs = Telemetry.Counter.make "check.bugs"
    and reduced) relation, so preparing once serves both the cache key and
    the solve. *)
 let run_bmc ?(portfolio = 1) ?(certify = false) ?solver ?(warm_depth = 0)
-    ?cancel name ~max_depth ~induction prepared =
+    ?cancel name ~max_depth prepared =
   Telemetry.Counter.incr m_obligations;
   Telemetry.Span.with_ "check"
     ~args:
       [ ("check", Telemetry.Str name);
         ("max_depth", Telemetry.Int max_depth);
-        ("induction", Telemetry.Bool induction);
         ("certify", Telemetry.Bool certify);
         ("portfolio", Telemetry.Int portfolio) ]
     ~end_args:(fun r ->
@@ -53,13 +51,12 @@ let run_bmc ?(portfolio = 1) ?(certify = false) ?solver ?(warm_depth = 0)
           Telemetry.Str
             (match r.verdict with
              | Bug _ -> "bug"
-             | No_bug_up_to _ -> "clean"
-             | Proved _ -> "proved") );
+             | No_bug_up_to _ -> "clean") );
         ( "depth",
           Telemetry.Int
             (match r.verdict with
              | Bug t -> Bmc.Trace.length t
-             | No_bug_up_to k | Proved k -> k) );
+             | No_bug_up_to k -> k) );
         ("wall_s", Telemetry.Float r.wall_time) ])
   @@ fun () ->
   (* [run_bmc] executes on whichever domain solves the obligation (a pool
@@ -68,10 +65,8 @@ let run_bmc ?(portfolio = 1) ?(certify = false) ?solver ?(warm_depth = 0)
      members spawn their own domains and are not captured. *)
   if Telemetry.Series.active () then Telemetry.Series.mark ();
   let bmc_report =
-    if induction then Bmc.Engine.prove_prepared ~max_depth prepared
-    else
-      Bmc.Engine.check_prepared ~max_depth ~portfolio ~certify
-        ?config:solver ~warm_depth ?cancel prepared
+    Bmc.Engine.check_prepared ~max_depth ~portfolio ~certify ?config:solver
+      ~warm_depth ?cancel prepared
   in
   let series =
     if Telemetry.Series.active () then
@@ -90,7 +85,6 @@ let run_bmc ?(portfolio = 1) ?(certify = false) ?solver ?(warm_depth = 0)
       Telemetry.Counter.incr m_bugs;
       Bug t
     | Bmc.Engine.Bounded_ok k -> No_bug_up_to k
-    | Bmc.Engine.Proved k -> Proved k
   in
   {
     check = name;
@@ -130,7 +124,6 @@ type obligation = {
   ob_name : string;
   ob_check : string;
   ob_max_depth : int;
-  ob_induction : bool;
   ob_reduce : bool;
   ob_sweep : bool;
   ob_build : unit -> Ir.circuit * Ir.signal;
@@ -141,17 +134,15 @@ let obligation_name o = o.ob_name
 (* Bit-blast (and reduce) the obligation's instance exactly once. *)
 let prepare_engine ob =
   let circuit, prop = ob.ob_build () in
-  Bmc.Engine.prepare ~reduce:ob.ob_reduce ~sweep:ob.ob_sweep
-    ~induction:ob.ob_induction circuit ~prop
+  Bmc.Engine.prepare ~reduce:ob.ob_reduce ~sweep:ob.ob_sweep circuit ~prop
 
 let prepare_fc ?name ?(max_depth = 32) ?cnt_width ?shared ?lanes
-    ?(induction = false) ?(reduce = true) ?(sweep = false) build =
+    ?(reduce = true) ?(sweep = false) build =
   let cnt_width = auto_cnt_width cnt_width ~max_depth ~floor:0 in
   {
     ob_name = (match name with Some n -> n | None -> "FC");
     ob_check = "FC";
     ob_max_depth = max_depth;
-    ob_induction = induction;
     ob_reduce = reduce;
     ob_sweep = sweep;
     ob_build =
@@ -168,8 +159,7 @@ let prepare_fc ?name ?(max_depth = 32) ?cnt_width ?shared ?lanes
   }
 
 let prepare_rb ?name ?(max_depth = 32) ?cnt_width ~tau ?in_min
-    ?starvation_bound ?(induction = false) ?(reduce = true) ?(sweep = false)
-    build =
+    ?starvation_bound ?(reduce = true) ?(sweep = false) build =
   let floor =
     max tau (match starvation_bound with Some b -> b | None -> tau)
   in
@@ -178,7 +168,6 @@ let prepare_rb ?name ?(max_depth = 32) ?cnt_width ~tau ?in_min
     ob_name = (match name with Some n -> n | None -> "RB");
     ob_check = "RB";
     ob_max_depth = max_depth;
-    ob_induction = induction;
     ob_reduce = reduce;
     ob_sweep = sweep;
     ob_build =
@@ -194,13 +183,12 @@ let prepare_rb ?name ?(max_depth = 32) ?cnt_width ~tau ?in_min
         (iface.Iface.circuit, prop));
   }
 
-let prepare_sac ?name ?(max_depth = 32) ~spec ?(induction = false)
-    ?(reduce = true) ?(sweep = false) build =
+let prepare_sac ?name ?(max_depth = 32) ~spec ?(reduce = true)
+    ?(sweep = false) build =
   {
     ob_name = (match name with Some n -> n | None -> "SAC");
     ob_check = "SAC";
     ob_max_depth = max_depth;
-    ob_induction = induction;
     ob_reduce = reduce;
     ob_sweep = sweep;
     ob_build =
@@ -254,10 +242,8 @@ let report_of_entry ~check ~key ~wall ~verdict ~certificate
     series = [];
   }
 
-(* Only fully certified, non-induction verdicts are durable: a [Bug] with
-   its replayed (shrunk) trace, or a clean bound with its RUP depth.
-   [Proved] verdicts come from the uncertified induction path and are
-   never stored. *)
+(* Only fully certified verdicts are durable: a [Bug] with its replayed
+   (shrunk) trace, or a clean bound with its RUP depth. *)
 let entry_of_report ~fingerprint ~check (r : report) =
   let base verdict cert =
     Some
@@ -280,9 +266,9 @@ let entry_of_report ~fingerprint ~check (r : report) =
   match (r.verdict, r.certificate) with
   | Bug t, Replayed c -> base (Store.Bug t) (Store.Cert_replayed c)
   | No_bug_up_to k, Rup_certified j -> base (Store.Clean k) (Store.Cert_rup j)
-  | (Bug _ | No_bug_up_to _ | Proved _), _ -> None
+  | (Bug _ | No_bug_up_to _), _ -> None
 
-(* Solve one non-induction obligation through the store. Returns
+(* Solve one obligation through the store. Returns
    [(store_hit, report)]; [store_hit] is true only when the verdict was
    answered from a revalidated entry without solving. *)
 let run_with_store store ?portfolio ?solver ?cancel ob prepared =
@@ -300,7 +286,7 @@ let run_with_store store ?portfolio ?solver ?cancel ob prepared =
   let solve ?(warm_depth = 0) () =
     let r =
       run_bmc ?portfolio ~certify:true ?solver ~warm_depth ?cancel
-        ob.ob_check ~max_depth:ob.ob_max_depth ~induction:false prepared
+        ob.ob_check ~max_depth:ob.ob_max_depth prepared
     in
     (match entry_of_report ~fingerprint ~check:ob.ob_check r with
      | Some e -> Store.store store e
@@ -359,50 +345,47 @@ let run_with_store store ?portfolio ?solver ?cancel ob prepared =
         invalid_then_miss ())
 
 let run_obligation ?portfolio ?certify ?solver ?store ?cancel ob =
+  let prepared = prepare_engine ob in
   match store with
-  | Some s when not ob.ob_induction ->
-    snd (run_with_store s ?portfolio ?solver ?cancel ob (prepare_engine ob))
-  | Some _ | None ->
+  | Some s -> snd (run_with_store s ?portfolio ?solver ?cancel ob prepared)
+  | None ->
     run_bmc ?portfolio ?certify ?solver ?cancel ob.ob_check
-      ~max_depth:ob.ob_max_depth ~induction:ob.ob_induction
-      (prepare_engine ob)
+      ~max_depth:ob.ob_max_depth prepared
 
-let functional_consistency ?max_depth ?cnt_width ?shared ?lanes ?induction
-    ?portfolio ?certify ?solver ?store ?reduce ?sweep build =
+let functional_consistency ?max_depth ?cnt_width ?shared ?lanes ?portfolio
+    ?certify ?solver ?store ?reduce ?sweep build =
   run_obligation ?portfolio ?certify ?solver ?store
-    (prepare_fc ?max_depth ?cnt_width ?shared ?lanes ?induction ?reduce ?sweep
-       build)
+    (prepare_fc ?max_depth ?cnt_width ?shared ?lanes ?reduce ?sweep build)
 
 let response_bound ?max_depth ?cnt_width ~tau ?in_min ?starvation_bound
-    ?induction ?portfolio ?certify ?solver ?store ?reduce ?sweep build =
+    ?portfolio ?certify ?solver ?store ?reduce ?sweep build =
   run_obligation ?portfolio ?certify ?solver ?store
-    (prepare_rb ?max_depth ?cnt_width ~tau ?in_min ?starvation_bound
-       ?induction ?reduce ?sweep build)
+    (prepare_rb ?max_depth ?cnt_width ~tau ?in_min ?starvation_bound ?reduce
+       ?sweep build)
 
-let single_action ?max_depth ~spec ?induction ?portfolio ?certify ?solver
-    ?store ?reduce ?sweep build =
+let single_action ?max_depth ~spec ?portfolio ?certify ?solver ?store
+    ?reduce ?sweep build =
   run_obligation ?portfolio ?certify ?solver ?store
-    (prepare_sac ?max_depth ~spec ?induction ?reduce ?sweep build)
+    (prepare_sac ?max_depth ~spec ?reduce ?sweep build)
 
-let found_bug r = match r.verdict with Bug _ -> true | No_bug_up_to _ | Proved _ -> false
+let found_bug r = match r.verdict with Bug _ -> true | No_bug_up_to _ -> false
 
 let trace_length r =
   match r.verdict with
   | Bug t -> Some (Bmc.Trace.length t)
-  | No_bug_up_to _ | Proved _ -> None
+  | No_bug_up_to _ -> None
 
-let verify ?max_depth ?cnt_width ~tau ?in_min ?shared ?spec
-    ?(induction = false) ?portfolio ?certify ?solver ?store ?reduce ?sweep
-    build =
+let verify ?max_depth ?cnt_width ~tau ?in_min ?shared ?spec ?portfolio
+    ?certify ?solver ?store ?reduce ?sweep build =
   let fc =
-    functional_consistency ?max_depth ?cnt_width ?shared ~induction ?portfolio
-      ?certify ?solver ?store ?reduce ?sweep build
+    functional_consistency ?max_depth ?cnt_width ?shared ?portfolio ?certify
+      ?solver ?store ?reduce ?sweep build
   in
   if found_bug fc then [ fc ]
   else begin
     let rb =
-      response_bound ?max_depth ?cnt_width ~tau ?in_min ~induction ?portfolio
-        ?certify ?solver ?store ?reduce ?sweep build
+      response_bound ?max_depth ?cnt_width ~tau ?in_min ?portfolio ?certify
+        ?solver ?store ?reduce ?sweep build
     in
     if found_bug rb then [ fc; rb ]
     else
@@ -410,8 +393,8 @@ let verify ?max_depth ?cnt_width ~tau ?in_min ?shared ?spec
       | None -> [ fc; rb ]
       | Some spec ->
         [ fc; rb;
-          single_action ?max_depth ~spec ~induction ?portfolio ?certify
-            ?solver ?store ?reduce ?sweep build ]
+          single_action ?max_depth ~spec ?portfolio ?certify ?solver ?store
+            ?reduce ?sweep build ]
   end
 
 (* ---- the parallel batch driver ---- *)
@@ -444,12 +427,7 @@ type batch_result = {
 let solve_obligation ?cache ?portfolio ?(certify = false) ?solver ?store
     ?cancel ob =
   let t0 = Unix.gettimeofday () in
-  (* Induction obligations bypass the store (their Proved verdicts come
-     from the uncertified induction path and cannot be cheaply
-     revalidated); every store-mediated solve is certified. *)
-  let store =
-    match store with Some s when not ob.ob_induction -> Some s | _ -> None
-  in
+  (* Every store-mediated solve is certified. *)
   let certify = certify || store <> None in
   let cached, report =
     match (cache, store) with
@@ -465,9 +443,9 @@ let solve_obligation ?cache ?portfolio ?(certify = false) ?solver ?store
          shrunk trace), so one must not answer for the other. *)
       let prepared = prepare_engine ob in
       let key =
-        Printf.sprintf "%s:%s:d%d:i%b:c%b"
+        Printf.sprintf "%s:%s:d%d:c%b"
           (Bmc.Engine.prepared_key prepared)
-          ob.ob_check ob.ob_max_depth ob.ob_induction certify
+          ob.ob_check ob.ob_max_depth certify
       in
       let store_hit = ref false in
       let cached, report =
@@ -475,8 +453,7 @@ let solve_obligation ?cache ?portfolio ?(certify = false) ?solver ?store
             match store with
             | None ->
               run_bmc ?portfolio ~certify ?solver ?cancel ob.ob_check
-                ~max_depth:ob.ob_max_depth ~induction:ob.ob_induction
-                prepared
+                ~max_depth:ob.ob_max_depth prepared
             | Some s ->
               let h, r =
                 run_with_store s ?portfolio ?solver ?cancel ob prepared
@@ -543,8 +520,7 @@ let pp_batch fmt b =
         (if e.entry_cached then " (cached)" else "");
       (match e.entry_report.verdict with
        | Bug t -> Format.fprintf fmt "BUG at depth %d" (Bmc.Trace.length t)
-       | No_bug_up_to k -> Format.fprintf fmt "clean to %d" k
-       | Proved k -> Format.fprintf fmt "proved at %d" k);
+       | No_bug_up_to k -> Format.fprintf fmt "clean to %d" k);
       match e.entry_report.certificate with
       | Uncertified -> ()
       | c -> Format.fprintf fmt " [%a]" Bmc.Engine.pp_certificate c)
@@ -557,9 +533,6 @@ let pp_report fmt r =
        (Bmc.Trace.length t) r.wall_time
    | No_bug_up_to k ->
      Format.fprintf fmt "%s: clean up to depth %d (%.3fs)" r.check k
-       r.wall_time
-   | Proved k ->
-     Format.fprintf fmt "%s: proved by %d-induction (%.3fs)" r.check k
        r.wall_time);
   match r.certificate with
   | Uncertified -> ()

@@ -13,8 +13,6 @@ type verdict =
           cycles)" metric. *)
   | No_bug_up_to of int
       (** Clean within the BMC bound. *)
-  | Proved of int
-      (** Property established by k-induction. *)
 
 type certificate = Bmc.Engine.certificate =
   | Replayed of int
@@ -25,8 +23,7 @@ type certificate = Bmc.Engine.certificate =
       (** Every UNSAT frame up to the reported depth was confirmed by the
           independent RUP checker ({!Sat.Rup}). *)
   | Uncertified
-      (** Certification was not requested, or the verdict came from the
-          (uncertified) k-induction path. *)
+      (** Certification was not requested. *)
 (** Re-exported from {!Bmc.Engine.certificate}; see the certification
     discussion there. A certified run that diverges raises
     {!Bmc.Engine.Certification_failed} instead of returning. *)
@@ -67,7 +64,6 @@ val functional_consistency :
   ?cnt_width:int ->
   ?shared:(Iface.t -> Rtl.Ir.signal) ->
   ?lanes:int ->
-  ?induction:bool ->
   ?portfolio:int ->
   ?certify:bool ->
   ?solver:Bmc.Engine.solver_config ->
@@ -79,14 +75,12 @@ val functional_consistency :
     input sequence where a repeated (action, data) yields a different
     output. [shared] selects a batch-shared operand (see {!Fc_monitor.add});
     [lanes] switches to the multiple-input-batch monitor of Sec. IV.B
-    ({!Fc_monitor.add_batch}). [induction] (default false) additionally
-    attempts a k-induction proof, so clean designs can report [Proved].
-    [reduce] (default true, on every check) runs the structural reduction
-    pipeline ({!Logic.Reduce}) on the bit-blasted relation first; verdicts
-    and counterexample depths are identical either way. [sweep] (default
-    false, on every check) additionally enables SAT sweeping inside that
-    pipeline — equivalence-preserving but not always a win, see
-    {!Bmc.Engine.prepare}. *)
+    ({!Fc_monitor.add_batch}). [reduce] (default true, on every check) runs
+    the structural reduction pipeline ({!Logic.Reduce}) on the bit-blasted
+    relation first; verdicts and counterexample depths are identical
+    either way. [sweep] (default false, on every check) additionally
+    enables SAT sweeping inside that pipeline — equivalence-preserving but
+    not always a win, see {!Bmc.Engine.prepare}. *)
 
 val response_bound :
   ?max_depth:int ->
@@ -94,7 +88,6 @@ val response_bound :
   tau:int ->
   ?in_min:int ->
   ?starvation_bound:int ->
-  ?induction:bool ->
   ?portfolio:int ->
   ?certify:bool ->
   ?solver:Bmc.Engine.solver_config ->
@@ -108,7 +101,6 @@ val response_bound :
 val single_action :
   ?max_depth:int ->
   spec:(Rtl.Ir.signal -> Rtl.Ir.signal) ->
-  ?induction:bool ->
   ?portfolio:int ->
   ?certify:bool ->
   ?solver:Bmc.Engine.solver_config ->
@@ -120,12 +112,11 @@ val single_action :
 
     On every check, [portfolio] (default 1) races that many diversified
     solver configurations per BMC run and keeps the first answer — see
-    {!Bmc.Engine.check}. Ignored when [induction] is set (the inductive
-    path is sequential). [solver] (default {!Bmc.Engine.default_config})
+    {!Bmc.Engine.check}. [solver] (default {!Bmc.Engine.default_config})
     selects the solver configuration — restart strategy and between-frame
-    inprocessing; every configuration returns the same
-    verdict at the same depth, so it is a speed knob only (CLI
-    [--restarts] / [--no-inprocess]).
+    inprocessing; every configuration returns the same verdict at the same
+    depth, so it is a speed knob only (CLI [--restarts] /
+    [--no-inprocess]).
 
     On every check, [store] (CLI [--store DIR]) consults the persistent
     content-addressed verdict store before solving and writes the
@@ -139,7 +130,6 @@ val verify :
   ?in_min:int ->
   ?shared:(Iface.t -> Rtl.Ir.signal) ->
   ?spec:(Rtl.Ir.signal -> Rtl.Ir.signal) ->
-  ?induction:bool ->
   ?portfolio:int ->
   ?certify:bool ->
   ?solver:Bmc.Engine.solver_config ->
@@ -181,7 +171,6 @@ val prepare_fc :
   ?cnt_width:int ->
   ?shared:(Iface.t -> Rtl.Ir.signal) ->
   ?lanes:int ->
-  ?induction:bool ->
   ?reduce:bool ->
   ?sweep:bool ->
   (unit -> Iface.t) -> obligation
@@ -195,7 +184,6 @@ val prepare_rb :
   tau:int ->
   ?in_min:int ->
   ?starvation_bound:int ->
-  ?induction:bool ->
   ?reduce:bool ->
   ?sweep:bool ->
   (unit -> Iface.t) -> obligation
@@ -204,7 +192,6 @@ val prepare_sac :
   ?name:string ->
   ?max_depth:int ->
   spec:(Rtl.Ir.signal -> Rtl.Ir.signal) ->
-  ?induction:bool ->
   ?reduce:bool ->
   ?sweep:bool ->
   (unit -> Iface.t) -> obligation
@@ -230,15 +217,13 @@ val run_obligation :
     is clamped to the requested bound. Corrupted, version-skewed or
     non-revalidating entries degrade to a miss and are overwritten by the
     re-solve. Store-mediated solves always run [~certify:true] (durable
-    verdicts are certified verdicts); induction obligations bypass the
-    store. Traffic lands on the [store.hits] / [store.misses] /
-    [store.revalidated] / [store.invalid] / [store.warm_starts]
-    counters.
+    verdicts are certified verdicts). Traffic lands on the [store.hits] /
+    [store.misses] / [store.revalidated] / [store.invalid] /
+    [store.warm_starts] counters.
 
     [cancel] is a cooperative stop flag: set it (from any domain) and the
     in-flight SAT solve unwinds with {!Sat.Solver.Cancelled} within a few
-    thousand propagations. Induction runs ignore it (the inductive path is
-    short and uncancellable). The flag is only ever {e read} here — a
+    thousand propagations. The flag is only ever {e read} here — a
     portfolio win never writes it back — so one flag can be shared across
     obligations or reused after a reset to [false]. *)
 

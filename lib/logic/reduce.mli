@@ -68,9 +68,10 @@ val run :
     giving up, [seed] the simulation RNG seed.
 
     Note [constants] folds knowledge about {e reachable} states into the
-    graph: sound for bounded checks from reset and for counterexample
-    depths, but it can strengthen a k-induction step — callers proving by
-    induction should pass [~constants:false] (see DESIGN.md §10). *)
+    graph: sound for searches whose frame chain is rooted at reset (bounded
+    checks and their counterexample depths), but not for a relation
+    explored from arbitrary, possibly unreachable states. Such a caller
+    must pass [~constants:false] (see DESIGN.md §10). *)
 
 val frame_constants :
   Aig.t -> latches:latch array -> depth:int -> bool option array array
@@ -81,5 +82,5 @@ val frame_constants :
     bind such a latch bit to the constant in frame [f] instead of encoding
     its transition cone: the omitted equality is implied, so satisfying
     assignments (and hence verdicts and counterexample depths) are
-    unchanged. Sound only for frame chains rooted at reset — not for the
-    free pre-states of a k-induction step. *)
+    unchanged. Sound only for frame chains rooted at reset — not for
+    frames starting from a free (possibly unreachable) state. *)

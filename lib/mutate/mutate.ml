@@ -514,7 +514,7 @@ let first_detection ?(max_depth = 12) ?(portfolio = 1) ?store t m =
           kill_depth = Bmc.Trace.length trace;
           kill_wall = r.Aqed.Check.wall_time;
         }
-    | Aqed.Check.No_bug_up_to _ | Aqed.Check.Proved _ -> None
+    | Aqed.Check.No_bug_up_to _ -> None
   in
   let fc =
     Aqed.Check.functional_consistency ~max_depth ?shared:t.shared ~portfolio

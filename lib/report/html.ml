@@ -59,10 +59,7 @@ let rec sparkline pts =
 
 (* ---- obligations ---- *)
 
-let verdict_class = function
-  | "bug" -> "bug"
-  | "proved" -> "proved"
-  | _ -> "clean"
+let verdict_class = function "bug" -> "bug" | _ -> "clean"
 
 let render_obligation_row buf ~max_wall (o : Journal.obligation) =
   let frac = if max_wall > 1e-12 then o.Journal.ob_wall_s /. max_wall else 0. in

@@ -57,8 +57,8 @@ type obligation = {
   ob_name : string;        (* batch entry label, e.g. "v1/FC" *)
   ob_check : string;       (* "FC" | "RB" | "SAC" *)
   ob_key : string;         (* structural hash of the prepared instance *)
-  ob_verdict : string;     (* "bug" | "clean" | "proved" *)
-  ob_depth : int;          (* cex length, clean bound, or proof depth *)
+  ob_verdict : string;     (* "bug" | "clean" *)
+  ob_depth : int;          (* cex length or clean bound *)
   ob_certificate : string; (* "replayed:N" | "rup:N" | "none" *)
   ob_winner : string;      (* solver config label that produced the verdict *)
   ob_cached : bool;
@@ -435,12 +435,11 @@ let verdict_string (r : Aqed.Check.report) =
   match r.Aqed.Check.verdict with
   | Aqed.Check.Bug _ -> "bug"
   | Aqed.Check.No_bug_up_to _ -> "clean"
-  | Aqed.Check.Proved _ -> "proved"
 
 let depth_of_report (r : Aqed.Check.report) =
   match r.Aqed.Check.verdict with
   | Aqed.Check.Bug t -> Bmc.Trace.length t
-  | Aqed.Check.No_bug_up_to k | Aqed.Check.Proved k -> k
+  | Aqed.Check.No_bug_up_to k -> k
 
 let certificate_string = function
   | Aqed.Check.Replayed c -> Printf.sprintf "replayed:%d" c

@@ -148,6 +148,8 @@ type t = {
   mutable n_lbd_local : int;
   mutable n_reductions : int;
   mutable n_vivified : int;
+  (* [n_propagations] already added to the [sat.propagations] counter. *)
+  mutable published_props : int;
   (* Telemetry: wall-clock start and conflict count at [solve] entry, so the
      progress hook can report conflicts/sec for the current solve. *)
   mutable solve_t0 : float;
@@ -156,7 +158,10 @@ type t = {
 
 (* Global telemetry series, bumped by the per-solve deltas at solve exit (the
    CDCL loop itself keeps plain per-solver fields and stays untouched).
-   Reductions and vivification are rare events bumped at the event site. *)
+   Reductions and vivification are rare events bumped at the event site.
+   Propagation also happens outside [solve] (root-level [add_clause] units,
+   [simplify_inplace] probing), so [sat.propagations] is published from a
+   high-water mark instead of a per-solve delta: see [publish_props]. *)
 let m_conflicts = Telemetry.Counter.make "sat.conflicts"
 let m_decisions = Telemetry.Counter.make "sat.decisions"
 let m_propagations = Telemetry.Counter.make "sat.propagations"
@@ -166,6 +171,12 @@ let m_lbd_mid = Telemetry.Counter.make "sat.lbd_mid"
 let m_lbd_local = Telemetry.Counter.make "sat.lbd_local"
 let m_reductions = Telemetry.Counter.make "sat.reductions"
 let m_vivified = Telemetry.Counter.make "sat.vivified"
+
+(* Adds every propagation not yet counted — wherever it happened — so the
+   counter always agrees with [stats]. *)
+let publish_props s =
+  Telemetry.Counter.add m_propagations (s.n_propagations - s.published_props);
+  s.published_props <- s.n_propagations
 
 let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     ?(phase_saving = true) ?(restarts = Luby) ?(reduce_first = 2000) () =
@@ -222,6 +233,7 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     n_lbd_local = 0;
     n_reductions = 0;
     n_vivified = 0;
+    published_props = 0;
     solve_t0 = 0.;
     solve_c0 = 0;
   }
@@ -819,6 +831,7 @@ let reduce_db s =
    available as a premise. Nothing this pass derives falls outside RUP,
    hence nothing needs disabling under [enable_proof]. *)
 let simplify_inplace ?(budget = 30_000) s =
+  Fun.protect ~finally:(fun () -> publish_props s) @@ fun () ->
   if s.ok then
     Telemetry.Span.with_ "sat.simplify"
       ~args:[ ("budget", Telemetry.Int budget) ]
@@ -1123,13 +1136,13 @@ let solve ?(assumptions = []) s =
      poll-site sample is rate-limited): force one sample at entry and one
      at exit so every solve leaves at least a first and a last point. *)
   Telemetry.Series.sample ~force:true (series_snapshot s);
-  let d0 = s.n_decisions and p0 = s.n_propagations and r0 = s.n_restarts in
+  let d0 = s.n_decisions and r0 = s.n_restarts in
   let lc0 = s.n_lbd_core and lm0 = s.n_lbd_mid and ll0 = s.n_lbd_local in
   let account () =
     Telemetry.Series.sample ~force:true (series_snapshot s);
     Telemetry.Counter.add m_conflicts (s.n_conflicts - s.solve_c0);
     Telemetry.Counter.add m_decisions (s.n_decisions - d0);
-    Telemetry.Counter.add m_propagations (s.n_propagations - p0);
+    publish_props s;
     Telemetry.Counter.add m_restarts (s.n_restarts - r0);
     Telemetry.Counter.add m_lbd_core (s.n_lbd_core - lc0);
     Telemetry.Counter.add m_lbd_mid (s.n_lbd_mid - lm0);
@@ -1165,13 +1178,13 @@ let solve_limited ?(assumptions = []) ~conflicts s =
      else s.n_conflicts + conflicts);
   s.solve_t0 <- Telemetry.now_s ();
   s.solve_c0 <- s.n_conflicts;
-  let d0 = s.n_decisions and p0 = s.n_propagations and r0 = s.n_restarts in
+  let d0 = s.n_decisions and r0 = s.n_restarts in
   let lc0 = s.n_lbd_core and lm0 = s.n_lbd_mid and ll0 = s.n_lbd_local in
   let account () =
     s.conflict_ceiling <- max_int;
     Telemetry.Counter.add m_conflicts (s.n_conflicts - s.solve_c0);
     Telemetry.Counter.add m_decisions (s.n_decisions - d0);
-    Telemetry.Counter.add m_propagations (s.n_propagations - p0);
+    publish_props s;
     Telemetry.Counter.add m_restarts (s.n_restarts - r0);
     Telemetry.Counter.add m_lbd_core (s.n_lbd_core - lc0);
     Telemetry.Counter.add m_lbd_mid (s.n_lbd_mid - lm0);

@@ -155,7 +155,7 @@ let test_fig2_bug_fc () =
         t.Bmc.Trace.frames
     in
     Alcotest.(check bool) "trace pauses the design" true pauses
-  | Aqed.Check.No_bug_up_to _ | Aqed.Check.Proved _ ->
+  | Aqed.Check.No_bug_up_to _ ->
     Alcotest.fail "expected bug"
 
 let test_dataflow_rb_bug () =

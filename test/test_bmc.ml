@@ -1,5 +1,5 @@
 (* Tests for the bounded model checker: minimal counterexamples, replay,
-   assumptions, k-induction. *)
+   assumptions, certification. *)
 
 module Ir = Rtl.Ir
 
@@ -23,7 +23,7 @@ let test_finds_minimal_cex () =
     (* Reaching 3 takes 3 enabled steps; minimal trace shows the violation
        in cycle 3, i.e. 4 frames. *)
     Alcotest.(check int) "minimal depth" 4 (Bmc.Trace.length t)
-  | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ ->
+  | Bmc.Engine.Bounded_ok _ ->
     Alcotest.fail "expected counterexample"
 
 let test_replay_confirms () =
@@ -34,7 +34,7 @@ let test_replay_confirms () =
   | Bmc.Engine.Cex t ->
     let sim = Rtl.Sim.create c in
     Alcotest.(check bool) "replay violates" true (Bmc.Trace.replay sim t prop)
-  | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ ->
+  | Bmc.Engine.Bounded_ok _ ->
     Alcotest.fail "expected counterexample"
 
 let test_bounded_ok () =
@@ -44,7 +44,7 @@ let test_bounded_ok () =
   let r = Bmc.Engine.check ~max_depth:5 c ~prop in
   match r.Bmc.Engine.outcome with
   | Bmc.Engine.Bounded_ok k -> Alcotest.(check int) "bound reported" 5 k
-  | Bmc.Engine.Cex _ | Bmc.Engine.Proved _ -> Alcotest.fail "expected clean"
+  | Bmc.Engine.Cex _ -> Alcotest.fail "expected clean"
 
 let test_assumes_constrain () =
   let c, cnt = counter_circuit () in
@@ -59,26 +59,8 @@ let test_assumes_constrain () =
   let r = Bmc.Engine.check ~max_depth:10 c ~prop in
   (match r.Bmc.Engine.outcome with
    | Bmc.Engine.Bounded_ok _ -> ()
-   | Bmc.Engine.Cex _ | Bmc.Engine.Proved _ ->
+   | Bmc.Engine.Cex _ ->
      Alcotest.fail "assumption should block the counterexample")
-
-let test_induction_proves () =
-  let c, cnt = counter_circuit () in
-  let prop = Ir.ule cnt (Ir.constant c ~width:4 15) in
-  let r = Bmc.Engine.prove ~max_depth:8 c ~prop in
-  match r.Bmc.Engine.outcome with
-  | Bmc.Engine.Proved k -> Alcotest.(check bool) "small k" true (k <= 2)
-  | Bmc.Engine.Cex _ | Bmc.Engine.Bounded_ok _ ->
-    Alcotest.fail "expected inductive proof"
-
-let test_induction_still_finds_cex () =
-  let c, cnt = counter_circuit () in
-  let prop = Ir.ne cnt (Ir.constant c ~width:4 2) in
-  let r = Bmc.Engine.prove ~max_depth:8 c ~prop in
-  match r.Bmc.Engine.outcome with
-  | Bmc.Engine.Cex t -> Alcotest.(check int) "depth 3" 3 (Bmc.Trace.length t)
-  | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ ->
-    Alcotest.fail "expected counterexample"
 
 let test_trace_structure () =
   let c, cnt = counter_circuit () in
@@ -101,7 +83,7 @@ let test_trace_structure () =
        Alcotest.(check (option int)) "initial reg value" (Some 0)
          (Option.map Bitvec.to_int (List.assoc_opt "cnt" f0.Bmc.Trace.regs))
      | [] -> Alcotest.fail "empty trace")
-  | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ ->
+  | Bmc.Engine.Bounded_ok _ ->
     Alcotest.fail "expected counterexample"
 
 let test_waveform_render () =
@@ -120,7 +102,7 @@ let test_waveform_render () =
     Alcotest.(check bool) "has en row" true (contains "en");
     Alcotest.(check bool) "has cnt row" true (contains "cnt");
     Alcotest.(check bool) "en pulses rendered" true (contains "#")
-  | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ ->
+  | Bmc.Engine.Bounded_ok _ ->
     Alcotest.fail "expected counterexample"
 
 let test_width_check () =
@@ -143,7 +125,7 @@ let test_combinational_property () =
        Alcotest.(check (option int)) "a = 15" (Some 15)
          (Option.map Bitvec.to_int (List.assoc_opt "a" f.Bmc.Trace.inputs))
      | _ -> Alcotest.fail "expected one frame")
-  | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ ->
+  | Bmc.Engine.Bounded_ok _ ->
     Alcotest.fail "expected counterexample"
 
 (* ---- verdict certification ---- *)
@@ -189,7 +171,7 @@ let test_wrong_trace_fails_replay () =
     Alcotest.(check bool) "original replays" true (Bmc.Trace.replay sim t prop);
     Alcotest.(check bool) "mutated trace fails replay" false
       (Bmc.Trace.replay sim mutated prop)
-  | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ ->
+  | Bmc.Engine.Bounded_ok _ ->
     Alcotest.fail "expected counterexample"
 
 let test_certified_cex () =
@@ -209,7 +191,7 @@ let test_certified_cex () =
   | Bmc.Engine.Cex _, cert ->
     Alcotest.fail
       (Format.asprintf "expected Replayed, got %a" Bmc.Engine.pp_certificate cert)
-  | (Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _), _ ->
+  | Bmc.Engine.Bounded_ok _, _ ->
     Alcotest.fail "expected counterexample"
 
 let test_certified_clean () =
@@ -250,7 +232,7 @@ let prop_minimal_depth =
       let r = Bmc.Engine.check ~max_depth:12 c ~prop in
       match r.Bmc.Engine.outcome with
       | Bmc.Engine.Cex t -> Bmc.Trace.length t = target + 1
-      | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ -> false)
+      | Bmc.Engine.Bounded_ok _ -> false)
 
 let suite =
   ( "bmc",
@@ -259,8 +241,6 @@ let suite =
       Alcotest.test_case "replay confirms traces" `Quick test_replay_confirms;
       Alcotest.test_case "bounded clean" `Quick test_bounded_ok;
       Alcotest.test_case "assumptions constrain" `Quick test_assumes_constrain;
-      Alcotest.test_case "k-induction proves" `Quick test_induction_proves;
-      Alcotest.test_case "prove still finds bugs" `Quick test_induction_still_finds_cex;
       Alcotest.test_case "trace structure" `Quick test_trace_structure;
       Alcotest.test_case "waveform rendering" `Quick test_waveform_render;
       Alcotest.test_case "property width checked" `Quick test_width_check;

@@ -1,5 +1,5 @@
 (* Tests for the Aqed.Check driver: report accessors, automatic counter
-   sizing, induction mode and report formatting. *)
+   sizing, certification and report formatting. *)
 
 module Ir = Rtl.Ir
 
@@ -51,18 +51,6 @@ let test_explicit_narrow_counter_rejected_semantics () =
      must not. This test documents that the DEFAULT sizing is sound. *)
   let auto = Aqed.Check.functional_consistency ~max_depth:10 (fun () -> echo ()) in
   Alcotest.(check bool) "auto width sound" false (Aqed.Check.found_bug auto)
-
-let test_induction_proves_echo_fc () =
-  let r =
-    Aqed.Check.functional_consistency ~max_depth:12 ~induction:true
-      (fun () -> echo ())
-  in
-  match r.Aqed.Check.verdict with
-  | Aqed.Check.Proved _ -> ()
-  | Aqed.Check.No_bug_up_to k ->
-    (* Acceptable: induction is incomplete; must at least be clean. *)
-    Alcotest.(check bool) "clean" true (k >= 12)
-  | Aqed.Check.Bug _ -> Alcotest.fail "clean design reported buggy"
 
 let test_pp_report () =
   let bug = Aqed.Check.functional_consistency ~max_depth:10 (fun () -> echo ~twist:true ()) in
@@ -136,7 +124,6 @@ let suite =
       Alcotest.test_case "report accessors" `Quick test_accessors;
       Alcotest.test_case "deep bound counter sizing" `Slow test_deep_bound_counters_safe;
       Alcotest.test_case "default sizing sound" `Quick test_explicit_narrow_counter_rejected_semantics;
-      Alcotest.test_case "induction on clean design" `Slow test_induction_proves_echo_fc;
       Alcotest.test_case "report formatting" `Quick test_pp_report;
       Alcotest.test_case "rb tau validation" `Quick test_rb_tau_validation;
       Alcotest.test_case "certified reports" `Slow test_certified_reports;

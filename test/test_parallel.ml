@@ -140,7 +140,6 @@ let same_verdict (a : Aqed.Check.report) (b : Aqed.Check.report) =
   | Aqed.Check.Bug t1, Aqed.Check.Bug t2 ->
     Bmc.Trace.length t1 = Bmc.Trace.length t2
   | Aqed.Check.No_bug_up_to k1, Aqed.Check.No_bug_up_to k2 -> k1 = k2
-  | Aqed.Check.Proved k1, Aqed.Check.Proved k2 -> k1 = k2
   | _, _ -> false
 
 let test_batch_matches_sequential () =
@@ -353,7 +352,7 @@ let test_portfolio_external_cancel () =
     (Some 6)
     (match r.Bmc.Engine.outcome with
      | Bmc.Engine.Cex t -> Some (Bmc.Trace.length t)
-     | Bmc.Engine.Bounded_ok _ | Bmc.Engine.Proved _ -> None);
+     | Bmc.Engine.Bounded_ok _ -> None);
   Alcotest.(check bool) "a win leaves the caller's flag false" false
     (Atomic.get cancel)
 

@@ -254,7 +254,6 @@ let verdict_sig r =
   match r.Aqed.Check.verdict with
   | Aqed.Check.Bug t -> Printf.sprintf "bug@%d" (List.length t.Bmc.Trace.frames)
   | Aqed.Check.No_bug_up_to d -> Printf.sprintf "clean@%d" d
-  | Aqed.Check.Proved d -> Printf.sprintf "proved@%d" d
 
 let test_verdicts_unchanged () =
   (* The whole point of the pipeline: every verdict and counterexample

@@ -261,6 +261,28 @@ let test_counters_under_contention () =
       List.iter Parallel.Pool.await futs);
   Alcotest.(check int) "64 tasks x 1000 incrs" 64000 (T.Counter.get c - before)
 
+(* The global solver counters and the per-report [solver_stats] are two
+   views of the same search: one unportfolioed, store-less obligation must
+   move each counter by exactly its report's figure — including the
+   propagation done by between-frame inprocessing, outside any [solve]. *)
+let test_solver_counters_match_report () =
+  let counters =
+    [ ("sat.propagations", fun st -> st.Sat.Solver.propagations);
+      ("sat.decisions", fun st -> st.Sat.Solver.decisions);
+      ("sat.conflicts", fun st -> st.Sat.Solver.conflicts) ]
+  in
+  let get name = T.Counter.get (T.Counter.make name) in
+  let before = List.map (fun (name, _) -> get name) counters in
+  let r =
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:6 (fun () ->
+           Accel.Memctrl.build Accel.Memctrl.Fifo_mode ()))
+  in
+  List.iter2
+    (fun (name, stat) b ->
+      Alcotest.(check int) name (stat r.Aqed.Check.solver_stats) (get name - b))
+    counters before
+
 let test_metric_interning () =
   let a = T.Counter.make "test.interned" in
   let b = T.Counter.make "test.interned" in
@@ -520,6 +542,8 @@ let suite =
       Alcotest.test_case "all layers emit spans" `Quick test_layers_emit_spans;
       Alcotest.test_case "counters under -j 4 contention" `Quick
         test_counters_under_contention;
+      Alcotest.test_case "solver counters match the report" `Quick
+        test_solver_counters_match_report;
       Alcotest.test_case "metric interning by name" `Quick test_metric_interning;
       Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot;
       Alcotest.test_case "disabled telemetry is inert" `Quick
