@@ -15,9 +15,6 @@
      store    persistent verdict store: cold (empty store), warm (all hits,
               >= 5x faster) and dirty (one design swapped for its bug
               variant; only it re-solves) legs
-     serve    the store entries through an in-process service daemon
-     shard    the store entries through 1- and 4-worker fleets, plus a
-              crash-injection leg
      mutate   mutation fault-injection campaign on the three memctrl
               configurations (fixed seed): generated faults instead of the
               hand-written registry; records the mutation score, kill-depth
@@ -41,7 +38,7 @@
    baseline and the parallel batch driver, checks the outcomes agree and
    reports the speedup. `-p N` additionally races N diversified solver
    configurations inside each obligation. Every run also emits
-   machine-readable BENCH_results.json (schema 8: run metadata, per-table
+   machine-readable BENCH_results.json (schema 9: run metadata, per-table
    wall times, one uniform row per A/B obligation — per leg its verdict,
    wall time, solver stats including the glue-tier tallies, certificate
    and cache hit — plus each target's gates, mutation-campaign scores,
@@ -165,7 +162,7 @@ let write_json_results ~jobs ~portfolio ~total_wall =
   json_out buf
     (Obj
        ([
-          ("schema", Int 8);
+          ("schema", Int 9);
           ( "meta",
             Obj
               ([ ("jobs", Int jobs); ("portfolio", Int portfolio);
@@ -711,10 +708,6 @@ let ab_prepare ?(reduce = true) ?(dirty = false) e =
 
 let ab_entries target = List.filter (fun e -> List.mem target e.targets) ab_suite
 
-(* A target's obligations, labelled, as the service benches submit them. *)
-let ab_obligations target =
-  List.map (fun e -> (ab_label e, ab_prepare e)) (ab_entries target)
-
 (* One variant's answer on one entry: verdict@depth (or why there is
    none), wall time, whether a cache or store answered, and the report. *)
 type leg = {
@@ -1100,437 +1093,6 @@ let print_store ~jobs () =
       ("bytes", Int st.Store.n_bytes) ];
   rm_rf dir
 
-(* ---- verification service daemon ---- *)
-
-(* The service-mode counterpart of the store bench (DESIGN.md §16): the
-   same obligation suite solved once directly (cold — populating a shared
-   verdict store), then submitted by N concurrent clients to an
-   in-process [Serve] daemon sharing that store.
-
-   Gates (any failure exits 1):
-     parity   — every served verdict/depth matches the direct run;
-     warm     — every served job answers from the store (ob_cached);
-     speedup  — the concurrent served leg beats the direct cold leg by
-                serve_speedup_floor (store hits dominate IPC overhead);
-     timeout  — a deep AES job with a sub-second deadline comes back as
-                a typed timeout, and the daemon completes a further job
-                on the same pool afterwards;
-     drain    — the summary accounts every accepted job.
-
-   AQED_SERVE_STORE overrides the store directory (the nightly points it
-   at the cached vstore/). On a carried-over store the direct leg itself
-   answers warm, so the speedup floor only applies when the direct leg
-   solved everything fresh — parity and all-hits are gated regardless. *)
-let serve_speedup_floor = 5.0
-
-(* One job over its own client connection; a transport failure is a
-   refusal. *)
-let submit socket spec =
-  try
-    let c = Serve.Client.connect socket in
-    let r = Serve.Client.submit c spec in
-    Serve.Client.close c;
-    r
-  with e -> Serve.Client.Refused (Printexc.to_string e)
-
-let served_leg outcome =
-  let none answer = { answer; wall = 0.; cached = false; report = None } in
-  match outcome with
-  | Some (Serve.Client.Completed (_, wall, ob)) ->
-    { answer =
-        Printf.sprintf "%s@%d" ob.Report.Journal.ob_verdict
-          ob.Report.Journal.ob_depth;
-      wall; cached = ob.Report.Journal.ob_cached; report = None }
-  | Some (Serve.Client.Timed_out (_, wall)) -> { (none "timeout") with wall }
-  | Some (Serve.Client.Busy _) -> none "busy"
-  | Some (Serve.Client.Refused m) -> none ("refused: " ^ m)
-  | None -> none "no reply"
-
-(* A service leg: every obligation submitted at once by its row label, one
-   client thread each; the leg's wall time runs to the last answer. *)
-let submit_all socket obs =
-  let t0 = Unix.gettimeofday () in
-  let pending =
-    List.map
-      (fun (e, _) ->
-        let cell = ref None in
-        ( Thread.create
-            (fun () ->
-              cell := Some (submit socket (Serve.job_spec (ab_label e))))
-            (),
-          cell ))
-      obs
-  in
-  let legs =
-    List.map
-      (fun (th, cell) ->
-        Thread.join th;
-        served_leg !cell)
-      pending
-  in
-  (legs, Unix.gettimeofday () -. t0)
-
-let print_serve ~jobs () =
-  let dir, persistent =
-    match Sys.getenv_opt "AQED_SERVE_STORE" with
-    | Some d -> (d, true)
-    | None ->
-      ( Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "aqed_bench_serve.%d" (Unix.getpid ())),
-        false )
-  in
-  if not persistent then rm_rf dir;
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aqed_bench_serve.%d.sock" (Unix.getpid ()))
-  in
-  let store = Store.open_store dir in
-  let resolve (spec : Serve.job_spec) =
-    match List.assoc_opt spec.Serve.sj_design (ab_obligations `Store) with
-    | Some ob -> Ok (spec.Serve.sj_design, ob)
-    | None ->
-      if spec.Serve.sj_design = "aes-deep" then
-        Ok
-          ( "aes-deep",
-            Aqed.Check.prepare_fc ~name:"aes-deep/FC"
-              ~max_depth:spec.Serve.sj_depth ~shared:Accel.Aes.shared_key
-              (fun () -> Accel.Aes.build ()) )
-      else Error (Printf.sprintf "unknown bench design %S" spec.Serve.sj_design)
-  in
-  (* The direct leg is the cold baseline and fills the store the daemon
-     then shares; the served leg is one concurrent client per obligation. *)
-  let daemon = ref None in
-  let served obs =
-    daemon :=
-      Some
-        (Serve.start
-           ~executor:(Serve.in_process ~store ~workers:(max 1 jobs) ())
-           (Serve.config ~job_timeout_s:120. ~resolve socket));
-    submit_all socket obs
-  in
-  let run =
-    run_ab `Store
-      ~title:"Verification service (N concurrent clients vs direct, warm store)"
-      [ variant "direct" (batch ~store ~jobs ()); variant "served" (Batch served) ]
-  in
-  let srv = Option.get !daemon in
-  (* Robustness: a deep job against a sub-second deadline must come back
-     as a typed timeout, then the same daemon must still complete work. *)
-  let timeout_ok, revive_ok =
-    let c = Serve.Client.connect socket in
-    let t =
-      Serve.Client.submit c
-        (Serve.job_spec ~depth:24 ~timeout_s:0.3 "aes-deep")
-    in
-    let timeout_ok =
-      match t with Serve.Client.Timed_out _ -> true | _ -> false
-    in
-    let revive_ok =
-      match Serve.Client.submit c (Serve.job_spec "fig2/FC clean") with
-      | Serve.Client.Completed _ -> true
-      | _ -> false
-    in
-    Serve.Client.close c;
-    (timeout_ok, revive_ok)
-  in
-  Serve.stop srv;
-  let sm = Serve.wait srv in
-  let direct, direct_wall = legs_of run "direct" in
-  let served, serve_wall = legs_of run "served" in
-  let n = List.length served in
-  let warm_all_hits = List.for_all (fun l -> l.cached) served in
-  let speedup = if serve_wall > 0. then direct_wall /. serve_wall else 0. in
-  (* n suite jobs + the timeout probe + its revival job, all accepted. *)
-  let drain_ok =
-    sm.Serve.sm_accepted = n + 2
-    && sm.Serve.sm_completed = n + 1
-    && sm.Serve.sm_timeouts = 1
-    && sm.Serve.sm_rejected = 0
-    && sm.Serve.sm_errors = 0
-  in
-  let direct_all_fresh = List.for_all (fun l -> not l.cached) direct in
-  let speedup_ok =
-    (not direct_all_fresh) || speedup >= serve_speedup_floor
-  in
-  let ok =
-    run.outcomes_ok && warm_all_hits && timeout_ok && revive_ok && drain_ok
-    && speedup_ok
-  in
-  pf "direct %s %.3fs, served warm %.3fs (%d clients) — %.1fx speedup (floor %.1fx%s)%s\n"
-    (if direct_all_fresh then "cold" else "warm")
-    direct_wall serve_wall n speedup serve_speedup_floor
-    (if direct_all_fresh then "" else ", waived: direct leg answered warm")
-    (if ok then ""
-     else "  (FAILURE: verdict, warm hit, timeout, drain or speedup floor)");
-  pf "timeout probe: %s; post-timeout job: %s\n"
-    (if timeout_ok then "typed timeout" else "NOT A TIMEOUT")
-    (if revive_ok then "completed" else "FAILED");
-  pf "drain: %d accepted, %d completed, %d timeouts, %d rejected, %d errors\n"
-    sm.Serve.sm_accepted sm.Serve.sm_completed sm.Serve.sm_timeouts
-    sm.Serve.sm_rejected sm.Serve.sm_errors;
-  record_ab "serve" run ~ok
-    [
-      ("parity", Bool run.outcomes_ok);
-      ("warm_all_hits", Bool warm_all_hits);
-      ("timeout_typed", Bool timeout_ok);
-      ("post_timeout_completed", Bool revive_ok);
-      ("drain_ok", Bool drain_ok);
-      ("clients", Int n);
-      ("speedup", Num speedup);
-      ("speedup_floor", Num serve_speedup_floor);
-      ("direct_all_fresh", Bool direct_all_fresh);
-      ("speedup_ok", Bool speedup_ok);
-      ("accepted", Int sm.Serve.sm_accepted);
-      ("completed", Int sm.Serve.sm_completed);
-      ("timeouts", Int sm.Serve.sm_timeouts);
-      ("rejected", Int sm.Serve.sm_rejected);
-      ("errors", Int sm.Serve.sm_errors);
-    ];
-  if not persistent then rm_rf dir
-
-(* ---- sharded fleet: 1 vs 4 workers, crash injection ---- *)
-
-(* The multi-process counterpart of the serve bench (DESIGN.md §16): the
-   same obligation suite pushed through the fleet executor, first with a
-   1-worker fleet, then with 4 workers, each worker a real
-   [Shard.Worker.run] lease loop with its own domain pool and a
-   fleet-shared verdict store. Verdict parity against the direct batch is
-   enforced for both legs; the 4-vs-1 speedup is recorded but not gated
-   (CI runners may be single-core). The crash-injection leg then spawns
-   two real [aqed_cli worker] processes, SIGKILLs whichever one holds the
-   lease on a multi-second solve, and requires zero lost jobs: the
-   orphaned job must be re-queued, stolen by the surviving worker, and
-   completed, with the fleet accounting balancing exactly. *)
-let print_shard ~jobs () =
-  let dir, persistent =
-    match Sys.getenv_opt "AQED_SHARD_STORE" with
-    | Some d -> (d, true)
-    | None ->
-      ( Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "aqed_bench_shard.%d" (Unix.getpid ())),
-        false )
-  in
-  if not persistent then rm_rf dir;
-  (* The per-leg stores live in subdirectories; [Store.open_store] only
-     creates the leaf. *)
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let resolve (spec : Serve.job_spec) =
-    match List.assoc_opt spec.Serve.sj_design (ab_obligations `Store) with
-    | Some ob -> Ok (spec.Serve.sj_design, ob)
-    | None ->
-      Error (Printf.sprintf "unknown bench design %S" spec.Serve.sj_design)
-  in
-  (* One fleet leg: a coordinator plus [workers] in-process lease loops
-     (threads over the real [Shard.Worker.run]), every client submitting
-     concurrently, its own store subdirectory so the legs' solve work is
-     comparable. The drain summary and fleet stats land in [fleets]. *)
-  let fleets = ref [] in
-  let fleet_leg ~tag ~workers obs =
-    let socket =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "aqed_bench_shard.%d.%s.sock" (Unix.getpid ()) tag)
-    in
-    let store = Store.open_store (Filename.concat dir tag) in
-    let fleet = Shard.Fleet.create () in
-    let srv =
-      Serve.start ~executor:(Shard.Fleet.executor fleet)
-        (Serve.config ~capacity:(List.length obs + 4) ~job_timeout_s:120.
-           ~resolve socket)
-    in
-    let ws =
-      List.init workers (fun i ->
-          Thread.create
-            (fun () ->
-              try
-                ignore
-                  (Shard.Worker.run
-                     (Shard.Worker.config
-                        ~name:(Printf.sprintf "%s-%d" tag (i + 1))
-                        ~store ~pool_workers:1 ~resolve socket))
-              with _ -> ())
-            ())
-    in
-    let legs = submit_all socket obs in
-    Serve.stop srv;
-    let sm = Serve.wait srv in
-    List.iter Thread.join ws;
-    fleets := (tag, (sm, Shard.Fleet.stats fleet)) :: !fleets;
-    legs
-  in
-  (* The direct baseline has no store: both fleet legs must re-derive its
-     verdicts through the wire. *)
-  let run =
-    run_ab `Store ~title:"Sharded fleet (1 vs 4 workers, parity, crash injection)"
-      [ variant "direct" (batch ~jobs ());
-        variant "w1" (Batch (fleet_leg ~tag:"w1" ~workers:1));
-        variant "w4" (Batch (fleet_leg ~tag:"w4" ~workers:4)) ]
-  in
-  let n = List.length run.entries in
-  let _, wall1 = legs_of run "w1" and _, wall4 = legs_of run "w4" in
-  let sm1, st1 = List.assoc "w1" !fleets and sm4, st4 = List.assoc "w4" !fleets in
-  let leg_ok (sm : Serve.summary) (st : Shard.Fleet.stats) =
-    sm.Serve.sm_accepted = n
-    && sm.Serve.sm_completed = n
-    && sm.Serve.sm_timeouts = 0
-    && sm.Serve.sm_errors = 0
-    && st.Shard.Fleet.st_worker_deaths = 0
-  in
-  let speedup = if wall4 > 0. then wall1 /. wall4 else 0. in
-  pf "1-worker %.3fs, 4-worker %.3fs — %.1fx (recorded, not gated)\n" wall1
-    wall4 speedup;
-  (* ---- crash injection: SIGKILL a real worker process mid-solve ---- *)
-  let cli =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      (Filename.concat "bin" "aqed_cli.exe")
-  in
-  (* The crash leg always starts from an empty store: the victim must be
-     killed mid-solve, and a warm hit on the slow job would answer before
-     the kill lands. The fleet-shared store is still exercised — both
-     worker processes write and read the same directory. *)
-  let cdir = Filename.concat dir "crash" in
-  rm_rf cdir;
-  let crash_ok, crash_detail =
-    if not (Sys.file_exists cli) then (
-      pf "crash leg: %s not built — run `dune build` first (FAILURE)\n" cli;
-      (false, [ ("skipped", Str "aqed_cli.exe not built") ]))
-    else begin
-      let socket =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "aqed_bench_shard.%d.crash.sock" (Unix.getpid ()))
-      in
-      (* The CLI workers resolve from the design registry; the front
-         end validates against the same registry at admission. *)
-      let fleet = Shard.Fleet.create () in
-      let srv =
-        Serve.start ~executor:(Shard.Fleet.executor fleet)
-          (Serve.config ~capacity:8 ~job_timeout_s:120.
-             ~resolve:Cli.resolve_job socket)
-      in
-      let spawn name =
-        Unix.create_process cli
-          [| cli; "worker"; "--socket"; socket; "--name"; name; "-j"; "1";
-             "--store"; cdir |]
-          Unix.stdin Unix.stdout Unix.stderr
-      in
-      let pid_a = spawn "crash-a" and pid_b = spawn "crash-b" in
-      (* A multi-second registry solve: the victim will be killed while
-         it holds this lease. *)
-      let slow_spec = Serve.job_spec ~check:"fc" ~depth:20 "optflow" in
-      let quick_specs =
-        [ Serve.job_spec ~check:"fc" ~depth:8 "fig2";
-          Serve.job_spec ~check:"fc" ~depth:10 "fig2";
-          Serve.job_spec ~check:"fc" ~depth:16 "simd" ]
-      in
-      let submit_async spec cell =
-        Thread.create (fun () -> cell := Some (submit socket spec)) ()
-      in
-      let slow_out = ref None in
-      let slow_th = submit_async slow_spec slow_out in
-      (* Find which worker pid holds the slow lease, then kill it. *)
-      let rec find_victim deadline =
-        if Unix.gettimeofday () > deadline then None
-        else
-          match
-            List.find_opt
-              (fun (l : Shard.Fleet.lease_view) ->
-                l.Shard.Fleet.lv_design = "optflow")
-              (Shard.Fleet.leases fleet)
-          with
-          | Some l -> Some l.Shard.Fleet.lv_pid
-          | None ->
-            Thread.delay 0.02;
-            find_victim deadline
-      in
-      let victim = find_victim (Unix.gettimeofday () +. 30.) in
-      let killed =
-        match victim with
-        | Some pid ->
-          Unix.kill pid Sys.sigkill;
-          true
-        | None -> false
-      in
-      let quick_outs = List.map (fun _ -> ref None) quick_specs in
-      let quick_ths =
-        List.map2 submit_async quick_specs quick_outs
-      in
-      Thread.join slow_th;
-      List.iter Thread.join quick_ths;
-      Serve.stop srv;
-      let sm = Serve.wait srv in
-      let st = Shard.Fleet.stats fleet in
-      (* Reap both children — the victim shows up signalled, the
-         survivor exits 0 on drain. *)
-      List.iter
-        (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        [ pid_a; pid_b ];
-      let slow = served_leg !slow_out in
-      let quick_done =
-        List.for_all
-          (fun o ->
-            match !o with Some (Serve.Client.Completed _) -> true | _ -> false)
-          quick_outs
-      in
-      let ok =
-        killed
-        && slow.answer = "clean@20"
-        && quick_done
-        && sm.Serve.sm_accepted = 4
-        && sm.Serve.sm_completed = 4
-        && st.Shard.Fleet.st_requeued >= 1
-        && st.Shard.Fleet.st_steals >= 1
-        && st.Shard.Fleet.st_worker_deaths >= 1
-        && sm.Serve.sm_accepted
-           = sm.Serve.sm_completed + sm.Serve.sm_timeouts + sm.Serve.sm_errors
-      in
-      pf "crash leg: victim %s, orphaned job %s in %.3fs%s\n"
-        (match victim with
-         | Some pid -> Printf.sprintf "pid %d SIGKILLed mid-solve" pid
-         | None -> "NOT FOUND (no lease observed)")
-        slow.answer slow.wall
-        (if ok then "" else "  << LOST JOBS OR BROKEN ACCOUNTING");
-      pf "crash drain: %d accepted, %d completed, %d timeouts, %d errors; \
-          %d leases, %d steals, %d requeued, %d worker deaths\n"
-        sm.Serve.sm_accepted sm.Serve.sm_completed sm.Serve.sm_timeouts
-        sm.Serve.sm_errors st.Shard.Fleet.st_leases st.Shard.Fleet.st_steals
-        st.Shard.Fleet.st_requeued st.Shard.Fleet.st_worker_deaths;
-      ( ok,
-        [
-          ("victim_killed", Bool killed);
-          ("orphan_verdict", Str slow.answer);
-          ("orphan_wall_s", Num slow.wall);
-          ("accepted", Int sm.Serve.sm_accepted);
-          ("completed", Int sm.Serve.sm_completed);
-          ("timeouts", Int sm.Serve.sm_timeouts);
-          ("errors", Int sm.Serve.sm_errors);
-          ("leases", Int st.Shard.Fleet.st_leases);
-          ("steals", Int st.Shard.Fleet.st_steals);
-          ("requeued", Int st.Shard.Fleet.st_requeued);
-          ("worker_deaths", Int st.Shard.Fleet.st_worker_deaths);
-        ] )
-    end
-  in
-  let fleet_ok = run.outcomes_ok && leg_ok sm1 st1 && leg_ok sm4 st4 in
-  pf "fleet legs: %s; crash leg: %s\n"
-    (if fleet_ok then "parity + exact accounting"
-     else "FAILURE (parity or accounting)")
-    (if crash_ok then "zero lost jobs" else "FAILURE");
-  record_ab "shard" run ~ok:(fleet_ok && crash_ok)
-    [
-      ("parity", Bool run.outcomes_ok);
-      ("clients", Int n);
-      ("wall_s_w1", Num wall1);
-      ("wall_s_w4", Num wall4);
-      ("speedup_w4_vs_w1", Num speedup);
-      ("leg1_ok", Bool (leg_ok sm1 st1));
-      ("leg4_ok", Bool (leg_ok sm4 st4));
-      ("leg1_leases", Int st1.Shard.Fleet.st_leases);
-      ("leg4_leases", Int st4.Shard.Fleet.st_leases);
-      ("crash_ok", Bool crash_ok);
-      ("crash", Obj crash_detail);
-    ];
-  if not persistent then rm_rf dir
-
 (* ---- mutation campaign ---- *)
 
 (* The generated-faults counterpart of Table 1 (EXPERIMENTS.md E7): instead
@@ -1891,8 +1453,6 @@ let bench_targets ~jobs ~portfolio =
     ("sat", true, print_sat);
     ("overhead", false, print_overhead);
     ("store", true, print_store ~jobs);
-    ("serve", true, print_serve ~jobs);
-    ("shard", true, print_shard ~jobs);
     ("mutate", true, print_mutate ~jobs);
     ("ablate", true, print_ablations);
     ("kernels", true, print_kernels);

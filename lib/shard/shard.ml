@@ -6,7 +6,7 @@
    one obligation at a time, to worker processes connected to the same
    socket:
 
-     {"op":"lease","worker":W,"pid":P}        worker asks for work
+     {"op":"lease","worker":W}                worker asks for work
      {"frame":"job","job":N,"epoch":E,...}      ... and gets one job
      {"frame":"drain"}                          ... or is sent home
      {"op":"heartbeat","job":N,"epoch":E}     while the worker solves
@@ -103,16 +103,8 @@ module Fleet = struct
     st_stale_results : int;
   }
 
-  type lease_view = {
-    lv_job : int;
-    lv_design : string;
-    lv_worker : string;
-    lv_pid : int;
-  }
-
   type lease = {
     l_worker : string;
-    l_pid : int;
     l_started : float;
   }
 
@@ -207,18 +199,13 @@ module Fleet = struct
   (* Blocks until there is a job to lease or the fleet is drained.
      Returns with the job already marked leased (under the lock), so no
      other worker can race for it. *)
-  let next_lease t srv ~worker ~pid =
+  let next_lease t srv ~worker =
     locked t @@ fun () ->
     let rec go () =
       match Pending.pop t.queue with
       | Some ({ state = Queued; _ } as fj) ->
         fj.state <-
-          Leased
-            {
-              l_worker = worker;
-              l_pid = pid;
-              l_started = Unix.gettimeofday ();
-            };
+          Leased { l_worker = worker; l_started = Unix.gettimeofday () };
         t.leases <- t.leases + 1;
         Telemetry.Counter.incr m_leases;
         if fj.requeues > 0 then begin
@@ -286,7 +273,6 @@ module Fleet = struct
       | "" -> "anonymous"
       | w -> w
     in
-    let pid = Json.int_or 0 (Json.member "pid" j) in
     let gauge = worker_gauge worker in
     let set_workers d =
       locked t (fun () ->
@@ -320,7 +306,7 @@ module Fleet = struct
       | Some _ -> await lease (* heartbeat *)
     in
     let rec serve () =
-      match next_lease t srv ~worker ~pid with
+      match next_lease t srv ~worker with
       | `Drain ->
         Wire.send_frame_safe fd (Json.Obj [ ("frame", Json.Str "drain") ])
       | `Job (fj, epoch) ->
@@ -384,16 +370,7 @@ module Fleet = struct
     locked t @@ fun () ->
     Hashtbl.fold
       (fun _ fj acc ->
-        match fj.state with
-        | Leased l ->
-          {
-            lv_job = fj.job.Serve.id;
-            lv_design = fj.job.Serve.spec.Serve.sj_design;
-            lv_worker = l.l_worker;
-            lv_pid = l.l_pid;
-          }
-          :: acc
-        | _ -> acc)
+        match fj.state with Leased l -> l.l_worker :: acc | _ -> acc)
       t.live []
 
   let status t () =
@@ -527,10 +504,7 @@ module Worker = struct
     let leases = ref 0 and completed = ref 0 in
     let timeouts = ref 0 and errors = ref 0 in
     let lease_op =
-      Json.Obj
-        [ ("op", Json.Str "lease");
-          ("worker", Json.Str cfg.name);
-          ("pid", Json.Int (Unix.getpid ())) ]
+      Json.Obj [ ("op", Json.Str "lease"); ("worker", Json.Str cfg.name) ]
     in
     (* Solve one leased job on this worker's own pool. Every lease ends
        in exactly one result frame. *)

@@ -13,7 +13,7 @@
     frame gains fleet fields. The fleet↔worker wire reuses
     {!Serve.Wire} with three more ops:
 
-    - [{"op":"lease","worker":W,"pid":P}] — an idle worker asks for
+    - [{"op":"lease","worker":W}] — an idle worker asks for
       work and blocks; the fleet answers with a [{"frame":"job",...}]
       carrying the submit spec, the job id, a lease epoch and the
       deadline, or [{"frame":"drain"}] when the server is draining and
@@ -83,16 +83,9 @@ module Fleet : sig
 
   val stats : t -> stats
 
-  type lease_view = {
-    lv_job : int;
-    lv_design : string;
-    lv_worker : string;
-    lv_pid : int;  (** worker's os pid, as reported in its lease op *)
-  }
-
-  val leases : t -> lease_view list
-  (** Current leases — the bench crash leg uses this to find which
-      worker pid to kill. *)
+  val leases : t -> string list
+  (** The names of the workers currently holding a lease, one per
+      leased job. *)
 end
 
 (** {1 Worker} *)

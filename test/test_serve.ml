@@ -107,14 +107,33 @@ let with_client sock f =
   let c = Serve.Client.connect sock in
   Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
 
-let submit_ok c spec =
-  match Serve.Client.submit c spec with
+let completed = function
   | Serve.Client.Completed (_, _, o) -> o
   | Serve.Client.Timed_out (j, w) ->
     Alcotest.failf "job %d unexpectedly timed out after %.3fs" j w
   | Serve.Client.Busy (a, cap) ->
     Alcotest.failf "unexpectedly busy (%d/%d)" a cap
   | Serve.Client.Refused m -> Alcotest.failf "refused: %s" m
+
+let submit_ok c spec = completed (Serve.Client.submit c spec)
+
+(* Every spec submitted at once, one client thread and connection each;
+   the answers come back in spec order. A transport failure in a thread
+   becomes a refusal, so the caller's checks report it. *)
+let submit_all sock specs =
+  let submit spec cell () =
+    cell :=
+      try with_client sock (fun c -> Serve.Client.submit c spec)
+      with e -> Serve.Client.Refused (Printexc.to_string e)
+  in
+  List.map
+    (fun spec ->
+      let cell = ref (Serve.Client.Refused "no reply") in
+      (Thread.create (submit spec cell) (), cell))
+    specs
+  |> List.map (fun (th, cell) ->
+         Thread.join th;
+         completed !cell)
 
 (* ---- submit/complete parity against a direct solve ---- *)
 
@@ -146,6 +165,56 @@ let test_submit_parity executor () =
   Alcotest.(check int) "one accepted" 1 summary.Serve.sm_accepted;
   Alcotest.(check int) "one completed" 1 summary.Serve.sm_completed;
   Alcotest.(check int) "no timeouts" 0 summary.Serve.sm_timeouts
+
+(* ---- concurrent clients over a store filled by the direct path ---- *)
+
+let test_concurrent_store_hits executor () =
+  let dir = tmp_path "warm_store" in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let store = Store.open_store dir in
+  (* Every echo-twist depth is past the bug, so all three solves write
+     the same counterexample entry and any lookup of it is a hit. *)
+  let specs =
+    [ Serve.job_spec ~depth:8 "echo";
+      Serve.job_spec ~depth:8 "echo-twist";
+      Serve.job_spec ~depth:10 "echo-twist";
+      Serve.job_spec ~depth:12 "echo-twist" ]
+  in
+  let direct =
+    Aqed.Check.run_batch ~store
+      (List.map (fun spec -> snd (Result.get_ok (resolve spec))) specs)
+  in
+  let served, summary =
+    with_server ~store executor "warm" (fun _ sock -> submit_all sock specs)
+  in
+  List.iter2
+    (fun (spec, (e : Aqed.Check.batch_entry)) (o : Report.Journal.obligation) ->
+      let d =
+        Report.Journal.of_report ~design:spec.Serve.sj_design
+          e.Aqed.Check.entry_report
+      in
+      let what =
+        Printf.sprintf "%s@%d " spec.Serve.sj_design spec.Serve.sj_depth
+      in
+      Alcotest.(check string) (what ^ "verdict") d.Report.Journal.ob_verdict
+        o.Report.Journal.ob_verdict;
+      Alcotest.(check int) (what ^ "depth") d.Report.Journal.ob_depth
+        o.Report.Journal.ob_depth;
+      Alcotest.(check string) (what ^ "key") d.Report.Journal.ob_key
+        o.Report.Journal.ob_key;
+      Alcotest.(check string) (what ^ "certificate")
+        d.Report.Journal.ob_certificate o.Report.Journal.ob_certificate;
+      Alcotest.(check bool) (what ^ "answered from the store") true
+        o.Report.Journal.ob_cached)
+    (List.combine specs direct.Aqed.Check.entries)
+    served;
+  let n = List.length specs in
+  Alcotest.(check int) "all accepted" n summary.Serve.sm_accepted;
+  Alcotest.(check int) "all completed" n summary.Serve.sm_completed;
+  Alcotest.(check int) "no timeouts" 0 summary.Serve.sm_timeouts;
+  Alcotest.(check int) "none rejected" 0 summary.Serve.sm_rejected;
+  Alcotest.(check int) "no errors" 0 summary.Serve.sm_errors
 
 (* ---- per-job timeout: typed reply, daemon and pool survive ---- *)
 
@@ -337,6 +406,8 @@ let cases executor =
   [
     Alcotest.test_case "submit/complete parity vs direct solve" `Quick
       (test_submit_parity executor);
+    Alcotest.test_case "concurrent clients all hit a direct-filled store"
+      `Quick (test_concurrent_store_hits executor);
     Alcotest.test_case "job timeout is typed and pool survives" `Quick
       (test_timeout_keeps_pool_usable executor);
     Alcotest.test_case "malformed frame closes one connection only" `Quick

@@ -144,6 +144,42 @@ let test_fleet_parity_vs_direct () =
   Alcotest.(check int) "no deaths" 0 stats.Shard.Fleet.st_worker_deaths;
   check_balance summary
 
+(* ---- a 4-worker fleet: parity and exact accounting ---- *)
+
+let test_four_worker_parity () =
+  let specs =
+    [ Serve.job_spec ~depth:6 "echo";
+      Serve.job_spec ~depth:8 "echo";
+      Serve.job_spec ~depth:3 "echo-twist";
+      Serve.job_spec ~depth:8 "echo-twist";
+      Serve.job_spec ~depth:10 "echo-twist";
+      Serve.job_spec ~depth:12 "echo" ]
+  in
+  let served, summary, stats =
+    with_coord ~workers:[ "f1"; "f2"; "f3"; "f4" ] "four" (fun sock ->
+        Test_serve.submit_all sock specs)
+  in
+  List.iter2
+    (fun spec (o : Report.Journal.obligation) ->
+      let d =
+        Report.Journal.of_report ~design:spec.Serve.sj_design
+          (Aqed.Check.run_obligation (snd (Result.get_ok (resolve spec))))
+      in
+      let what =
+        Printf.sprintf "%s@%d " spec.Serve.sj_design spec.Serve.sj_depth
+      in
+      Alcotest.(check string) (what ^ "verdict") d.Report.Journal.ob_verdict
+        o.Report.Journal.ob_verdict;
+      Alcotest.(check int) (what ^ "depth") d.Report.Journal.ob_depth
+        o.Report.Journal.ob_depth)
+    specs served;
+  let n = List.length specs in
+  Alcotest.(check int) "all accepted" n summary.Serve.sm_accepted;
+  Alcotest.(check int) "all completed" n summary.Serve.sm_completed;
+  Alcotest.(check int) "one lease per job" n stats.Shard.Fleet.st_leases;
+  Alcotest.(check int) "no deaths" 0 stats.Shard.Fleet.st_worker_deaths;
+  check_balance summary
+
 (* ---- worker-side deadline: typed timeout, fleet survives ---- *)
 
 let test_worker_deadline_typed_timeout () =
@@ -243,6 +279,8 @@ let suite =
     [
       Alcotest.test_case "fleet parity vs direct solve (daemon client)"
         `Quick test_fleet_parity_vs_direct;
+      Alcotest.test_case "4-worker fleet: parity and exact accounting"
+        `Quick test_four_worker_parity;
       Alcotest.test_case "worker-side deadline is a typed timeout" `Quick
         test_worker_deadline_typed_timeout;
       Alcotest.test_case "no worker: pending job gets a typed error" `Quick
