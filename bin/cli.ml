@@ -33,7 +33,7 @@
    Certification (check and verify): --certify cross-checks every verdict
    through an independent mechanism — counterexamples are replayed (and
    shrunk) on the cycle-accurate simulator, clean BMC frames are
-   RUP-checked against the solver's proof log. A certified run exits 0
+   RUP-checked against the proof the solver streams. A certified run exits 0
    whatever the verdict (the exit code then reports certification, and the
    report line carries the certificate); a divergence between the solver
    and the checker prints both sides and exits 2. *)
@@ -907,10 +907,10 @@ let certify_arg =
        & info [ "certify" ]
            ~doc:"Cross-check every verdict: replay (and shrink) \
                  counterexamples on the cycle-accurate simulator, RUP-check \
-                 each clean BMC frame against the solver's proof log. The \
-                 exit code then reports certification — 0 whatever the \
-                 verdict, 2 on any divergence between solver and checker \
-                 (both sides are printed).")
+                 each clean BMC frame against the proof the solver \
+                 streams. The exit code then reports certification — 0 \
+                 whatever the verdict, 2 on any divergence between solver \
+                 and checker (both sides are printed).")
 
 let wrap f =
   try f () with

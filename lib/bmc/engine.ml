@@ -276,49 +276,53 @@ type frame_answer = Violated | Clean
 
 (* ---- verdict certification ---- *)
 
-(* Per-search RUP certification state: one independent checker fed the
-   problem clauses verbatim, plus a high-water mark into the solver's
-   clause and proof logs so each frame only replays its own delta. *)
+(* Per-search RUP certification state: one independent checker that the
+   solver streams its proof into — problem clauses verbatim, each derived
+   clause checked the moment it is derived, along the ids its conflict
+   analysis resolved on — plus the frame and step position for messages. *)
 type cert_state = {
   checker : Rup.checker;
-  mutable cert_mark : Solver.mark;
+  mutable depth : int;
+  mutable step : int;  (* steps checked since the frame began *)
 }
 
 let cert_fail msg =
   Telemetry.Counter.incr m_cert_failures;
   raise (Certification_failed msg)
 
+(* The sink aborts the search on the first derived clause the checker
+   does not confirm: the exception leaves the solver call that derived it.
+   Learned clauses never depend on the assumption (conflict analysis
+   resolves only on clauses), so the steps check without it. *)
+let cert_sink cs =
+  {
+    Solver.on_clause = (fun id lits -> Rup.add_clause ~id cs.checker lits);
+    on_step =
+      (fun id lits chain ->
+        if not (Rup.add_step ~id ~chain cs.checker lits) then
+          cert_fail
+            (Printf.sprintf
+               "frame %d: learned clause #%d is not confirmed by reverse unit \
+                propagation"
+               cs.depth cs.step);
+        cs.step <- cs.step + 1);
+  }
+
 (* A frame answered Unsat under the single assumption [bad_lit], which the
    solver can only conclude at decision level 0 — so [-bad_lit] must be
-   implied by unit propagation over the clause database. The certificate:
-   feed the checker this frame's problem clauses (the Tseitin encoding plus
-   the previous frame's blocking clause), replay the clauses learned during
-   the frame as RUP steps, then demand that asserting [bad_lit] propagates
-   to a conflict. Learned clauses never depend on the assumption (conflict
-   analysis resolves only on clauses), so the steps check without it. *)
-let certify_clean_frame cs solver ~depth bad_lit =
-  List.iter (Rup.add_clause cs.checker)
-    (Solver.clauses_since solver cs.cert_mark);
-  List.iteri
-    (fun i step ->
-      if not (Rup.add_step cs.checker step) then
-        cert_fail
-          (Printf.sprintf
-             "frame %d: learned clause #%d is not confirmed by reverse unit \
-              propagation"
-             depth i))
-    (Solver.proof_since solver cs.cert_mark);
+   implied by unit propagation over the clause database. Every clause of
+   that database already reached the checker through the sink, so the
+   certificate is that asserting [bad_lit] propagates to a conflict there.
+   The blocking clause the search adds next reaches the checker the same
+   way, as a problem clause. *)
+let certify_clean_frame cs ~depth bad_lit =
   if not (Rup.check_step cs.checker [ -bad_lit ]) then
     cert_fail
       (Printf.sprintf
          "frame %d: UNSAT answer not confirmed — unit propagation does not \
           refute the bad literal"
          depth);
-  (* The blocking clause the search adds next is exactly the fact just
-     certified; install it in the checker's formula for later frames. *)
-  Rup.add_clause cs.checker [ -bad_lit ];
-  Telemetry.Counter.incr m_cert_rup_valid;
-  cs.cert_mark <- Solver.mark solver
+  Telemetry.Counter.incr m_cert_rup_valid
 
 (* The bad cone is only ever asserted (assumed true here, clause-blocked
    below), so a positive-polarity Plaisted–Greenbaum encoding would
@@ -343,7 +347,7 @@ let query_frame ?cert ~depth solver env bad =
       | Solver.Sat -> Violated
       | Solver.Unsat ->
         (match cert with
-         | Some cs -> certify_clean_frame cs solver ~depth bad_lit
+         | Some cs -> certify_clean_frame cs ~depth bad_lit
          | None -> ());
         (* Exclude this frame's violation from future searches. *)
         Solver.add_clause solver [ -bad_lit ];
@@ -496,8 +500,9 @@ let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
     | Some _ ->
       (* Proof recording must precede the first clause; each portfolio
          member certifies its own solver run independently. *)
-      Solver.enable_proof solver;
-      Some { checker = Rup.create (); cert_mark = Solver.mark solver }
+      let cs = { checker = Rup.create (); depth = 0; step = 0 } in
+      Solver.enable_proof solver (cert_sink cs);
+      Some cs
   in
   let finish ?(certificate = Uncertified) outcome depth =
     {
@@ -528,6 +533,11 @@ let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
       Telemetry.Series.sample ~force:true (fun () ->
           [ ("bmc.depth", float_of_int depth) ]);
       let tf = Unix.gettimeofday () in
+      (match cert with
+       | Some cs ->
+         cs.depth <- depth;
+         cs.step <- 0
+       | None -> ());
       let binding =
         match envs_rev with [] -> Bind_init | prev :: _ -> Bind_prev prev
       in
@@ -552,8 +562,8 @@ let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
               if depth <= warm then begin
                 (* Trusted-clean frame: assert the bad cone false without a
                    SAT query. Under certification the added clause reaches
-                   the RUP checker as a problem clause via the next solved
-                   frame's delta, so the certificate composes: this run
+                   the RUP checker as a problem clause through the proof
+                   sink, so the certificate composes: this run
                    certifies frames [warm+1 ..] conditional on the stored
                    certificate for frames [1 .. warm]. *)
                 (match Tseitin.value_of ~pol:Tseitin.Both env rel.bad with
@@ -595,8 +605,8 @@ let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
         (* Between-frame inprocessing: vivify and root-simplify the clause
            database before the next (larger) frame is encoded. Skipped on
            the last frame, where no further query would benefit. Under
-           certification the derived clauses land in the proof log and are
-           replayed by the next frame's delta. *)
+           certification each derived clause is checked as it is sent to
+           the proof sink (numbered within this frame in messages). *)
         if config.inprocess && depth < max_depth && depth >= warm then
           Solver.simplify_inplace solver;
         go envs_rev (depth + 1)

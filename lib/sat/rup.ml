@@ -12,7 +12,17 @@ type verdict =
    literals. [check_step] stacks the negation of a candidate clause on top
    of the root trail, propagates, and unwinds — root assignments are never
    undone, so satisfied clauses and falsified literals can be dropped at
-   [add_clause] time (a temporary assignment never overrides a root one). *)
+   [add_clause] time (a temporary assignment never overrides a root one).
+
+   A step may carry a hint chain: ids of stored clauses expected to become
+   unit in turn. The checker walks it over its own copies of those clauses
+   before falling back to full propagation, so a hint can only save work —
+   a wrong or missing one never makes a step pass. *)
+
+(* Steps closed by their hint chain, and steps that needed full
+   propagation (unhinted, or their chain did not close). *)
+let m_hinted = Telemetry.Counter.make "cert.rup_hinted"
+let m_unhinted = Telemetry.Counter.make "cert.rup_unhinted"
 
 type checker = {
   mutable nvars : int;
@@ -25,6 +35,9 @@ type checker = {
   mutable trail_n : int;
   mutable qhead : int;
   mutable contra : bool;              (* formula refuted at the root *)
+  mutable by_id : int array;          (* proof id -> clause store index, -1 *)
+  mutable stamp : int array;          (* var -> generation, for tautologies *)
+  mutable generation : int;
 }
 
 let lit_index l = if l > 0 then 2 * l else (2 * -l) + 1
@@ -42,6 +55,9 @@ let create ?(nvars = 0) () =
     trail_n = 0;
     qhead = 0;
     contra = false;
+    by_id = [||];
+    stamp = Array.make cap 0;
+    generation = 0;
   }
 
 let ensure_var ck v =
@@ -55,6 +71,7 @@ let ensure_var ck v =
       in
       ck.assign <- grow ck.assign 0;
       ck.trail <- grow ck.trail 0;
+      ck.stamp <- grow ck.stamp 0;
       let wcap = (2 * cap) + 2 in
       let w = Array.make wcap [||] in
       Array.blit ck.watch 0 w 0 (Array.length ck.watch);
@@ -151,6 +168,8 @@ let undo_to ck m =
   ck.trail_n <- m;
   ck.qhead <- m
 
+(* Sorted and deduplicated, or [None] for a tautology: after [sort_uniq] a
+   variable seen twice occurs in both polarities. *)
 let normalize_clause ck lits =
   List.iter
     (fun l ->
@@ -158,9 +177,32 @@ let normalize_clause ck lits =
       ensure_var ck (abs l))
     lits;
   let lits = List.sort_uniq Int.compare lits in
-  if List.exists (fun l -> List.mem (-l) lits) lits then None else Some lits
+  ck.generation <- ck.generation + 1;
+  let g = ck.generation in
+  let rec taut = function
+    | [] -> false
+    | l :: rest ->
+      let v = abs l in
+      ck.stamp.(v) = g
+      || begin
+        ck.stamp.(v) <- g;
+        taut rest
+      end
+  in
+  if taut lits then None else Some lits
 
-let add_clause ck lits =
+let register ck id ci =
+  if id > 0 then begin
+    let n = Array.length ck.by_id in
+    if id >= n then begin
+      let a = Array.make (max (id + 1) (2 * n)) (-1) in
+      Array.blit ck.by_id 0 a 0 n;
+      ck.by_id <- a
+    end;
+    ck.by_id.(id) <- ci
+  end
+
+let add_clause ?(id = 0) ck lits =
   if not ck.contra then
     match normalize_clause ck lits with
     | None -> ()  (* tautology: never propagates *)
@@ -183,13 +225,65 @@ let add_clause ck lits =
           ck.clauses.(ck.n_clauses) <- c;
           let ci = ck.n_clauses in
           ck.n_clauses <- ck.n_clauses + 1;
+          register ck id ci;
           watch_add ck l0 ci;
           watch_add ck l1 ci
       end
 
 let contradictory ck = ck.contra
 
-let check_step ck step =
+(* Under the current assignment: [0] when every literal of [c] is false,
+   the literal when exactly one is unassigned and none true, [max_int]
+   otherwise (satisfied, or still two open literals). *)
+let forced ck c =
+  let len = Array.length c in
+  let unit_lit = ref 0 and i = ref 0 in
+  while !i < len do
+    let l = c.(!i) in
+    incr i;
+    match value ck l with
+    | 1 ->
+      unit_lit := max_int;
+      i := len
+    | 0 ->
+      if !unit_lit = 0 then unit_lit := l
+      else begin
+        unit_lit := max_int;
+        i := len
+      end
+    | _ -> ()
+  done;
+  !unit_lit
+
+(* Walk a hint chain (its ids up to the first 0): pass over the named
+   clauses, assigning each unit one, until one is falsified (the step is
+   closed: [true]) or a whole pass assigns nothing. Ids with no stored
+   clause — never registered, or dropped at the root when added — are
+   skipped. *)
+let walk_chain ck chain =
+  let n = Array.length chain in
+  let rec pass i progress =
+    if i = n || chain.(i) = 0 then progress && pass 0 false
+    else begin
+      let id = chain.(i) in
+      let ci =
+        if id > 0 && id < Array.length ck.by_id then ck.by_id.(id) else -1
+      in
+      if ci < 0 then pass (i + 1) progress
+      else begin
+        let l = forced ck ck.clauses.(ci) in
+        if l = 0 then true
+        else if l = max_int then pass (i + 1) progress
+        else begin
+          enqueue ck l;
+          pass (i + 1) true
+        end
+      end
+    end
+  in
+  n > 0 && chain.(0) <> 0 && pass 0 false
+
+let check_step ?(chain = [||]) ck step =
   if ck.contra then true
   else begin
     List.iter
@@ -214,14 +308,20 @@ let check_step ck step =
           | -1 -> ()
           | _ -> enqueue ck (-l))
       step;
-    let ok = !immediate || propagate ck in
+    (* The chain's assignments sit on the trail past [qhead], so the
+       fallback propagation starts from everything the walk reached. *)
+    let ok =
+      !immediate
+      || (walk_chain ck chain && (Telemetry.Counter.incr m_hinted; true))
+      || (Telemetry.Counter.incr m_unhinted; propagate ck)
+    in
     undo_to ck m;
     ok
   end
 
-let add_step ck step =
-  let ok = check_step ck step in
-  if ok then add_clause ck step;
+let add_step ?id ?chain ck step =
+  let ok = check_step ?chain ck step in
+  if ok then add_clause ?id ck step;
   ok
 
 let check (cnf : Dimacs.cnf) proof =
@@ -235,9 +335,23 @@ let check (cnf : Dimacs.cnf) proof =
   go 0 proof
 
 let check_solver_run cnf =
+  let ck = create ~nvars:cnf.Dimacs.nvars () in
+  let steps = ref 0 and invalid = ref None in
   let s = Solver.create () in
-  Solver.enable_proof s;
+  Solver.enable_proof s
+    {
+      Solver.on_clause = (fun id lits -> add_clause ~id ck lits);
+      on_step =
+        (fun id lits chain ->
+          if !invalid = None then begin
+            if not (add_step ~id ~chain ck lits) then invalid := Some !steps;
+            incr steps
+          end);
+    };
   Dimacs.load_into s cnf;
   match Solver.solve s with
   | Solver.Sat -> Incomplete
-  | Solver.Unsat -> check cnf (Solver.proof s)
+  | Solver.Unsat -> (
+      match !invalid with
+      | Some i -> Invalid i
+      | None -> if contradictory ck then Valid else Incomplete)

@@ -4,11 +4,20 @@
 type clause = {
   mutable lits : int array;
   (* lits.(0) and lits.(1) are the watched literals. *)
-  learnt : bool;
   mutable cla_act : float;
   mutable lbd : int;
-  (* Literal block distance at learning time; 0 for problem clauses. *)
+  (* Literal block distance at learning time, at least 1; 0 for problem
+     clauses, which is how [is_learnt] tells the two apart. *)
   mutable deleted : bool;
+  mutable cid : int;
+  (* Proof id of the clause as the sink knows it; 0 when recording is off. *)
+}
+
+let is_learnt c = c.lbd > 0
+
+type proof_sink = {
+  on_clause : int -> int list -> unit;
+  on_step : int -> int list -> int array -> unit;
 }
 
 type result = Sat | Unsat
@@ -55,7 +64,9 @@ module Vec = struct
 end
 
 let dummy_clause =
-  { lits = [||]; learnt = false; cla_act = 0.; lbd = 0; deleted = false }
+  { lits = [||]; cla_act = 0.; lbd = 0; deleted = false; cid = 0 }
+
+let null_sink = { on_clause = (fun _ _ -> ()); on_step = (fun _ _ _ -> ()) }
 
 (* Clause-database tiers (Glucose-style): glue <= core_glue is kept forever,
    glue <= mid_glue ages by activity, everything above is the local tier and
@@ -127,16 +138,18 @@ type t = {
   mutable poll : int;
   (* Conflict budget for [solve_limited]; [max_int] when unlimited. *)
   mutable conflict_ceiling : int;
-  (* Proof recording (learned clauses in derivation order, reversed).
-     [proof_len] mirrors the length of [proof_rev] so per-frame marks are
-     O(1); [added_rev] keeps the problem clauses exactly as passed to
-     [add_clause] (the database itself simplifies units away), which is what
-     an external RUP check needs as its base formula. *)
+  (* Proof recording: every problem clause (verbatim — the database itself
+     simplifies units away) and every derived clause goes to [sink] the
+     moment it exists, under a fresh id from [next_cid]. [chain] collects
+     the ids conflict analysis resolves on, in the order a checker can
+     replay them ([resolved] holds the main loop's share until it is
+     appended); [record_learnt] hands it over 0-terminated. Both are
+     reused scratch, so a learned clause's chain allocates nothing. *)
   mutable proof_enabled : bool;
-  mutable proof_rev : int list list;
-  mutable proof_len : int;
-  mutable added_rev : int list list;
-  mutable added_len : int;
+  mutable sink : proof_sink;
+  mutable next_cid : int;
+  chain : int Vec.t;
+  resolved : int Vec.t;
   (* Statistics *)
   mutable n_decisions : int;
   mutable n_propagations : int;
@@ -219,10 +232,10 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     poll = 0;
     conflict_ceiling = max_int;
     proof_enabled = false;
-    proof_rev = [];
-    proof_len = 0;
-    added_rev = [];
-    added_len = 0;
+    sink = null_sink;
+    next_cid = 0;
+    chain = Vec.create 0;
+    resolved = Vec.create 0;
     n_decisions = 0;
     n_propagations = 0;
     n_conflicts = 0;
@@ -557,9 +570,13 @@ let compute_lbd s lits =
    close back onto the clause through levels the clause itself touches).
    On success the intermediate variables stay marked: they are implied too,
    which caches the answer for later queries; their cleanup is the caller's
-   via [acc]. *)
+   via [acc]. Under proof recording a successful walk also appends the
+   ids of the reasons it expanded to [s.chain], latest-expanded first —
+   reasons before the clauses whose literals they imply; a failed walk
+   leaves [s.chain] as it found it. *)
 let lit_redundant s acc abstract_levels q0 =
   let marked = ref [] in
+  let base = Vec.size s.chain in
   let ok = ref true in
   let stack = ref [ q0 ] in
   (try
@@ -567,6 +584,7 @@ let lit_redundant s acc abstract_levels q0 =
        let q = List.hd !stack in
        stack := List.tl !stack;
        let r = s.reason.(var_of q) in
+       if s.proof_enabled then Vec.push s.chain r.cid;
        for k = 1 to Array.length r.lits - 1 do
          let p = r.lits.(k) in
          let v = var_of p in
@@ -587,12 +605,31 @@ let lit_redundant s acc abstract_levels q0 =
        done
      done
    with Exit -> ());
-  if !ok then acc := !marked @ !acc;
+  if !ok then begin
+    acc := !marked @ !acc;
+    let ids = s.chain.Vec.data in
+    let i = ref base and j = ref (Vec.size s.chain - 1) in
+    while !i < !j do
+      let t = ids.(!i) in
+      ids.(!i) <- ids.(!j);
+      ids.(!j) <- t;
+      incr i;
+      decr j
+    done
+  end
+  else Vec.shrink s.chain base;
   !ok
 
 (* Returns (learnt clause as int array with the asserting literal first,
-   backtrack level, glue of the kept clause). *)
+   backtrack level, glue of the kept clause). Under proof recording it
+   leaves in [s.chain] the ids of every clause the derivation resolved on:
+   the minimization walks' reasons in call order, then the main loop's
+   reasons in trail order, then the conflict clause — an order in which
+   each named clause is unit (the last one falsified) once the learnt
+   clause is negated. *)
 let analyze s conflict =
+  Vec.clear s.chain;
+  Vec.clear s.resolved;
   let learnt = ref [] in
   let counter = ref 0 in
   let lit = ref 0 in
@@ -602,7 +639,8 @@ let analyze s conflict =
   let continue = ref true in
   while !continue do
     let c = !cls in
-    if c.learnt then clause_bump s c;
+    if is_learnt c then clause_bump s c;
+    if s.proof_enabled then Vec.push s.resolved c.cid;
     let start = if !lit = 0 then 0 else 1 in
     for k = start to Array.length c.lits - 1 do
       let q = c.lits.(k) in
@@ -655,6 +693,10 @@ let analyze s conflict =
       kept
   in
   List.iter (fun v -> s.seen.(v) <- false) seen_marks;
+  if s.proof_enabled then
+    for i = Vec.size s.resolved - 1 downto 0 do
+      Vec.push s.chain (Vec.get s.resolved i)
+    done;
   (* Recompute the backtrack level from the kept literals. *)
   let btlevel =
     match kept with
@@ -668,9 +710,18 @@ let analyze s conflict =
 
 (* ---- clause attachment ---- *)
 
-let record_proof s lits =
-  s.proof_rev <- lits :: s.proof_rev;
-  s.proof_len <- s.proof_len + 1
+let fresh_cid s =
+  s.next_cid <- s.next_cid + 1;
+  s.next_cid
+
+(* Hands a derived clause to the sink under a fresh id, which it returns. *)
+let record_step ?(chain = [||]) s lits =
+  let id = fresh_cid s in
+  s.sink.on_step id lits chain;
+  id
+
+(* The empty clause, once the database is refuted at the root. *)
+let record_refutation s = if s.proof_enabled then ignore (record_step s [])
 
 (* A clause is registered under each of its two watched literals; when a
    literal L becomes true, the clauses watching -L are scanned. *)
@@ -689,13 +740,17 @@ let add_clause s lits =
         if v = 0 || v > s.nvars then
           invalid_arg "Solver.add_clause: literal over unallocated variable")
       lits;
-    (* Keep the clause verbatim: the database below deduplicates, drops
+    (* Send the clause verbatim: the database below deduplicates, drops
        satisfied clauses and strips units, so it cannot serve as the formula
        an external proof checker runs against. *)
-    if s.proof_enabled then begin
-      s.added_rev <- lits :: s.added_rev;
-      s.added_len <- s.added_len + 1
-    end;
+    let cid =
+      if s.proof_enabled then begin
+        let id = fresh_cid s in
+        s.sink.on_clause id lits;
+        id
+      end
+      else 0
+    in
     (* Deduplicate; detect tautologies. *)
     let lits = List.sort_uniq Int.compare lits in
     let taut = List.exists (fun l -> List.mem (-l) lits) lits in
@@ -709,18 +764,18 @@ let add_clause s lits =
         match lits with
         | [] ->
           s.ok <- false;
-          if s.proof_enabled then record_proof s []
+          record_refutation s
         | [ l ] ->
           enqueue s l dummy_clause;
           if propagate s != dummy_clause then begin
             s.ok <- false;
-            if s.proof_enabled then record_proof s []
+            record_refutation s
           end
         | l0 :: l1 :: _ ->
           ignore l0; ignore l1;
           let c =
-            { lits = Array.of_list lits; learnt = false; cla_act = 0.;
-              lbd = 0; deleted = false }
+            { lits = Array.of_list lits; cla_act = 0.; lbd = 0;
+              deleted = false; cid }
           in
           Vec.push s.clauses c;
           attach_clause s c
@@ -732,7 +787,13 @@ let record_learnt s lits lbd =
   if lbd <= core_glue then s.n_lbd_core <- s.n_lbd_core + 1
   else if lbd <= mid_glue then s.n_lbd_mid <- s.n_lbd_mid + 1
   else s.n_lbd_local <- s.n_lbd_local + 1;
-  if s.proof_enabled then record_proof s (Array.to_list lits);
+  let cid =
+    if s.proof_enabled then begin
+      Vec.push s.chain 0;
+      record_step ~chain:s.chain.Vec.data s (Array.to_list lits)
+    end
+    else 0
+  in
   if Array.length lits = 1 then begin
     cancel_until s 0;
     enqueue s lits.(0) dummy_clause
@@ -747,7 +808,7 @@ let record_learnt s lits lbd =
     let tmp = lits.(1) in
     lits.(1) <- lits.(!best);
     lits.(!best) <- tmp;
-    let c = { lits; learnt = true; cla_act = 0.; lbd; deleted = false } in
+    let c = { lits; cla_act = 0.; lbd; deleted = false; cid } in
     Vec.push s.learnts c;
     attach_clause s c;
     clause_bump s c;
@@ -825,11 +886,11 @@ let reduce_db s =
    literal found already true, proves a prefix of the clause; a literal
    found false drops out. Every shortened clause is RUP with respect to a
    database that still contains the original, so under proof recording the
-   replacement goes through [record_proof] like any learned clause and the
-   incremental delta protocol ([mark] / [proof_since]) keeps certifying:
-   the external checker never deletes, so the original clause remains
-   available as a premise. Nothing this pass derives falls outside RUP,
-   hence nothing needs disabling under [enable_proof]. *)
+   replacement goes to the sink like any learned clause (without a chain:
+   the checker finds it by full propagation); the checker never deletes,
+   so the original clause remains available as a premise. Nothing this
+   pass derives falls outside RUP, hence nothing needs disabling under
+   [enable_proof]. *)
 let simplify_inplace ?(budget = 30_000) s =
   Fun.protect ~finally:(fun () -> publish_props s) @@ fun () ->
   if s.ok then
@@ -842,7 +903,7 @@ let simplify_inplace ?(budget = 30_000) s =
     s.last_assumptions <- [||];
     if propagate s != dummy_clause then begin
       s.ok <- false;
-      if s.proof_enabled then record_proof s []
+      record_refutation s
     end
     else begin
       (* Probing must not pollute the saved phases. *)
@@ -884,30 +945,30 @@ let simplify_inplace ?(budget = 30_000) s =
       let apply c kept =
         s.n_vivified <- s.n_vivified + 1;
         Telemetry.Counter.incr m_vivified;
-        if s.proof_enabled then record_proof s kept;
+        let cid = if s.proof_enabled then record_step s kept else 0 in
         match kept with
         | [] -> s.ok <- false
         | [ l ] ->
           if lit_false s l then begin
             s.ok <- false;
-            if s.proof_enabled then record_proof s []
+            record_refutation s
           end
           else if not (lit_sat s l) then begin
             enqueue s l dummy_clause;
             if propagate s != dummy_clause then begin
               s.ok <- false;
-              if s.proof_enabled then record_proof s []
+              record_refutation s
             end
           end
         | _ :: _ :: _ ->
           let c' =
-            { lits = Array.of_list kept; learnt = c.learnt;
-              cla_act = c.cla_act;
-              lbd = min (max 1 c.lbd) (List.length kept - 1);
-              deleted = false }
+            { lits = Array.of_list kept; cla_act = c.cla_act;
+              lbd =
+                (if is_learnt c then min c.lbd (List.length kept - 1) else 0);
+              deleted = false; cid }
           in
           (* Attached by the rebuild below; the original stays deleted. *)
-          Vec.push (if c'.learnt then s.learnts else s.clauses) c'
+          Vec.push (if is_learnt c then s.learnts else s.clauses) c'
       in
       let probe vec =
         (* Snapshot the size: shortened replacements pushed past it are not
@@ -943,7 +1004,10 @@ let simplify_inplace ?(budget = 30_000) s =
                        (fun l -> not (lit_false s l))
                        (Array.to_list c.lits))
                 in
-                if s.proof_enabled then record_proof s (Array.to_list lits);
+                (* The original clause, all of whose other literals are
+                   root-false, is the whole derivation. *)
+                if s.proof_enabled then
+                  c.cid <- record_step ~chain:[| c.cid |] s (Array.to_list lits);
                 match Array.length lits with
                 | 0 ->
                   s.ok <- false;
@@ -962,13 +1026,13 @@ let simplify_inplace ?(budget = 30_000) s =
           (fun l ->
             if lit_false s l then begin
               s.ok <- false;
-              if s.proof_enabled then record_proof s []
+              record_refutation s
             end
             else if not (lit_sat s l) then enqueue s l dummy_clause)
           !units;
         if s.ok && propagate s != dummy_clause then begin
           s.ok <- false;
-          if s.proof_enabled then record_proof s []
+          record_refutation s
         end
       end
     end
@@ -1009,7 +1073,7 @@ let search s ~assumptions ~restart_budget =
         s.n_conflicts <- s.n_conflicts + 1;
         incr conflicts;
         if decision_level s = 0 then begin
-          if s.proof_enabled then record_proof s [];
+          record_refutation s;
           raise (Done Unsat)
         end;
         if s.n_conflicts >= s.conflict_ceiling then raise Limit_hit;
@@ -1094,7 +1158,7 @@ let solve_body ~assumptions s =
        at the root. *)
     if decision_level s = 0 && propagate s != dummy_clause then begin
       s.ok <- false;
-      if s.proof_enabled then record_proof s [];
+      record_refutation s;
       Unsat
     end
     else begin
@@ -1250,35 +1314,8 @@ let pp_stats fmt st =
     st.max_var st.clauses st.decisions st.propagations st.conflicts st.restarts
     st.learned st.lbd_core st.lbd_mid st.lbd_local st.reductions st.vivified
 
-let enable_proof s =
+let enable_proof s sink =
   if Vec.size s.clauses > 0 || s.trail_size > 0 then
     invalid_arg "Solver.enable_proof: clauses already added";
-  s.proof_enabled <- true
-
-let proof_enabled s = s.proof_enabled
-
-let proof s = List.rev s.proof_rev
-
-(* ---- incremental proof taps ---- *)
-
-type mark = {
-  m_added : int;
-  m_proof : int;
-}
-
-let mark s = { m_added = s.added_len; m_proof = s.proof_len }
-
-(* First [n] elements of a reversed log, returned in chronological order. *)
-let log_since rev_log len from =
-  let n = len - from in
-  let rec take acc k l =
-    if k = 0 then acc
-    else
-      match l with
-      | x :: tl -> take (x :: acc) (k - 1) tl
-      | [] -> assert false
-  in
-  take [] n rev_log
-
-let clauses_since s m = log_since s.added_rev s.added_len m.m_added
-let proof_since s m = log_since s.proof_rev s.proof_len m.m_proof
+  s.proof_enabled <- true;
+  s.sink <- sink

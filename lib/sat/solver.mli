@@ -120,9 +120,8 @@ val simplify_inplace : ?budget:int -> t -> unit
 
     Interaction with proof logging: every shortened clause is RUP with
     respect to a formula that still contains the original clause, so each
-    one is recorded through the normal proof path and the incremental delta
-    protocol ({!mark} / {!clauses_since} / {!proof_since}) keeps certifying
-    — an external checker never deletes, so originals remain premises.
+    one goes to the proof sink like a learned clause and keeps certifying —
+    an external checker never deletes, so originals remain premises.
     Nothing this pass derives falls outside RUP, hence nothing is disabled
     under {!enable_proof}. The BMC engine calls this between frames. *)
 
@@ -148,42 +147,43 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Proof logging}
 
-    When enabled, the solver records every learned clause in derivation
-    order (a DRAT-style clausal proof without deletions). After an [Unsat]
-    answer the recorded sequence, ending with the empty clause, can be
-    replayed and certified independently of the solver by {!Rup.check} —
-    unit propagation alone must confirm each step. *)
+    When enabled, the solver streams a hinted clausal proof to a sink as it
+    runs: every problem clause exactly as it was passed to {!add_clause}
+    (the internal database simplifies — dedup, tautology and
+    satisfied-clause drop, unit stripping — so it is not a faithful base
+    formula for an external checker), and every derived clause the moment
+    it exists, each under a fresh positive id. Nothing is buffered in the
+    solver. After an [Unsat] answer without assumptions the last step is
+    the empty clause.
 
-val enable_proof : t -> unit
-(** Start recording. Must be called before clauses are added. *)
+    A learned clause carries a {e chain}: the ids of the clauses its
+    conflict analysis resolved on — the minimization walks' reasons, then
+    the main loop's reasons in trail order, the conflict clause last. Under
+    the negation of the learned clause each named clause becomes unit in
+    turn and the last one is falsified, so a checker ({!Rup.add_step})
+    replays the chain instead of propagating over the whole formula, and
+    falls back to full propagation when the chain does not close. The
+    chain only orders the checker's work: a step is accepted iff it is
+    RUP, whatever chain it carries. A root-strengthened clause carries the
+    id of its original; vivified clauses and the empty clause carry none.
+    There are no deletions: a clause dropped by database reduction stays
+    implied, so a checker may keep it. *)
 
-val proof : t -> int list list
-(** The learned clauses in derivation order; after an [Unsat] result the
-    last entry is the empty clause. Empty when recording is disabled. *)
+type proof_sink = {
+  on_clause : int -> int list -> unit;
+      (** [on_clause id lits]: a problem clause, verbatim, in order of
+          addition. *)
+  on_step : int -> int list -> int array -> unit;
+      (** [on_step id lits chain]: a learned, vivified or strengthened
+          clause, RUP with respect to every clause sent before it. Its
+          chain is the ids in [chain] up to the first [0] (or the end);
+          the array may be the solver's scratch buffer, overwritten once
+          the call returns. *)
+}
 
-val proof_enabled : t -> bool
-
-(** {2 Incremental taps}
-
-    Incremental users (the BMC engine certifying one frame at a time) take a
-    {!mark} before a query and read back only the delta afterwards. When
-    recording is enabled the solver also keeps every problem clause exactly
-    as it was passed to {!add_clause} — the internal database simplifies
-    (dedup, tautology and satisfied-clause drop, unit stripping), so it is
-    not a faithful base formula for an external checker. *)
-
-type mark
-(** A snapshot position in the recorded clause and proof logs. *)
-
-val mark : t -> mark
-
-val clauses_since : t -> mark -> int list list
-(** Problem clauses passed to {!add_clause} since the mark, verbatim, in
-    order of addition. Empty when recording is disabled. *)
-
-val proof_since : t -> mark -> int list list
-(** Learned, vivified and strengthened clauses recorded since the mark, in
-    derivation order — each one RUP with respect to its predecessors plus
-    the problem clauses. Clauses later deleted by database reduction still
-    appear — a deleted clause remains implied, so a checker may keep it in
-    its formula. *)
+val enable_proof : t -> proof_sink -> unit
+(** Start streaming to the sink. Must be called before clauses are added.
+    An exception raised by the sink propagates out of the solver call that
+    derived the clause (the BMC engine aborts a search this way on the
+    first clause its checker rejects); the solver should not be reused
+    after that. *)

@@ -3,13 +3,13 @@
    Every answer is checked by something that shares no code with the
    solver's search: a Sat answer must carry a model that satisfies the
    original clauses (and the assumptions), and an Unsat answer must be
-   confirmed by {!Sat.Rup}, the reverse-unit-propagation checker, replaying
-   the solver's proof log. The incremental fuzz interleaves clause
-   additions, prefix-correlated assumption solves and
-   {!Sat.Solver.simplify_inplace} calls, the exact shape of the BMC frame
-   loop, and certifies each answer from the proof delta as the engine's
-   certified mode does. Seeds are fixed (Testbench.Prng), so failures
-   reproduce. *)
+   confirmed by {!Sat.Rup}, the reverse-unit-propagation checker, fed the
+   solver's proof stream with its hint chains as the engine's certified
+   mode does. The incremental fuzz interleaves clause additions,
+   prefix-correlated assumption solves and {!Sat.Solver.simplify_inplace}
+   calls, the exact shape of the BMC frame loop, and certifies each answer
+   against the checker's state after it. Seeds are fixed (Testbench.Prng),
+   so failures reproduce. *)
 
 module S = Sat.Solver
 module P = Testbench.Prng
@@ -26,14 +26,55 @@ let random_3sat rng ~nvars ~ratio =
           let v = 1 + P.below rng nvars in
           if P.bool rng then v else -v))
 
-let solver_of nvars clauses =
+(* A solver whose proof streams into a fresh checker. Each derived clause
+   must be RUP the moment it is sent ([rejected] keeps the index of the
+   first that is not), and the problem clauses the solver reports are
+   logged so a test can hold them to the ones it added: the checker's
+   formula must be the test's, not the solver's say-so. *)
+type certified = {
+  ck : Sat.Rup.checker;
+  mutable reported : int list list;  (* problem clauses, latest first *)
+  mutable steps : int;
+  mutable rejected : int option;
+}
+
+let certified_solver () =
   let s = S.create () in
-  S.enable_proof s;
+  let c =
+    { ck = Sat.Rup.create (); reported = []; steps = 0; rejected = None }
+  in
+  S.enable_proof s
+    {
+      S.on_clause =
+        (fun id lits ->
+          c.reported <- lits :: c.reported;
+          Sat.Rup.add_clause ~id c.ck lits);
+      on_step =
+        (fun id lits chain ->
+          if (not (Sat.Rup.add_step ~id ~chain c.ck lits)) && c.rejected = None
+          then c.rejected <- Some c.steps;
+          c.steps <- c.steps + 1);
+    };
+  (s, c)
+
+(* The solver reported, in order, the clauses the test added — all of
+   them, unless the formula was already refuted, after which the solver
+   ignores further clauses. *)
+let formula_is_input c added =
+  let rec prefix = function
+    | [], rest -> rest = [] || Sat.Rup.contradictory c.ck
+    | r :: rs, a :: added -> r = a && prefix (rs, added)
+    | _ :: _, [] -> false
+  in
+  prefix (List.rev c.reported, added)
+
+let solver_of nvars clauses =
+  let s, c = certified_solver () in
   for _ = 1 to nvars do
     ignore (S.new_var s)
   done;
   List.iter (S.add_clause s) clauses;
-  s
+  (s, c)
 
 let model_satisfies s clauses =
   List.for_all (List.exists (fun l -> S.lit_value s l)) clauses
@@ -44,38 +85,37 @@ let test_random_3sat () =
     let nvars = 20 + P.below rng 41 in
     let ratio = 3.8 +. (float_of_int (P.below rng 10) /. 10.) in
     let clauses = random_3sat rng ~nvars ~ratio in
-    let s = solver_of nvars clauses in
+    let s, c = solver_of nvars clauses in
     match S.solve s with
     | S.Sat ->
       if not (model_satisfies s clauses) then
         Alcotest.failf "round %d (n=%d): Sat model violates a clause" round
           nvars
     | S.Unsat -> (
-        let cnf = { Sat.Dimacs.nvars; clauses } in
-        match Sat.Rup.check cnf (S.proof s) with
-        | Sat.Rup.Valid -> ()
-        | Sat.Rup.Invalid i ->
+        if not (formula_is_input c clauses) then
+          Alcotest.failf "round %d (n=%d): checker formula is not the input"
+            round nvars;
+        match c.rejected with
+        | Some i ->
           Alcotest.failf "round %d (n=%d): proof invalid at step %d" round
             nvars i
-        | Sat.Rup.Incomplete ->
-          Alcotest.failf "round %d (n=%d): proof incomplete" round nvars)
+        | None ->
+          if not (Sat.Rup.contradictory c.ck) then
+            Alcotest.failf "round %d (n=%d): proof incomplete" round nvars)
   done
 
 (* The incremental shape: clauses arrive in batches, solves run under
    assumption lists that share prefixes with the previous call (so the
    warm-start path is exercised), and inprocessing fires between solves.
-   After every solve the RUP checker takes the delta since the last one —
-   the new problem clauses on trust, each newly learned or vivified clause
-   only if it is RUP — and then judges the answer: Unsat must refute the
-   assumptions by unit propagation alone, Sat must not. *)
+   The RUP checker takes the stream as it comes — the problem clauses on
+   trust, each learned or vivified clause only if it is RUP — and after
+   every solve judges the answer: Unsat must refute the assumptions by
+   unit propagation alone, Sat must not. *)
 let test_incremental_fuzz () =
   let rng = P.create 0xBEEF in
   for round = 1 to 20 do
     let nvars = 12 + P.below rng 17 in
-    let s = S.create () in
-    S.enable_proof s;
-    let ck = Sat.Rup.create ~nvars () in
-    let mark = ref (S.mark s) in
+    let s, c = certified_solver () in
     for _ = 1 to nvars do
       ignore (S.new_var s)
     done;
@@ -108,17 +148,16 @@ let test_incremental_fuzz () =
       in
       assumptions := List.filteri (fun i _ -> i < keep) !assumptions @ tail;
       let r = S.solve ~assumptions:!assumptions s in
-      List.iter (Sat.Rup.add_clause ck) (S.clauses_since s !mark);
-      List.iteri
-        (fun i lemma ->
-          if not (Sat.Rup.add_step ck lemma) then
-            Alcotest.failf "round %d step %d: proof step #%d is not RUP" round
-              step i)
-        (S.proof_since s !mark);
-      mark := S.mark s;
+      if not (formula_is_input c (List.rev !added)) then
+        Alcotest.failf "round %d step %d: checker formula is not the input"
+          round step;
+      Option.iter
+        (Alcotest.failf "round %d step %d: proof step #%d is not RUP" round
+           step)
+        c.rejected;
       let refuted =
-        Sat.Rup.contradictory ck
-        || Sat.Rup.check_step ck (List.map (fun a -> -a) !assumptions)
+        Sat.Rup.contradictory c.ck
+        || Sat.Rup.check_step c.ck (List.map (fun a -> -a) !assumptions)
       in
       if is_sat r then begin
         if not (model_satisfies s !added) then
@@ -159,8 +198,7 @@ let php_clauses pigeons holes =
 
 let test_unsat_proof_with_inprocessing () =
   let nvars, clauses = php_clauses 6 5 in
-  let s = S.create () in
-  S.enable_proof s;
+  let s, c = certified_solver () in
   for _ = 1 to nvars do
     ignore (S.new_var s)
   done;
@@ -175,12 +213,13 @@ let test_unsat_proof_with_inprocessing () =
   Alcotest.(check bool) "php(6,5) UNSAT" false (is_sat (S.solve s));
   (* Inprocessing again after Unsat must be a harmless no-op. *)
   S.simplify_inplace s;
-  let cnf = { Sat.Dimacs.nvars; clauses } in
-  match Sat.Rup.check cnf (S.proof s) with
-  | Sat.Rup.Valid -> ()
-  | Sat.Rup.Invalid i ->
-    Alcotest.failf "proof with inprocessing invalid at step %d" i
-  | Sat.Rup.Incomplete -> Alcotest.fail "proof with inprocessing incomplete"
+  Alcotest.(check bool) "checker formula is the input" true
+    (formula_is_input c clauses);
+  match c.rejected with
+  | Some i -> Alcotest.failf "proof with inprocessing invalid at step %d" i
+  | None ->
+    if not (Sat.Rup.contradictory c.ck) then
+      Alcotest.fail "proof with inprocessing incomplete"
 
 let suite =
   ( "fuzz",

@@ -107,10 +107,19 @@ let test_bad_literal () =
 
 (* ---- modern-CDCL machinery ---- *)
 
-let php_solver ?(restarts = S.Luby) ?restart_base
-    ?reduce_first ~proof pigeons holes =
+(* Streams the solver's proof into a list (hints dropped) and returns its
+   reader: the derived clauses in derivation order, for {!Sat.Rup.check}. *)
+let recorded_proof s =
+  let steps = ref [] in
+  S.enable_proof s
+    { S.on_clause = (fun _ _ -> ());
+      on_step = (fun _ lits _ -> steps := lits :: !steps) };
+  fun () -> List.rev !steps
+
+let php_solver ?(restarts = S.Luby) ?restart_base ?reduce_first
+    pigeons holes =
   let s = S.create ~restarts ?restart_base ?reduce_first () in
-  if proof then S.enable_proof s;
+  let proof = recorded_proof s in
   let v = Array.init (pigeons + 1) (fun _ -> Array.make (holes + 1) 0) in
   for p = 1 to pigeons do
     for h = 1 to holes do
@@ -127,7 +136,7 @@ let php_solver ?(restarts = S.Luby) ?restart_base
       done
     done
   done;
-  (s, { Sat.Dimacs.nvars = pigeons * holes;
+  (s, proof, { Sat.Dimacs.nvars = pigeons * holes;
         clauses =
           List.init pigeons (fun p ->
               List.init holes (fun h -> v.(p + 1).(h + 1)))
@@ -148,22 +157,22 @@ let test_tiered_reduction () =
      search; deleting learned clauses must not disturb the verdict or the
      recorded proof (deleted clauses remain implied, so the checker keeps
      them as premises). *)
-  let s, cnf = php_solver ~reduce_first:100 ~proof:true 7 6 in
+  let s, proof, cnf = php_solver ~reduce_first:100 7 6 in
   Alcotest.(check bool) "php(7,6) UNSAT" true (S.solve s = S.Unsat);
   let st = S.stats s in
   Alcotest.(check bool) "reductions happened" true (st.S.reductions >= 1);
   Alcotest.(check bool) "tiers account for every learnt" true
     (st.S.lbd_core + st.S.lbd_mid + st.S.lbd_local = st.S.learned);
   Alcotest.(check bool) "proof valid across reductions" true
-    (Sat.Rup.check cnf (S.proof s) = Sat.Rup.Valid)
+    (Sat.Rup.check cnf (proof ()) = Sat.Rup.Valid)
 
 let test_ema_restarts () =
   (* The EMA strategy must reach the same verdicts; on a conflict-heavy
      UNSAT instance it actually restarts. *)
-  let s, cnf = php_solver ~restarts:S.Ema ~restart_base:50 ~proof:true 6 5 in
+  let s, proof, cnf = php_solver ~restarts:S.Ema ~restart_base:50 6 5 in
   Alcotest.(check bool) "php(6,5) UNSAT under EMA" true (S.solve s = S.Unsat);
   Alcotest.(check bool) "ema proof valid" true
-    (Sat.Rup.check cnf (S.proof s) = Sat.Rup.Valid);
+    (Sat.Rup.check cnf (proof ()) = Sat.Rup.Valid);
   let sat = S.create ~restarts:S.Ema () in
   ignore (fresh_vars sat 3);
   S.add_clause sat [ 1; 2 ];
@@ -177,7 +186,7 @@ let test_vivification () =
      immediately: assuming -r forces -p and -q, emptying (p v q). So the
      clause vivifies to the unit [r]. *)
   let s = S.create () in
-  S.enable_proof s;
+  let proof = recorded_proof s in
   ignore (fresh_vars s 5);
   let p = 1 and q = 2 and r = 3 and t = 4 and u = 5 in
   S.add_clause s [ p; q ];
@@ -188,7 +197,7 @@ let test_vivification () =
   let st = S.stats s in
   Alcotest.(check bool) "clause vivified" true (st.S.vivified >= 1);
   Alcotest.(check bool) "unit r recorded in proof" true
-    (List.mem [ r ] (S.proof s));
+    (List.mem [ r ] (proof ()));
   Alcotest.(check bool) "still SAT" true (is_sat (S.solve s));
   Alcotest.(check bool) "r forced at root" true (S.value s r)
 
@@ -344,6 +353,86 @@ let test_rup_incremental () =
     (Sat.Rup.check_step ck2 [ 1 ]);
   Alcotest.(check bool) "empty clause not implied" false
     (Sat.Rup.check_step ck2 [])
+
+(* Hint chains only order the checker's work. Formula, with proof ids:
+   #1 (x1 v x2), #2 (-x1 v x3), #3 (-x2 v x3), #4 (x4 v x5). Under -x3,
+   #2 forces -x1, #3 forces -x2 and #1 is falsified: [x3] is RUP, with
+   chain [2; 3; 1]. [x4] is not RUP: under -x4 only #4 fires. *)
+let chain_checker () =
+  let ck = Sat.Rup.create ~nvars:5 () in
+  List.iteri
+    (fun i c -> Sat.Rup.add_clause ~id:(i + 1) ck c)
+    [ [ 1; 2 ]; [ -1; 3 ]; [ -2; 3 ]; [ 4; 5 ] ];
+  ck
+
+let test_chain_cannot_admit () =
+  let rejects name chain step =
+    Alcotest.(check bool) name false
+      (Sat.Rup.check_step ~chain (chain_checker ()) step)
+  in
+  rejects "no chain" [||] [ 4 ];
+  rejects "unknown ids" [| 7; 99; -3; 0 |] [ 4 ];
+  rejects "real clauses, none unit" [| 1; 2; 3 |] [ 4 ];
+  rejects "a unit clause that closes nothing" [| 4 |] [ 4 ];
+  rejects "the RUP step's chain on a non-RUP step" [| 2; 3; 1 |] [ 1 ];
+  rejects "empty clause, full chain" [| 2; 3; 1; 4 |] [];
+  (* A rejected step is not installed: its id names nothing afterwards,
+     so a step that would follow from it alone is rejected too. *)
+  let ck = chain_checker () in
+  Alcotest.(check bool) "non-RUP step refused" false
+    (Sat.Rup.add_step ~id:10 ~chain:[| 4 |] ck [ 4 ]);
+  Alcotest.(check bool) "its id names nothing" false
+    (Sat.Rup.check_step ~chain:[| 10 |] ck [ 4; 1 ])
+
+let test_chain_cannot_refuse () =
+  let accepts name chain =
+    Alcotest.(check bool) name true
+      (Sat.Rup.check_step ~chain (chain_checker ()) [ 3 ])
+  in
+  accepts "exact chain" [| 2; 3; 1 |];
+  accepts "misordered chain" [| 1; 3; 2 |];
+  accepts "partial chain" [| 2 |];
+  accepts "garbage chain" [| 99; 4; -5; 0 |];
+  accepts "no chain" [||];
+  (* An accepted step is installed under its id and serves later chains. *)
+  let ck = chain_checker () in
+  Alcotest.(check bool) "step installed" true
+    (Sat.Rup.add_step ~id:5 ~chain:[| 2; 3; 1 |] ck [ 3; 4 ]);
+  Alcotest.(check bool) "later chain through it" true
+    (Sat.Rup.check_step ~chain:[| 5 |] ck [ 3; 4 ])
+
+(* The telemetry counters tell the two ways a step closes apart; a 0 ends
+   the chain, so a reused buffer's stale tail is never read. *)
+let test_chain_counters () =
+  let get name = Telemetry.Counter.get (Telemetry.Counter.make name) in
+  let closed_by chain =
+    let h = get "cert.rup_hinted" and u = get "cert.rup_unhinted" in
+    Alcotest.(check bool) "accepted" true
+      (Sat.Rup.check_step ~chain (chain_checker ()) [ 3 ]);
+    (get "cert.rup_hinted" - h, get "cert.rup_unhinted" - u)
+  in
+  let check name want chain =
+    Alcotest.(check (pair int int)) name want (closed_by chain)
+  in
+  check "exact chain: hinted" (1, 0) [| 2; 3; 1 |];
+  check "misordered chain: hinted" (1, 0) [| 1; 3; 2 |];
+  check "partial chain: full propagation" (0, 1) [| 2 |];
+  check "a 0 ends the chain" (0, 1) [| 2; 0; 3; 1 |]
+
+(* Tautologies are dropped and duplicates merged: a tautology never
+   propagates, a duplicated unit still does. *)
+let test_rup_normalize () =
+  let ck = Sat.Rup.create () in
+  Sat.Rup.add_clause ck [ 1; 2; -1 ];
+  Alcotest.(check bool) "tautology adds nothing" false
+    (Sat.Rup.check_step ck [ 2 ]);
+  Sat.Rup.add_clause ~id:1 ck [ -3; 2; -3 ];
+  Alcotest.(check bool) "duplicates merged into a binary clause" true
+    (Sat.Rup.check_step ~chain:[| 1 |] ck [ -3; 2 ]);
+  Sat.Rup.add_clause ck [ 3; 3 ];
+  Alcotest.(check bool) "duplicated unit propagates at the root" true
+    (Sat.Rup.check_step ck [ 2 ]);
+  Alcotest.(check bool) "not contradictory" false (Sat.Rup.contradictory ck)
 
 (* ---- preprocessing ---- *)
 
@@ -540,6 +629,13 @@ let suite =
       Alcotest.test_case "proof on sat instance" `Quick test_proof_sat_nothing_to_certify;
       Alcotest.test_case "proof tampering detected" `Quick test_proof_tampering_detected;
       Alcotest.test_case "incremental RUP checker" `Quick test_rup_incremental;
+      Alcotest.test_case "chains cannot admit a non-RUP step" `Quick
+        test_chain_cannot_admit;
+      Alcotest.test_case "chains cannot refuse a RUP step" `Quick
+        test_chain_cannot_refuse;
+      Alcotest.test_case "chain counters and terminator" `Quick
+        test_chain_counters;
+      Alcotest.test_case "RUP clause normalization" `Quick test_rup_normalize;
       QCheck_alcotest.to_alcotest prop_proofs_check;
       Alcotest.test_case "simplify subsumption" `Quick test_simplify_subsumption;
       Alcotest.test_case "simplify variable elimination" `Quick test_simplify_eliminates;

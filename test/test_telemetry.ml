@@ -283,6 +283,27 @@ let test_solver_counters_match_report () =
       Alcotest.(check int) name (stat r.Aqed.Check.solver_stats) (get name - b))
     counters before
 
+(* Certification's fast path: on a certified clean search nearly every
+   learned clause is closed by its conflict-analysis chain, and only the
+   chainless steps (vivification, the empty clause, the frame-end checks)
+   fall back to full propagation. *)
+let test_rup_chains_close_steps () =
+  let get name = T.Counter.get (T.Counter.make name) in
+  let h0 = get "cert.rup_hinted" and u0 = get "cert.rup_unhinted" in
+  let r =
+    Aqed.Check.run_obligation ~certify:true
+      (Aqed.Check.prepare_fc ~max_depth:8 (fun () ->
+           Accel.Memctrl.build Accel.Memctrl.Fifo_mode ()))
+  in
+  Alcotest.(check bool) "clean and certified" true
+    (r.Aqed.Check.certificate = Bmc.Engine.Rup_certified 8);
+  let hinted = get "cert.rup_hinted" - h0
+  and unhinted = get "cert.rup_unhinted" - u0 in
+  Alcotest.(check bool) "some steps closed by their chain" true (hinted > 0);
+  if float_of_int unhinted > 0.10 *. float_of_int (hinted + unhinted) then
+    Alcotest.failf "%d of %d steps needed full propagation (> 10%%)" unhinted
+      (hinted + unhinted)
+
 let test_metric_interning () =
   let a = T.Counter.make "test.interned" in
   let b = T.Counter.make "test.interned" in
@@ -544,6 +565,8 @@ let suite =
         test_counters_under_contention;
       Alcotest.test_case "solver counters match the report" `Quick
         test_solver_counters_match_report;
+      Alcotest.test_case "RUP chains close learned steps" `Quick
+        test_rup_chains_close_steps;
       Alcotest.test_case "metric interning by name" `Quick test_metric_interning;
       Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot;
       Alcotest.test_case "disabled telemetry is inert" `Quick
