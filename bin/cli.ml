@@ -767,9 +767,9 @@ let cmd_status socket =
 let cmd_sat certify path =
   let cnf = Sat.Dimacs.parse_file path in
   let t0 = Unix.gettimeofday () in
-  (* Post-parse cleanup: the same subsumption sweep the reduction pipeline
-     uses. Equivalence-preserving, so the model below also satisfies the
-     original formula (and --certify re-solves the original anyway). *)
+  (* Standalone CNF cleanup before solving. It preserves every model, so the
+     model below satisfies the input formula too; --certify checks it there,
+     and re-solves the input formula for an UNSAT proof. *)
   let cleaned = Sat.Simplify.subsume cnf.Sat.Dimacs.clauses in
   let n_before = List.length cnf.Sat.Dimacs.clauses in
   let n_after = List.length cleaned in
@@ -777,27 +777,54 @@ let cmd_sat certify path =
     Printf.printf "c subsume: %d -> %d clauses\n" n_before n_after;
   let cnf' = { cnf with Sat.Dimacs.clauses = cleaned } in
   let result, model = Sat.Dimacs.solve cnf' in
-  (match result with
-   | Sat.Solver.Sat ->
-     print_endline "s SATISFIABLE";
-     let b = Buffer.create 256 in
-     Buffer.add_string b "v ";
-     for v = 1 to cnf.Sat.Dimacs.nvars do
-       Buffer.add_string b (string_of_int (if model.(v) then v else -v));
-       Buffer.add_char b ' '
-     done;
-     Buffer.add_char b '0';
-     print_endline (Buffer.contents b)
-   | Sat.Solver.Unsat ->
-     print_endline "s UNSATISFIABLE";
-     if certify then begin
-       match Sat.Rup.check_solver_run cnf with
-       | Sat.Rup.Valid -> print_endline "c proof: VALID (RUP-checked)"
-       | Sat.Rup.Invalid i -> Printf.printf "c proof: INVALID at step %d\n" i
-       | Sat.Rup.Incomplete -> print_endline "c proof: incomplete"
-     end);
+  let certified =
+    match result with
+    | Sat.Solver.Sat ->
+      print_endline "s SATISFIABLE";
+      let b = Buffer.create 256 in
+      Buffer.add_string b "v ";
+      for v = 1 to cnf.Sat.Dimacs.nvars do
+        Buffer.add_string b (string_of_int (if model.(v) then v else -v));
+        Buffer.add_char b ' '
+      done;
+      Buffer.add_char b '0';
+      print_endline (Buffer.contents b);
+      if not certify then true
+      else begin
+        let holds l = if l > 0 then model.(l) else not model.(-l) in
+        match
+          List.find_index
+            (fun c -> not (List.exists holds c))
+            cnf.Sat.Dimacs.clauses
+        with
+        | None ->
+          print_endline "c model: VALID (checked against the input)";
+          true
+        | Some i ->
+          Printf.printf "c model: INVALID (input clause %d unsatisfied)\n"
+            (i + 1);
+          false
+      end
+    | Sat.Solver.Unsat ->
+      print_endline "s UNSATISFIABLE";
+      if not certify then true
+      else begin
+        (* [Incomplete] also covers a re-solve of the input formula that
+           comes back SAT, disagreeing with the answer above. *)
+        match Sat.Rup.check_solver_run cnf with
+        | Sat.Rup.Valid ->
+          print_endline "c proof: VALID (RUP-checked)";
+          true
+        | Sat.Rup.Invalid i ->
+          Printf.printf "c proof: INVALID at step %d\n" i;
+          false
+        | Sat.Rup.Incomplete ->
+          print_endline "c proof: incomplete";
+          false
+      end
+  in
   Printf.printf "c %.3fs\n" (Unix.gettimeofday () -. t0);
-  0
+  if certified then 0 else 2
 
 (* ---- cmdliner wiring ---- *)
 
@@ -1102,9 +1129,15 @@ let store_cmd =
 let sat_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.cnf") in
   let certify =
-    Arg.(value & flag & info [ "certify" ] ~doc:"Re-solve with proof logging and RUP-check the UNSAT certificate.")
+    Arg.(value & flag & info [ "certify" ]
+           ~doc:"Check a SAT model against the input clauses, or re-solve \
+                 the input with proof logging and RUP-check the UNSAT \
+                 certificate.")
   in
-  Cmd.v (Cmd.info "sat" ~doc:"Solve a DIMACS CNF with the built-in CDCL solver")
+  Cmd.v
+    (Cmd.info "sat"
+       ~doc:"Solve a DIMACS CNF with the built-in CDCL solver (with \
+             $(b,--certify), exit 2 when the answer is not certified)")
     Term.(const (fun cert p -> wrap (fun () -> cmd_sat cert p)) $ certify $ path)
 
 let socket_arg =

@@ -17,9 +17,6 @@ val program : Hls.Ast.func
 val reference : block:int -> key:int -> int
 (** Golden model (the interpreter run on {!program}). *)
 
-val version_bug : int -> Hls.Codegen.bug
-(** [version_bug n] for n in 1..4 — the defect of buggy version vN. *)
-
 val build : ?version:int -> unit -> Aqed.Iface.t
 (** [build ()] is the correct design; [build ~version:n ()] is buggy vN.
     The key arrives on the dedicated [key] primary input; the block is

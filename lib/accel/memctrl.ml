@@ -139,8 +139,8 @@ let tau = function
 
 (* ---- FIFO configuration ------------------------------------------------ *)
 
-(* A hand-rolled queue (rather than the Fifo component) so each defect can
-   be wired at the exact spot it would occur in real RTL. *)
+(* A hand-rolled queue so each defect can be wired at the exact spot it
+   would occur in real RTL. *)
 let build_fifo ?bug c ~in_valid ~in_data ~out_ready ~ce =
   let w = data_width Fifo_mode in
   let depth = fifo_depth in

@@ -66,9 +66,6 @@ val corner_case_bugs : bug list
     scenarios" that escaped the conventional flow (Observation 1). *)
 
 val data_width : config -> int
-val out_width : config -> int
-val fifo_depth : int
-val bank_size : int
 
 val tau : config -> int
 (** Response bound used for RB checking of each configuration. *)

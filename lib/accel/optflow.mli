@@ -12,9 +12,7 @@
     loses the output — the accelerator then looks idle and the host waits
     forever. A textbook Response-Bound violation. *)
 
-val pixel_width : int
 val data_width : int
-val out_width : int
 
 val reference : int -> int
 (** Gradient of a packed 3-pixel window. *)

@@ -30,10 +30,6 @@ type report = {
          a portfolio race, the member that finished first *)
 }
 
-let pp_outcome fmt = function
-  | Cex t -> Format.fprintf fmt "counterexample at depth %d" (Trace.length t)
-  | Bounded_ok k -> Format.fprintf fmt "no counterexample up to depth %d" k
-
 let outcome_label = function
   | Cex _ -> "cex"
   | Bounded_ok _ -> "bounded_ok"
@@ -438,31 +434,6 @@ let certify_cex circuit prop rel trace =
   let trace = resimulate_regs sim rel trace in
   Telemetry.Counter.incr m_cert_replayed;
   trace
-
-(* Exports the unreduced relation: bit-exact with the source circuit (full
-   symbol table, every latch), and equisatisfiable at every depth with what
-   the engine solves after reduction. *)
-let export_aiger circuit ~prop oc =
-  let rel = build_relation ~reduce:false circuit ~prop in
-  let inputs =
-    List.concat_map
-      (fun (_, bits) -> Array.to_list bits)
-      rel.input_sigs
-  in
-  let latches = Array.to_list rel.latch_bits in
-  let outputs =
-    List.mapi
-      (fun i a -> (Some (Printf.sprintf "constraint_%d" i), a))
-      rel.assume_lits
-  in
-  Logic.Aiger.write oc
-    {
-      Logic.Aiger.aig = rel.aig;
-      inputs;
-      latches;
-      outputs;
-      bad = [ rel.bad ];
-    }
 
 (* The sequential bounded search over one (shared, read-only) relation,
    parameterized by a solver configuration and a list of cancellation

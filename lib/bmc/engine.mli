@@ -122,13 +122,6 @@ val config_label : solver_config -> string
     ["ema:rb50:seed3:p1"]) — what journals record as the portfolio
     winner. *)
 
-val portfolio_configs : ?base:solver_config -> int -> solver_config list
-(** [portfolio_configs n] is [n] diversified configurations; the first is
-    always [base] (default {!default_config}). Later members vary the seed,
-    polarity heuristics and the restart {e strategy} — odd members run EMA
-    restarts, so the portfolio races genuinely
-    different searches rather than reseedings of one. *)
-
 (** {1 Prepared obligations}
 
     [prepare] bit-blasts (and, by default, structurally reduces — see
@@ -228,8 +221,6 @@ val check :
     structural reduction pipeline first; verdicts and counterexample depths
     are identical either way. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val pp_certificate : Format.formatter -> certificate -> unit
 
 val obligation_key :
@@ -237,15 +228,3 @@ val obligation_key :
 (** [prepared_key] of a fresh [prepare] — kept for callers that only need
     the key. *)
 
-val export_aiger : Rtl.Ir.circuit -> prop:Rtl.Ir.signal -> out_channel -> unit
-(** Writes the bit-blasted transition relation as ASCII AIGER with a single
-    bad-state property ([not prop]), the format of the hardware
-    model-checking competition — so the BMC problems this engine solves can
-    be cross-checked with external tools (ABC, aigbmc...). The export is
-    the {e unreduced} relation (full symbol table, every latch): bit-exact
-    with the source circuit and equisatisfiable at every depth with the
-    reduced relation the engine searches.
-    Circuit assumptions become constraint outputs named ["constraint_<i>"]
-    in the symbol table (AIGER 1.9 constraint semantics are not encoded
-    structurally; external tools must be told to treat them as invariants,
-    or the circuit should carry no assumptions). *)

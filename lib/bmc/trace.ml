@@ -10,11 +10,6 @@ type t = {
 
 let length t = List.length t.frames
 
-let input_value t ~cycle name =
-  match List.nth_opt t.frames cycle with
-  | None -> None
-  | Some f -> List.assoc_opt name f.inputs
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>counterexample to %s (%d cycles):@," t.property
     (length t);

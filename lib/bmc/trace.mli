@@ -19,8 +19,6 @@ type t = {
 val length : t -> int
 (** Number of cycles (frames). The paper's "trace (clock cycles)" metric. *)
 
-val input_value : t -> cycle:int -> string -> Bitvec.t option
-
 val pp : Format.formatter -> t -> unit
 
 val pp_waveform : Format.formatter -> t -> unit

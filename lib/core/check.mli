@@ -265,8 +265,8 @@ val run_batch :
   ?cancel:bool Atomic.t ->
   obligation list -> batch_result
 (** Fans the obligations across a worker pool. [pool] reuses an existing
-    pool; otherwise a fresh one with [jobs] workers (default
-    {!Parallel.Pool.default_workers}) is created and shut down around the
+    pool; otherwise a fresh one with [jobs] workers (default:
+    {!Parallel.Pool.create}'s) is created and shut down around the
     batch. Each worker builds, instruments and solves its obligation
     locally; results come back in input order. [jobs = 1] is the
     sequential semantics on one worker domain. [portfolio] additionally

@@ -1,19 +1,16 @@
 (** Word-parallel AIG simulation.
 
-    One native [int] carries {!word_bits} independent Boolean vectors; a
-    single forward pass over the (topologically ordered) node array
-    evaluates every node under all of them at once. This is the engine
-    behind the reduction pipeline ({!Reduce}): random simulation partitions
-    nodes into candidate-equivalence classes for SAT sweeping, and ternary
-    (X-valued) simulation from the reset state discovers latches that are
-    constant on every reachable state. *)
-
-val word_bits : int
-(** Number of parallel Boolean vectors per word (the native int width minus
-    the sign bit, kept clear so masks stay non-negative). *)
+    One native [int] carries an independent Boolean vector in each bit of
+    {!word_mask}; a single forward pass over the (topologically ordered)
+    node array evaluates every node under all of them at once. This is the
+    engine behind the reduction pipeline ({!Reduce}): random simulation
+    partitions nodes into candidate-equivalence classes for SAT sweeping,
+    and ternary (X-valued) simulation from the reset state discovers
+    latches that are constant on every reachable state. *)
 
 val word_mask : int
-(** The [word_bits] low bits set. *)
+(** One bit per parallel Boolean vector: the native int width minus the
+    sign bit, kept clear so masks stay non-negative. *)
 
 val run : Aig.t -> input:(int -> int) -> int array
 (** [run aig ~input] simulates the whole graph. [input idx] supplies the
@@ -43,9 +40,6 @@ val run_ternary : Aig.t -> input:(int -> int * int) -> ternary
 (** [run_ternary aig ~input] as {!run}; [input idx] returns the
     [(ones, zeros)] masks for input node [idx]. Overlapping bits resolve in
     favour of [ones]. *)
-
-val read_ternary : ternary -> Aig.lit -> int * int
-(** [(ones, zeros)] of an edge (complement swaps the masks). *)
 
 val read_ternary0 : ternary -> Aig.lit -> bool option
 (** The edge's value in vector 0: [Some b] if provable, [None] if X. *)

@@ -155,4 +155,3 @@ let assert_true ?(pol = Both) env l =
     Sat.Solver.add_clause env.solver [ -t ]
   | Lit s -> emit env [ s ]
 
-let assert_false ?pol env l = assert_true ?pol env (Aig.not_ l)

@@ -60,4 +60,3 @@ val assert_true : ?pol:polarity -> env -> Aig.lit -> unit
     reduced emission is opt-in for one-shot, clause-count-sensitive
     queries. *)
 
-val assert_false : ?pol:polarity -> env -> Aig.lit -> unit

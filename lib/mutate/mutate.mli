@@ -90,9 +90,6 @@ val apply : mutation -> Aqed.Iface.t -> unit
     the instance does not match the mutation's recorded shape (i.e. the
     builder is not deterministic). *)
 
-val mutant_build : (unit -> Aqed.Iface.t) -> mutation -> unit -> Aqed.Iface.t
-(** [mutant_build build m] is a builder producing mutated instances. *)
-
 (** {1 The equivalence screen} *)
 
 type screen_verdict =

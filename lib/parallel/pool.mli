@@ -18,13 +18,10 @@ type t
 
 type 'a future
 
-val default_workers : unit -> int
-(** [Domain.recommended_domain_count () - 1], clamped to at least 1 — one
-    domain is the caller's. *)
-
 val create : ?workers:int -> unit -> t
-(** Spawns [workers] (default {!default_workers}) worker domains. [workers]
-    is clamped to [1 .. 128]. *)
+(** Spawns [workers] worker domains (default
+    [Domain.recommended_domain_count () - 1], at least 1 — one domain is
+    the caller's). [workers] is clamped to [1 .. 128]. *)
 
 val workers : t -> int
 

@@ -259,9 +259,7 @@ let shift_var op a b =
   same_circuit a b;
   fresh a.circ a.swidth (Shift_var (op, a, b))
 
-let sllv a b = shift_var Sll a b
 let srlv a b = shift_var Srl a b
-let srav a b = shift_var Sra a b
 
 let mux sel a b =
   same_width "mux" a b;

@@ -142,7 +142,6 @@ val reg_fb : circuit -> string -> init:Bitvec.t -> (signal -> signal) -> signal
 
 (** {1 Combinational operators} *)
 
-val unop : circuit -> unop -> signal -> signal
 val binop : circuit -> binop -> signal -> signal -> signal
 
 val lognot : signal -> signal
@@ -170,9 +169,7 @@ val sle : signal -> signal -> signal
 val sll : signal -> int -> signal
 val srl : signal -> int -> signal
 val sra : signal -> int -> signal
-val sllv : signal -> signal -> signal
 val srlv : signal -> signal -> signal
-val srav : signal -> signal -> signal
 
 val mux : signal -> signal -> signal -> signal
 (** [mux sel a b] is [a] when [sel] (1-bit) is 1, else [b]. *)

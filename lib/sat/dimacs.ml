@@ -63,11 +63,7 @@ let parse_string text =
   { nvars = !nvars; clauses = List.rev !clauses }
 
 let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string text
+  parse_string (In_channel.with_open_bin path In_channel.input_all)
 
 let to_string cnf =
   let b = Buffer.create 1024 in
@@ -79,11 +75,6 @@ let to_string cnf =
       Buffer.add_string b "0\n")
     cnf.clauses;
   Buffer.contents b
-
-let write_file path cnf =
-  let oc = open_out path in
-  output_string oc (to_string cnf);
-  close_out oc
 
 let load_into solver cnf =
   if Solver.nb_vars solver <> 0 then

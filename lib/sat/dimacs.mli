@@ -1,7 +1,7 @@
 (** DIMACS CNF format support.
 
     Used by the test suite to exercise the solver on classic instances and by
-    the CLI to dump BMC problems for external cross-checking. *)
+    the CLI's [sat] subcommand. *)
 
 type cnf = {
   nvars : int;
@@ -16,8 +16,6 @@ val parse_string : string -> cnf
 val parse_file : string -> cnf
 
 val to_string : cnf -> string
-
-val write_file : string -> cnf -> unit
 
 val load_into : Solver.t -> cnf -> unit
 (** Allocates [nvars] variables in the solver and adds every clause. The

@@ -1,11 +1,3 @@
-type t = {
-  original : Dimacs.cnf;
-  simplified : Dimacs.cnf;
-  (* Eliminated variables with the clauses they occurred in (positive and
-     negative occurrence lists), most recently eliminated last. *)
-  eliminated_vars : (int * int list list * int list list) list;
-}
-
 module Clause = struct
   (* Clauses as sorted literal lists, tautologies removed. *)
   let normalize c =
@@ -24,13 +16,6 @@ module Clause = struct
         else false
     in
     go a b
-
-  (* Resolve on variable v; both clauses sorted; result normalized or None
-     (tautology). *)
-  let resolve v a b =
-    let a' = List.filter (fun l -> l <> v && l <> -v) a in
-    let b' = List.filter (fun l -> l <> v && l <> -v) b in
-    normalize (a' @ b')
 end
 
 (* Remove subsumed clauses and apply self-subsuming resolution:
@@ -48,7 +33,6 @@ let signature c =
   List.fold_left (fun s l -> s lor (1 lsl (abs l mod 62))) 0 c
 
 let subsumption_pass clauses =
-  let changed = ref false in
   (* Deduplicate and sort for deterministic behaviour. *)
   let cs = List.sort_uniq compare clauses in
   let arr = Array.of_list cs in
@@ -85,8 +69,7 @@ let subsumption_pass clauses =
                   if Clause.subsumes a' b' && List.length b' < List.length b
                   then begin
                     arr.(j) <- b';
-                    sigs.(j) <- signature b';
-                    changed := true
+                    sigs.(j) <- signature b'
                   end
                 end
               end)
@@ -131,102 +114,11 @@ let subsumption_pass clauses =
   for i = n - 1 downto 0 do
     if alive.(i) then keep := arr.(i) :: !keep
   done;
-  let keep = !keep in
-  if List.length keep <> List.length clauses then changed := true;
-  (keep, !changed)
+  !keep
 
 (* The pass as a standalone CNF cleanup: any model of the result satisfies
    every dropped clause (it is a superset of a kept one) and every
    strengthened clause's original (a superset of the strengthened form),
    so satisfiability, models and RUP-checkability are preserved. *)
 let subsume clauses =
-  fst (subsumption_pass (List.filter_map Clause.normalize clauses))
-
-let occurrences clauses =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun l ->
-          let k = abs l in
-          Hashtbl.replace tbl k (1 + (try Hashtbl.find tbl k with Not_found -> 0)))
-        c)
-    clauses;
-  tbl
-
-let try_eliminate v clauses max_occ =
-  let pos = List.filter (fun c -> List.mem v c) clauses in
-  let neg = List.filter (fun c -> List.mem (-v) c) clauses in
-  let occ = List.length pos + List.length neg in
-  if occ = 0 || occ > max_occ then None
-  else begin
-    (* All resolvents on v. *)
-    let resolvents =
-      List.concat_map
-        (fun p -> List.filter_map (fun q -> Clause.resolve v p q) neg)
-        pos
-    in
-    if List.length resolvents <= occ then begin
-      let rest =
-        List.filter (fun c -> not (List.mem v c || List.mem (-v) c)) clauses
-      in
-      Some (rest @ resolvents, pos, neg)
-    end
-    else None
-  end
-
-let simplify ?(max_occurrences = 10) (cnf : Dimacs.cnf) =
-  let clauses =
-    List.filter_map Clause.normalize cnf.Dimacs.clauses
-  in
-  let eliminated = ref [] in
-  let rec fixpoint clauses =
-    let clauses, changed1 = subsumption_pass clauses in
-    (* Try eliminating low-occurrence variables. *)
-    let occ = occurrences clauses in
-    let changed2 = ref false in
-    let clauses = ref clauses in
-    for v = 1 to cnf.Dimacs.nvars do
-      if Hashtbl.mem occ v then
-        match try_eliminate v !clauses max_occurrences with
-        | Some (clauses', pos, neg) ->
-          clauses := clauses';
-          eliminated := (v, pos, neg) :: !eliminated;
-          changed2 := true
-        | None -> ()
-    done;
-    if changed1 || !changed2 then fixpoint !clauses else !clauses
-  in
-  let simplified_clauses = fixpoint clauses in
-  {
-    original = cnf;
-    simplified = { Dimacs.nvars = cnf.Dimacs.nvars; clauses = simplified_clauses };
-    eliminated_vars = !eliminated;
-  }
-
-let result t = t.simplified
-let eliminated t = List.length t.eliminated_vars
-
-let solve t =
-  let r, model = Dimacs.solve t.simplified in
-  (match r with
-   | Solver.Unsat -> ()
-   | Solver.Sat ->
-     (* Extend the model over eliminated variables, most recently
-        eliminated first. If every positive-occurrence clause is already
-        satisfied by the other literals, v = false works (it satisfies all
-        negative occurrences through -v); otherwise v = true satisfies the
-        positive side, and the negative side must hold without v — were
-        some negative clause unsatisfied too, its resolvent with the
-        unsatisfied positive clause would be falsified, contradicting the
-        model of the simplified formula. *)
-     List.iter
-       (fun (v, pos, _neg) ->
-         let sat_clause c =
-           List.exists
-             (fun l -> l <> v && l <> -v && (if l > 0 then model.(l) else not model.(abs l)))
-             c
-         in
-         model.(v) <- not (List.for_all sat_clause pos))
-       t.eliminated_vars);
-  (r, model)
+  subsumption_pass (List.filter_map Clause.normalize clauses)

@@ -1,35 +1,8 @@
-(** CNF preprocessing: subsumption, self-subsuming resolution and bounded
-    variable elimination (the SatELite recipe).
-
-    Preprocessing runs on a {!Dimacs.cnf} before solving and returns an
-    equisatisfiable, usually much smaller formula together with the
-    information needed to extend a model of the simplified formula back to
-    the original variables (eliminated variables are reconstructed from
-    their stored occurrence lists, in reverse elimination order). *)
-
-type t
+(** CNF cleanup: subsumption and self-subsuming resolution. *)
 
 val subsume : int list list -> int list list
 (** One subsumption + self-subsuming-resolution sweep over a raw clause
     list (occurrence-list indexed, signature-filtered — near-linear in
     practice). Tautologies are removed and literals sorted. Every model of
     the result is a model of the input and vice versa, so the sweep is a
-    safe standalone CNF cleanup after encoding, independent of
-    {!simplify}'s variable elimination (no model reconstruction needed). *)
-
-val simplify : ?max_occurrences:int -> Dimacs.cnf -> t
-(** Runs the pipeline to fixpoint. Variables occurring more than
-    [max_occurrences] times (default 10) are not eliminated (the classic
-    heuristic guard against quadratic clause blow-up); elimination is only
-    performed when it does not increase the clause count. *)
-
-val result : t -> Dimacs.cnf
-(** The simplified formula, over the same variable numbering (eliminated
-    variables simply no longer occur). *)
-
-val eliminated : t -> int
-(** Number of variables eliminated. *)
-
-val solve : t -> Solver.result * bool array
-(** Solves the simplified formula and, when satisfiable, extends the model
-    to all original variables (index 0 unused). *)
+    safe standalone CNF cleanup (no model reconstruction needed). *)

@@ -163,9 +163,9 @@ type executor = {
 
 val in_process : ?store:Store.t -> ?workers:int -> unit -> executor
 (** Solve each job with {!solve} on the submitting connection's thread,
-    on one shared pool of [workers] domains (default
-    {!Parallel.Pool.default_workers}), one obligation cache, and the
-    optional store. *)
+    on one shared pool of [workers] domains (default:
+    {!Parallel.Pool.create}'s), one obligation cache, and the optional
+    store. *)
 
 val finalize : server -> job -> wall:float -> outcome -> unit
 (** Record the job's terminal state and release its slot. Exactly-once:

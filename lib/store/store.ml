@@ -47,13 +47,6 @@ type entry = {
   e_created_s : float;
 }
 
-(* BMC explores depths in order, so a counterexample of length d proves
-   frames 1..d-1 clean — exactly what a warm restart may reuse. *)
-let clean_depth e =
-  match e.e_verdict with
-  | Clean d -> d
-  | Bug t -> Bmc.Trace.length t - 1
-
 (* ---- fingerprints ---- *)
 
 let config_fingerprint ~reduce ~sweep ~certify ~solver_label =

@@ -67,12 +67,6 @@ type entry = {
   e_created_s : float;     (** unix seconds at write time *)
 }
 
-val clean_depth : entry -> int
-(** Frames proven clean by the original (certified) search: [d] for
-    [Clean d], [length t - 1] for [Bug t] (BMC tries depths in order, so
-    every frame before the counterexample was UNSAT). This is the depth a
-    warm-started re-search may resume from. *)
-
 (** {1 Fingerprints} *)
 
 val config_fingerprint :

@@ -40,13 +40,6 @@ type result = {
   wall_time : float;
 }
 
-val run_test :
-  build:(unit -> Aqed.Iface.t) ->
-  golden:(int list -> int list) ->
-  test -> detection option * int
-(** Runs one test on a fresh design instance; returns the detection (if
-    any) and the cycles consumed. *)
-
 val campaign :
   build:(unit -> Aqed.Iface.t) ->
   golden:(int list -> int list) ->

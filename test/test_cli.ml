@@ -1,11 +1,13 @@
 (* The CLI exit-code contract, driven through Cli.run ~argv (the same code
    path as bin/aqed_cli.exe, no fork):
 
-     0  clean verdict / certified verdict / campaign with no survivors
+     0  clean verdict / certified verdict / campaign with no survivors /
+        a solved CNF (sat; with --certify, a certified answer)
      1  bug found (check, verify), survivors exist (mutate)
      2  usage or runtime error; certification divergence
 
-   Pinned per subcommand so a CI consumer can rely on the codes. *)
+   Pinned per subcommand (list, check, verify, mutate, report, sat) so a CI
+   consumer can rely on the codes. *)
 
 let run args = Cli.run ~argv:(Array.of_list ("aqed_cli" :: args)) ()
 
@@ -156,6 +158,25 @@ let test_report_compare_exit_codes () =
             [ "report"; "--compare"; a; b ];
           check "wrong arity exits 2" 2 [ "report"; "--compare"; a ]))
 
+(* ---- the DIMACS front end ---- *)
+
+let with_cnf text f =
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+let test_sat_unsat_certified () =
+  with_cnf "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n" (fun path ->
+      check "RUP-checked UNSAT exits 0" 0 [ "sat"; "--certify"; path ])
+
+let test_sat_sat_certified () =
+  with_cnf "p cnf 2 2\n1 2 0\n-1 0\n" (fun path ->
+      check "model-checked SAT exits 0" 0 [ "sat"; "--certify"; path ])
+
+let test_sat_malformed () =
+  with_cnf "p cnf two 2\n1 2 0\n-1 0\n" (fun path ->
+      check "malformed problem line exits 2" 2 [ "sat"; path ])
+
 let test_wrap_certification_failure () =
   (* A certification divergence anywhere under a command maps to exit 2 —
      pinned on wrap directly, since producing a real solver/checker
@@ -190,6 +211,10 @@ let suite =
       Alcotest.test_case "report renders journals" `Slow test_report_render;
       Alcotest.test_case "report --compare exit codes" `Quick
         test_report_compare_exit_codes;
+      Alcotest.test_case "sat unsat --certify = 0" `Quick
+        test_sat_unsat_certified;
+      Alcotest.test_case "sat sat --certify = 0" `Quick test_sat_sat_certified;
+      Alcotest.test_case "sat malformed = 2" `Quick test_sat_malformed;
       Alcotest.test_case "wrap exit mapping" `Quick
         test_wrap_certification_failure;
     ] )

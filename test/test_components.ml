@@ -1,120 +1,10 @@
-(* Tests for the supporting components: the FIFO building block, monitor
-   utilities, the interface contract, the transaction harness and the VCD
-   writer. *)
+(* Tests for the supporting components: monitor utilities, the interface
+   contract, the transaction harness and the VCD writer. *)
 
 module Ir = Rtl.Ir
 module Sim = Rtl.Sim
 
 let bv w n = Bitvec.create ~width:w n
-
-(* ---- Fifo ---- *)
-
-(* A standalone FIFO circuit: push/pop requests as primary inputs. *)
-let fifo_circuit ?enable_input ?(depth = 4) ?(ungated_pop = false)
-    ?(advertise_extra = false) () =
-  let c = Ir.create "fifo_test" in
-  let push = Ir.input c "push" 1 in
-  let push_data = Ir.input c "push_data" 8 in
-  let pop = Ir.input c "pop" 1 in
-  let enable =
-    match enable_input with
-    | Some name -> Some (Ir.input c name 1)
-    | None -> None
-  in
-  let f =
-    Accel.Fifo.create c "f" ~depth ~width:8 ?enable ~ungated_pop
-      ~advertise_extra ~push ~push_data ~pop ()
-  in
-  (c, f)
-
-let drive sim steps =
-  List.map
-    (fun (push, data, pop) ->
-      Sim.set_input sim "push" (bv 1 (if push then 1 else 0));
-      Sim.set_input sim "push_data" (bv 8 data);
-      Sim.set_input sim "pop" (bv 1 (if pop then 1 else 0));
-      let snapshot = Sim.peek_int sim in
-      ignore snapshot;
-      Sim.step sim)
-    steps
-
-let test_fifo_order () =
-  let c, f = fifo_circuit () in
-  let sim = Sim.create c in
-  ignore (drive sim [ (true, 11, false); (true, 22, false); (true, 33, false) ]);
-  Alcotest.(check int) "count 3" 3 (Sim.peek_int sim f.Accel.Fifo.count);
-  Alcotest.(check int) "head is first" 11 (Sim.peek_int sim f.Accel.Fifo.head);
-  ignore (drive sim [ (false, 0, true) ]);
-  Alcotest.(check int) "after pop head is second" 22
-    (Sim.peek_int sim f.Accel.Fifo.head);
-  Alcotest.(check int) "count 2" 2 (Sim.peek_int sim f.Accel.Fifo.count)
-
-let test_fifo_full_empty () =
-  let c, f = fifo_circuit ~depth:2 () in
-  let sim = Sim.create c in
-  Alcotest.(check int) "empty: pop_valid low" 0
-    (Sim.peek_int sim f.Accel.Fifo.pop_valid);
-  Alcotest.(check int) "empty: push_ready high" 1
-    (Sim.peek_int sim f.Accel.Fifo.push_ready);
-  ignore (drive sim [ (true, 1, false); (true, 2, false) ]);
-  Alcotest.(check int) "full: push_ready low" 0
-    (Sim.peek_int sim f.Accel.Fifo.push_ready);
-  (* Push at full is dropped. *)
-  ignore (drive sim [ (true, 3, false) ]);
-  Alcotest.(check int) "still 2" 2 (Sim.peek_int sim f.Accel.Fifo.count);
-  ignore (drive sim [ (false, 0, true); (false, 0, true) ]);
-  Alcotest.(check int) "drained" 0 (Sim.peek_int sim f.Accel.Fifo.count)
-
-let test_fifo_simultaneous () =
-  let c, f = fifo_circuit () in
-  let sim = Sim.create c in
-  ignore (drive sim [ (true, 5, false) ]);
-  (* Push and pop in the same cycle keep the count stable. *)
-  ignore (drive sim [ (true, 6, true) ]);
-  Alcotest.(check int) "count stable" 1 (Sim.peek_int sim f.Accel.Fifo.count);
-  Alcotest.(check int) "head advanced" 6 (Sim.peek_int sim f.Accel.Fifo.head)
-
-let test_fifo_enable_gating () =
-  let c, f = fifo_circuit ~enable_input:"en" () in
-  let sim = Sim.create c in
-  Sim.set_input sim "en" (bv 1 0);
-  ignore (drive sim [ (true, 9, false) ]);
-  Alcotest.(check int) "gated push ignored" 0
-    (Sim.peek_int sim f.Accel.Fifo.count);
-  Sim.set_input sim "en" (bv 1 1);
-  ignore (drive sim [ (true, 9, false) ]);
-  Alcotest.(check int) "enabled push lands" 1
-    (Sim.peek_int sim f.Accel.Fifo.count)
-
-let test_fifo_bug_flags () =
-  (* advertise_extra: ready lies at full. *)
-  let c, f = fifo_circuit ~depth:2 ~advertise_extra:true () in
-  let sim = Sim.create c in
-  ignore (drive sim [ (true, 1, false); (true, 2, false) ]);
-  Alcotest.(check int) "lying ready" 1 (Sim.peek_int sim f.Accel.Fifo.push_ready);
-  ignore (drive sim [ (true, 3, false) ]);
-  Alcotest.(check int) "element dropped silently" 2
-    (Sim.peek_int sim f.Accel.Fifo.count);
-  (* ungated_pop: pop escapes the enable. *)
-  let c2, f2 = fifo_circuit ~enable_input:"en" ~ungated_pop:true () in
-  let sim2 = Sim.create c2 in
-  Sim.set_input sim2 "en" (bv 1 1);
-  ignore (drive sim2 [ (true, 7, false) ]);
-  Sim.set_input sim2 "en" (bv 1 0);
-  ignore (drive sim2 [ (false, 0, true) ]);
-  Alcotest.(check int) "pop fired despite gate" 0
-    (Sim.peek_int sim2 f2.Accel.Fifo.count)
-
-let test_fifo_bad_depth () =
-  let c = Ir.create "bad" in
-  let one = Ir.vdd c in
-  let d = Ir.constant c ~width:8 0 in
-  Alcotest.check_raises "non power of two"
-    (Invalid_argument "Fifo.create: depth must be a positive power of two")
-    (fun () ->
-      ignore
-        (Accel.Fifo.create c "f" ~depth:3 ~width:8 ~push:one ~push_data:d
-           ~pop:one ()))
 
 (* ---- Util ---- *)
 
@@ -273,12 +163,6 @@ let test_vcd_output () =
 let suite =
   ( "components",
     [
-      Alcotest.test_case "fifo preserves order" `Quick test_fifo_order;
-      Alcotest.test_case "fifo full/empty" `Quick test_fifo_full_empty;
-      Alcotest.test_case "fifo simultaneous push/pop" `Quick test_fifo_simultaneous;
-      Alcotest.test_case "fifo enable gating" `Quick test_fifo_enable_gating;
-      Alcotest.test_case "fifo bug flags" `Quick test_fifo_bug_flags;
-      Alcotest.test_case "fifo bad depth" `Quick test_fifo_bad_depth;
       Alcotest.test_case "util counters" `Quick test_util_counters;
       Alcotest.test_case "util latch_when" `Quick test_util_latch_when;
       Alcotest.test_case "iface width checks" `Quick test_iface_width_checks;

@@ -1,373 +1,5 @@
-(* Tests for the interchange/export features: AIGER read/write, the BMC
-   AIGER export, the Verilog netlist writer, and the post-silicon QED
-   checker. *)
-
-module Ir = Rtl.Ir
-module Aig = Logic.Aig
-module Aiger = Logic.Aiger
-
-let bv w n = Bitvec.create ~width:w n
-
-(* ---- AIGER ---- *)
-
-(* A small sequential AIG by hand: one input, one latch toggling when the
-   input is high, output = latch. *)
-let toggle_aiger () =
-  let g = Aig.create () in
-  let inp = Aig.input g "in" in
-  let latch = Aig.input g "latch" in
-  let next = Aig.xor_ g latch inp in
-  {
-    Aiger.aig = g;
-    inputs = [ inp ];
-    latches = [ (latch, next, false) ];
-    outputs = [ (Some "toggle", latch) ];
-    bad = [];
-  }
-
-let test_aiger_write_format () =
-  let text = Aiger.to_string (toggle_aiger ()) in
-  let first_line =
-    match String.split_on_char '\n' text with l :: _ -> l | [] -> ""
-  in
-  (* 1 input, 1 latch, 1 output; xor = 3 AND gates. *)
-  Alcotest.(check string) "header" "aag 5 1 1 1 3" first_line;
-  Alcotest.(check bool) "symbol table" true
-    (String.length text > 0
-    &&
-    let contains needle =
-      let n = String.length needle and h = String.length text in
-      let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
-      go 0
-    in
-    contains "o0 toggle")
-
-(* Semantic roundtrip: simulate both AIGs over random stimulus. *)
-let simulate_aiger (t : Aiger.t) stimulus =
-  let state = Hashtbl.create 4 in
-  List.iter
-    (fun (cur, _, init) -> Hashtbl.replace state (Aig.node_index cur) init)
-    t.Aiger.latches;
-  List.map
-    (fun input_bits ->
-      let env idx =
-        match Hashtbl.find_opt state idx with
-        | Some b -> b
-        | None ->
-          (* Input nodes, positionally. *)
-          let rec find k = function
-            | [] -> false
-            | l :: rest ->
-              if Aig.node_index l = idx then List.nth input_bits k
-              else find (k + 1) rest
-          in
-          find 0 t.Aiger.inputs
-      in
-      let outs =
-        List.map (fun (_, o) -> Aig.eval t.Aiger.aig env o) t.Aiger.outputs
-      in
-      let nexts =
-        List.map
-          (fun (cur, next, _) -> (Aig.node_index cur, Aig.eval t.Aiger.aig env next))
-          t.Aiger.latches
-      in
-      List.iter (fun (idx, v) -> Hashtbl.replace state idx v) nexts;
-      outs)
-    stimulus
-
-let test_aiger_roundtrip () =
-  let original = toggle_aiger () in
-  let reread = Aiger.parse_string (Aiger.to_string original) in
-  Alcotest.(check int) "inputs preserved" 1 (List.length reread.Aiger.inputs);
-  Alcotest.(check int) "latches preserved" 1 (List.length reread.Aiger.latches);
-  let stimulus = [ [ true ]; [ false ]; [ true ]; [ true ]; [ false ] ] in
-  Alcotest.(check (list (list bool))) "behaviour preserved"
-    (simulate_aiger original stimulus)
-    (simulate_aiger reread stimulus)
-
-let prop_aiger_roundtrip_random =
-  (* Random combinational AIGs over 3 inputs: write/read/compare truth. *)
-  QCheck.Test.make ~name:"aiger roundtrip preserves semantics" ~count:50
-    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let g = Aig.create () in
-      let inputs = List.init 3 (fun i -> Aig.input g (Printf.sprintf "x%d" i)) in
-      let pool = ref inputs in
-      for _ = 1 to 6 do
-        let pick () =
-          let l = List.nth !pool (Random.State.int st (List.length !pool)) in
-          if Random.State.bool st then Aig.not_ l else l
-        in
-        pool := Aig.and_ g (pick ()) (pick ()) :: !pool
-      done;
-      let out = List.nth !pool (Random.State.int st (List.length !pool)) in
-      let doc =
-        { Aiger.aig = g; inputs; latches = []; outputs = [ (None, out) ];
-          bad = [] }
-      in
-      let reread = Aiger.parse_string (Aiger.to_string doc) in
-      let truth (t : Aiger.t) bits =
-        let env idx =
-          let rec find k = function
-            | [] -> false
-            | l :: rest ->
-              if Aig.node_index l = idx then List.nth bits k
-              else find (k + 1) rest
-          in
-          find 0 t.Aiger.inputs
-        in
-        match t.Aiger.outputs with
-        | [ (_, o) ] -> Aig.eval t.Aiger.aig env o
-        | _ -> false
-      in
-      List.for_all
-        (fun bits -> truth doc bits = truth reread bits)
-        [ [ false; false; false ]; [ true; false; false ];
-          [ false; true; false ]; [ false; false; true ];
-          [ true; true; false ]; [ true; false; true ];
-          [ false; true; true ]; [ true; true; true ] ])
-
-let test_aiger_parse_errors () =
-  let expect_fail text =
-    match Aiger.parse_string text with
-    | _ -> Alcotest.fail "expected parse failure"
-    | exception Failure _ -> ()
-  in
-  expect_fail "not an aiger file";
-  expect_fail "aag 1 1\n";
-  expect_fail "aig 1 1 0 0 0\n";
-  expect_fail "aag 1 1 0 1 0\n2\n5\n"  (* output references undefined var 2 *)
-
-let test_bmc_export () =
-  let c = Ir.create "exp" in
-  let en = Ir.input c "en" 1 in
-  let cnt =
-    Ir.reg_fb c "cnt" ~init:(bv 3 0) (fun r ->
-        Ir.mux en (Ir.add r (Ir.constant c ~width:3 1)) r)
-  in
-  let prop = Ir.ne cnt (Ir.constant c ~width:3 5) in
-  let path = Filename.temp_file "aqed_export" ".aag" in
-  let oc = open_out path in
-  Bmc.Engine.export_aiger c ~prop oc;
-  close_out oc;
-  let ic = open_in path in
-  let doc = Aiger.read_channel ic in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check int) "one input bit" 1 (List.length doc.Aiger.inputs);
-  Alcotest.(check int) "three latch bits" 3 (List.length doc.Aiger.latches);
-  Alcotest.(check int) "one bad" 1 (List.length doc.Aiger.bad);
-  (* Drive the re-read AIGER to the bad state: en=1 for 5 steps. *)
-  let state = Hashtbl.create 4 in
-  List.iter
-    (fun (cur, _, init) -> Hashtbl.replace state (Aig.node_index cur) init)
-    doc.Aiger.latches;
-  let bad_seen = ref false in
-  for _ = 1 to 6 do
-    let env idx =
-      match Hashtbl.find_opt state idx with
-      | Some b -> b
-      | None -> true (* the single input: en = 1 *)
-    in
-    (match doc.Aiger.bad with
-     | [ b ] -> if Aig.eval doc.Aiger.aig env b then bad_seen := true
-     | _ -> ());
-    let nexts =
-      List.map
-        (fun (cur, next, _) ->
-          (Aig.node_index cur, Aig.eval doc.Aiger.aig env next))
-        doc.Aiger.latches
-    in
-    List.iter (fun (idx, v) -> Hashtbl.replace state idx v) nexts
-  done;
-  Alcotest.(check bool) "bad state reachable at count=5" true !bad_seen
-
-(* ---- Verilog ---- *)
-
-let test_verilog_writer () =
-  let c = Ir.create "vtest" in
-  let a = Ir.input c "a" 4 in
-  let b = Ir.input c "b" 4 in
-  let r = Ir.reg c "acc" ~init:(bv 4 3) in
-  Ir.connect c r (Ir.add r (Ir.mux (Ir.ult a b) a b));
-  Ir.output c "sum" (Ir.logxor r (Ir.concat (Ir.select a ~hi:1 ~lo:0) (Ir.select b ~hi:1 ~lo:0)));
-  let text = Rtl.Verilog.to_string c in
-  let contains needle =
-    let n = String.length needle and h = String.length text in
-    let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "module header" true (contains "module vtest(");
-  Alcotest.(check bool) "clk port" true (contains "input clk;");
-  Alcotest.(check bool) "input decl" true (contains "input [3:0] a;");
-  Alcotest.(check bool) "reg with init" true (contains "reg [3:0] acc = 4'h3;");
-  Alcotest.(check bool) "always block" true (contains "always @(posedge clk)");
-  Alcotest.(check bool) "nonblocking assign" true (contains "acc <= ");
-  Alcotest.(check bool) "mux" true (contains " ? ");
-  Alcotest.(check bool) "concat" true (contains "{");
-  Alcotest.(check bool) "output" true (contains "assign out_sum = ");
-  Alcotest.(check bool) "endmodule" true (contains "endmodule")
-
-let test_verilog_validates () =
-  let c = Ir.create "unconnected" in
-  let _r = Ir.reg0 c "r" 2 in
-  Alcotest.(check bool) "unconnected register rejected" true
-    (match Rtl.Verilog.to_string c with
-     | _ -> false
-     | exception Failure _ -> true)
-
-let test_verilog_name_collision () =
-  let c = Ir.create "clash" in
-  let a = Ir.input c "x" 2 in
-  let r = Ir.reg0 c "x" 2 in
-  Ir.connect c r a;
-  Ir.output c "o" r;
-  let text = Rtl.Verilog.to_string c in
-  let contains needle =
-    let n = String.length needle and h = String.length text in
-    let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  (* Both names survive, one uniquified. *)
-  Alcotest.(check bool) "uniquified name present" true (contains "x_1")
-
-(* ---- Verilog roundtrip ---- *)
-
-(* Write a circuit to Verilog, parse it back, and compare simulations. *)
-let roundtrip_circuit build stimulus out_name =
-  let c1 = build () in
-  let text = Rtl.Verilog.to_string c1 in
-  let c2 = Rtl.Verilog_reader.parse_string text in
-  let run c =
-    let sim = Rtl.Sim.create c in
-    let out = Ir.find_output c out_name in
-    List.map
-      (fun frame ->
-        List.iter (fun (n, v) -> Rtl.Sim.set_input sim n v) frame;
-        let v = Rtl.Sim.peek sim out in
-        Rtl.Sim.step sim;
-        Bitvec.to_int v)
-      stimulus
-  in
-  (run c1, run c2)
-
-let test_verilog_roundtrip_comb () =
-  let build () =
-    let c = Ir.create "comb_rt" in
-    let a = Ir.input c "a" 4 and b = Ir.input c "b" 4 in
-    let r =
-      Ir.mux (Ir.ult a b)
-        (Ir.add (Ir.mul a b) (Ir.constant c ~width:4 3))
-        (Ir.logxor (Ir.sll a 1) (Ir.srl b 2))
-    in
-    Ir.output c "f" (Ir.concat (Ir.reduce_or r) (Ir.sub r a));
-    c
-  in
-  let st = Random.State.make [| 7 |] in
-  let stimulus =
-    List.init 12 (fun _ ->
-        [ ("a", bv 4 (Random.State.int st 16));
-          ("b", bv 4 (Random.State.int st 16)) ])
-  in
-  let o1, o2 = roundtrip_circuit build stimulus "f" in
-  Alcotest.(check (list int)) "combinational roundtrip" o1 o2
-
-let test_verilog_roundtrip_seq () =
-  let build () =
-    let c = Ir.create "seq_rt" in
-    let en = Ir.input c "en" 1 in
-    let d = Ir.input c "d" 6 in
-    let acc =
-      Ir.reg_fb c "acc" ~init:(bv 6 9) (fun r ->
-          Ir.mux en (Ir.add r d) r)
-    in
-    let sr = Ir.reg0 c "sr" 6 in
-    Ir.connect c sr acc;
-    Ir.output c "acc_out" acc;
-    Ir.output c "delayed" (Ir.logand sr (Ir.lognot d));
-    c
-  in
-  let st = Random.State.make [| 8 |] in
-  let stimulus =
-    List.init 14 (fun _ ->
-        [ ("en", bv 1 (Random.State.int st 2));
-          ("d", bv 6 (Random.State.int st 64)) ])
-  in
-  let o1, o2 = roundtrip_circuit build stimulus "acc_out" in
-  Alcotest.(check (list int)) "sequential roundtrip (acc)" o1 o2;
-  let o1', o2' = roundtrip_circuit build stimulus "delayed" in
-  Alcotest.(check (list int)) "sequential roundtrip (delayed)" o1' o2'
-
-let test_verilog_roundtrip_signed () =
-  let build () =
-    let c = Ir.create "signed_rt" in
-    let a = Ir.input c "a" 5 and b = Ir.input c "b" 5 in
-    Ir.output c "cmp" (Ir.concat (Ir.slt a b) (Ir.sle a b));
-    Ir.output c "shift" (Ir.sra a 2);
-    c
-  in
-  let st = Random.State.make [| 9 |] in
-  let stimulus =
-    List.init 12 (fun _ ->
-        [ ("a", bv 5 (Random.State.int st 32));
-          ("b", bv 5 (Random.State.int st 32)) ])
-  in
-  let o1, o2 = roundtrip_circuit build stimulus "cmp" in
-  Alcotest.(check (list int)) "signed compares roundtrip" o1 o2;
-  let o1', o2' = roundtrip_circuit build stimulus "shift" in
-  Alcotest.(check (list int)) "arithmetic shift roundtrip" o1' o2'
-
-let test_verilog_reader_errors () =
-  let expect_fail text =
-    match Rtl.Verilog_reader.parse_string text with
-    | _ -> Alcotest.fail "expected Parse_error"
-    | exception Rtl.Verilog_reader.Parse_error _ -> ()
-  in
-  expect_fail "not verilog";
-  expect_fail
-    "module m(o); output o; wire x; assign o = x; assign x = y; endmodule";
-  expect_fail
-    "module m(o); output o; wire w; assign o = w; assign w = w; endmodule"
-
-(* A design roundtrip that then goes through A-QED: export the echo design,
-   re-import, and check FC on the re-imported circuit. *)
-let test_verilog_reimport_aqed () =
-  let build () =
-    let c = Ir.create "echo_rt" in
-    let in_valid = Ir.input c "in_valid" 1 in
-    let in_data = Ir.input c "in_data" 4 in
-    let out_ready = Ir.input c "out_ready" 1 in
-    let have = Ir.reg0 c "have" 1 in
-    let value = Ir.reg0 c "value" 4 in
-    let in_ready = Ir.lognot have in
-    let in_fire = Ir.logand in_valid in_ready in
-    let out_fire = Ir.logand have out_ready in
-    Ir.connect c value (Ir.mux in_fire (Ir.add in_data (Ir.constant c ~width:4 1)) value);
-    Ir.connect c have (Ir.mux in_fire (Ir.vdd c) (Ir.mux out_fire (Ir.gnd c) have));
-    Ir.output c "in_ready" in_ready;
-    Ir.output c "out_valid" have;
-    Ir.output c "out_data" value;
-    c
-  in
-  let text = Rtl.Verilog.to_string (build ()) in
-  let rebuild () =
-    let c = Rtl.Verilog_reader.parse_string text in
-    let input name =
-      match List.find_opt (fun s -> Ir.signal_name s = Some name) (Ir.inputs c) with
-      | Some s -> s
-      | None -> Alcotest.fail ("missing input " ^ name)
-    in
-    Aqed.Iface.make c
-      ~in_valid:(input "in_valid") ~in_data:(input "in_data")
-      ~in_ready:(Ir.find_output c "in_ready")
-      ~out_valid:(Ir.find_output c "out_valid")
-      ~out_data:(Ir.find_output c "out_data")
-      ~out_ready:(input "out_ready") ()
-  in
-  let r = Aqed.Check.functional_consistency ~max_depth:8 rebuild in
-  Alcotest.(check bool) "re-imported echo is FC-clean" false
-    (Aqed.Check.found_bug r)
+(* Tests for the post-silicon QED checker: duplicate transactions replayed
+   online against a simulated design. *)
 
 (* ---- post-silicon QED ---- *)
 
@@ -412,20 +44,7 @@ let test_post_silicon_deterministic () =
 let suite =
   ( "io",
     [
-      Alcotest.test_case "aiger write format" `Quick test_aiger_write_format;
-      Alcotest.test_case "aiger roundtrip" `Quick test_aiger_roundtrip;
-      Alcotest.test_case "aiger parse errors" `Quick test_aiger_parse_errors;
-      Alcotest.test_case "bmc aiger export" `Quick test_bmc_export;
-      Alcotest.test_case "verilog writer" `Quick test_verilog_writer;
-      Alcotest.test_case "verilog validates" `Quick test_verilog_validates;
-      Alcotest.test_case "verilog name collision" `Quick test_verilog_name_collision;
-      Alcotest.test_case "verilog roundtrip comb" `Quick test_verilog_roundtrip_comb;
-      Alcotest.test_case "verilog roundtrip seq" `Quick test_verilog_roundtrip_seq;
-      Alcotest.test_case "verilog roundtrip signed" `Quick test_verilog_roundtrip_signed;
-      Alcotest.test_case "verilog reader errors" `Quick test_verilog_reader_errors;
-      Alcotest.test_case "verilog reimport through A-QED" `Quick test_verilog_reimport_aqed;
       Alcotest.test_case "post-silicon clean" `Quick test_post_silicon_clean;
       Alcotest.test_case "post-silicon catches bug" `Quick test_post_silicon_catches_stale_operand;
       Alcotest.test_case "post-silicon deterministic" `Quick test_post_silicon_deterministic;
-      QCheck_alcotest.to_alcotest prop_aiger_roundtrip_random;
     ] )

@@ -1,5 +1,4 @@
-(* Tests for the RTL IR, the cycle-accurate simulator, memories and the
-   bit-blaster — including a randomized end-to-end equivalence check between
+(* Tests for the RTL IR, the cycle-accurate simulator and the bit-blaster — including a randomized end-to-end equivalence check between
    the simulator and the AIG produced by blasting. *)
 
 module Ir = Rtl.Ir
@@ -126,28 +125,6 @@ let test_sim_assumes () =
   Alcotest.(check bool) "assume fails on 0" false (Sim.assumes_hold sim);
   Sim.set_input sim "a" (bv 1 1);
   Alcotest.(check bool) "assume holds on 1" true (Sim.assumes_hold sim)
-
-let test_mem () =
-  let c = Ir.create "mem" in
-  let we = Ir.input c "we" 1 in
-  let waddr = Ir.input c "waddr" 2 in
-  let wdata = Ir.input c "wdata" 8 in
-  let raddr = Ir.input c "raddr" 2 in
-  let m = Rtl.Mem.create c "m" ~size:4 ~width:8 in
-  Rtl.Mem.write_port m ~enable:we ~addr:waddr ~data:wdata;
-  let rdata = Rtl.Mem.read m raddr in
-  let sim = Sim.create c in
-  Sim.set_input sim "we" (bv 1 1);
-  Sim.set_input sim "waddr" (bv 2 2);
-  Sim.set_input sim "wdata" (bv 8 0xAB);
-  Sim.step sim;
-  Sim.set_input sim "we" (bv 1 0);
-  Sim.set_input sim "raddr" (bv 2 2);
-  Alcotest.(check int) "read back" 0xAB (Sim.peek_int sim rdata);
-  Sim.set_input sim "raddr" (bv 2 0);
-  Alcotest.(check int) "other word zero" 0 (Sim.peek_int sim rdata);
-  Alcotest.(check int) "word accessor" 0xAB
-    (Sim.peek_int sim (Rtl.Mem.word m 2))
 
 (* ---- blast vs simulator equivalence on random circuits ---- *)
 
@@ -288,6 +265,5 @@ let suite =
       Alcotest.test_case "sim two-phase update" `Quick test_sim_two_phase;
       Alcotest.test_case "sim undriven inputs" `Quick test_sim_undriven_inputs;
       Alcotest.test_case "sim assumes" `Quick test_sim_assumes;
-      Alcotest.test_case "memory" `Quick test_mem;
       QCheck_alcotest.to_alcotest prop_blast_matches_sim;
     ] )

@@ -434,34 +434,6 @@ let test_rup_normalize () =
     (Sat.Rup.check_step ck [ 2 ]);
   Alcotest.(check bool) "not contradictory" false (Sat.Rup.contradictory ck)
 
-(* ---- preprocessing ---- *)
-
-let test_simplify_subsumption () =
-  (* [1] subsumes [1;2]; self-subsumption strengthens [-1;2] to [2]. *)
-  let cnf = { Sat.Dimacs.nvars = 2; clauses = [ [ 1 ]; [ 1; 2 ]; [ -1; 2 ] ] } in
-  let t = Sat.Simplify.simplify cnf in
-  let out = Sat.Simplify.result t in
-  Alcotest.(check bool) "fewer or equal clauses" true
-    (List.length out.Sat.Dimacs.clauses <= 3);
-  let r, model = Sat.Simplify.solve t in
-  Alcotest.(check bool) "sat" true (r = S.Sat);
-  Alcotest.(check bool) "model satisfies original" true
-    (List.for_all
-       (List.exists (fun l -> if l > 0 then model.(l) else not model.(abs l)))
-       cnf.Sat.Dimacs.clauses)
-
-let test_simplify_eliminates () =
-  (* x2 occurs twice and resolves away: (1 v 2) (3 v -2) -> (1 v 3). *)
-  let cnf = { Sat.Dimacs.nvars = 3; clauses = [ [ 1; 2 ]; [ 3; -2 ] ] } in
-  let t = Sat.Simplify.simplify cnf in
-  Alcotest.(check bool) "eliminated something" true (Sat.Simplify.eliminated t >= 1);
-  let r, model = Sat.Simplify.solve t in
-  Alcotest.(check bool) "sat" true (r = S.Sat);
-  Alcotest.(check bool) "extended model satisfies original" true
-    (List.for_all
-       (List.exists (fun l -> if l > 0 then model.(l) else not model.(abs l)))
-       cnf.Sat.Dimacs.clauses)
-
 let test_solve_limited () =
   (* A definite answer within the budget is returned; a hard instance under
      a one-conflict budget gives up with [None]. *)
@@ -527,21 +499,6 @@ let prop_subsume_equivalent =
         end
       in
       go 1 (Array.make (nvars + 1) false))
-
-let prop_simplify_preserves_sat =
-  QCheck.Test.make ~name:"preprocessing is equisatisfiable + model extends"
-    ~count:250 arb_cnf (fun (nvars, clauses) ->
-      let cnf = { Sat.Dimacs.nvars = nvars; clauses } in
-      let expected = brute nvars clauses in
-      let t = Sat.Simplify.simplify cnf in
-      let r, model = Sat.Simplify.solve t in
-      let sat = r = S.Sat in
-      sat = expected
-      && ((not sat)
-          || List.for_all
-               (List.exists (fun l ->
-                    if l > 0 then model.(l) else not model.(abs l)))
-               clauses))
 
 (* ---- DIMACS ---- *)
 
@@ -637,12 +594,9 @@ let suite =
         test_chain_counters;
       Alcotest.test_case "RUP clause normalization" `Quick test_rup_normalize;
       QCheck_alcotest.to_alcotest prop_proofs_check;
-      Alcotest.test_case "simplify subsumption" `Quick test_simplify_subsumption;
-      Alcotest.test_case "simplify variable elimination" `Quick test_simplify_eliminates;
       Alcotest.test_case "solve_limited conflict budget" `Quick test_solve_limited;
       Alcotest.test_case "subsume cleanup" `Quick test_subsume_cleanup;
       QCheck_alcotest.to_alcotest prop_subsume_equivalent;
-      QCheck_alcotest.to_alcotest prop_simplify_preserves_sat;
       Alcotest.test_case "dimacs parse" `Quick test_dimacs_parse;
       Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
       Alcotest.test_case "dimacs solve" `Quick test_dimacs_solve;
