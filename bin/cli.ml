@@ -941,7 +941,7 @@ let certify_arg =
 
 let wrap f =
   try f () with
-  | Failure msg -> prerr_endline ("error: " ^ msg); 2
+  | Failure msg | Sys_error msg -> prerr_endline ("error: " ^ msg); 2
   | Bmc.Engine.Certification_failed msg ->
     prerr_endline ("certification FAILED: " ^ msg);
     2

@@ -1,19 +1,22 @@
 (* CDCL solver. Literals use the DIMACS convention (+v / -v) throughout;
-   [lit_index] maps a literal to a dense array index for the watch lists. *)
+   [lit_index] maps a literal to a dense array index for the watch lists.
 
-type clause = {
-  mutable lits : int array;
-  (* lits.(0) and lits.(1) are the watched literals. *)
-  mutable cla_act : float;
-  mutable lbd : int;
-  (* Literal block distance at learning time, at least 1; 0 for problem
-     clauses, which is how [is_learnt] tells the two apart. *)
-  mutable deleted : bool;
-  mutable cid : int;
-  (* Proof id of the clause as the sink knows it; 0 when recording is off. *)
-}
+   Clauses live in one flat int arena (MiniSat's clause allocator — Eén &
+   Sörensson, SAT 2003). A clause reference [cr] is the offset of its
+   header in [arena]; the clause occupies [hdr + len] consecutive words:
 
-let is_learnt c = c.lbd > 0
+     cr + 0        (len lsl 1) lor deleted-bit
+     cr + 1        LBD at learning time, at least 1; 0 for problem clauses,
+                   which is how [is_learnt] tells the two apart
+     cr + 2        slot: the clause's index in [clauses] or [learnts]
+                   (which one is [is_learnt]); also its activity slot
+     cr + 3        proof id as the sink knows it; 0 when recording is off
+     cr + hdr ..   the literals; the first two are the watched ones
+
+   A reason clause's implied literal always sits at position 0: it is true
+   while its variable is assigned, so propagation never swaps it out. *)
+
+let hdr = 4
 
 type proof_sink = {
   on_clause : int -> int list -> unit;
@@ -41,18 +44,22 @@ type stats = {
   vivified : int;
 }
 
-(* Growable array of clauses (watch lists and the clause database). *)
+(* Growable int array: watch lists, clause lists, trail limits, proof
+   chains. Specialised to [int] so every access is a flat array access. *)
 module Vec = struct
-  type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
+  type t = { mutable data : int array; mutable size : int }
 
-  let create dummy = { data = Array.make 16 dummy; size = 0; dummy }
+  let create () = { data = Array.make 16 0; size = 0 }
 
-  let push v x =
-    if v.size = Array.length v.data then begin
-      let data = Array.make (2 * v.size) v.dummy in
+  let reserve v n =
+    if v.size + n > Array.length v.data then begin
+      let data = Array.make (max (v.size + n) (2 * Array.length v.data)) 0 in
       Array.blit v.data 0 data 0 v.size;
       v.data <- data
-    end;
+    end
+
+  let push v x =
+    reserve v 1;
     v.data.(v.size) <- x;
     v.size <- v.size + 1
 
@@ -62,9 +69,6 @@ module Vec = struct
   let shrink v n = v.size <- n
   let clear v = v.size <- 0
 end
-
-let dummy_clause =
-  { lits = [||]; cla_act = 0.; lbd = 0; deleted = false; cid = 0 }
 
 let null_sink = { on_clause = (fun _ _ -> ()); on_step = (fun _ _ _ -> ()) }
 
@@ -87,25 +91,30 @@ type t = {
   (* Per-variable state, indexed by variable (1-based). *)
   mutable assign : int array;        (* 0 unassigned / 1 true / -1 false *)
   mutable level : int array;
-  mutable reason : clause array;     (* dummy_clause when decision/unset *)
+  mutable reason : int array;        (* clause ref; -1 when decision/unset *)
   mutable activity : float array;
   mutable phase : bool array;        (* saved phase *)
   mutable seen : bool array;
   mutable heap_pos : int array;      (* -1 when not in heap *)
-  (* Per-literal watch lists, indexed by lit_index. Each entry pairs the
-     clause with a "blocker" literal (some other literal of the clause):
-     when the blocker is already true the clause is satisfied and need not
+  (* Per-literal watch lists, indexed by lit_index. Each holds interleaved
+     (clause ref, blocker) pairs; the blocker is some other literal of the
+     clause: when it is already true the clause is satisfied and need not
      be dereferenced at all. *)
-  mutable watches : clause Vec.t array;
-  mutable blockers : int Vec.t array;
+  mutable watches : Vec.t array;
   (* Trail *)
   mutable trail : int array;
   mutable trail_size : int;
   mutable qhead : int;
-  trail_lim : int Vec.t;             (* trail size at each decision level *)
-  (* Clause database *)
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
+  trail_lim : Vec.t;                 (* trail size at each decision level *)
+  (* Clause database: the arena (see the layout at the top of this file),
+     its used prefix, and the refs of the live problem and learned clauses
+     in the order they are attached. [cla_act.(i)] is the activity of
+     [learnts.(i)]. *)
+  mutable arena : int array;
+  mutable arena_size : int;
+  clauses : Vec.t;
+  learnts : Vec.t;
+  mutable cla_act : float array;
   (* Branching heap (max-heap on activity), holds variables. *)
   mutable heap : int array;
   mutable heap_size : int;
@@ -148,8 +157,8 @@ type t = {
   mutable proof_enabled : bool;
   mutable sink : proof_sink;
   mutable next_cid : int;
-  chain : int Vec.t;
-  resolved : int Vec.t;
+  chain : Vec.t;
+  resolved : Vec.t;
   (* Statistics *)
   mutable n_decisions : int;
   mutable n_propagations : int;
@@ -198,19 +207,21 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     nvars = 0;
     assign = Array.make 16 0;
     level = Array.make 16 0;
-    reason = Array.make 16 dummy_clause;
+    reason = Array.make 16 (-1);
     activity = Array.make 16 0.;
     phase = Array.make 16 phase_init;
     seen = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
-    watches = Array.init 32 (fun _ -> Vec.create dummy_clause);
-    blockers = Array.init 32 (fun _ -> Vec.create 0);
+    watches = Array.init 32 (fun _ -> Vec.create ());
     trail = Array.make 16 0;
     trail_size = 0;
     qhead = 0;
-    trail_lim = Vec.create 0;
-    clauses = Vec.create dummy_clause;
-    learnts = Vec.create dummy_clause;
+    trail_lim = Vec.create ();
+    arena = Array.make 1024 0;
+    arena_size = 0;
+    clauses = Vec.create ();
+    learnts = Vec.create ();
+    cla_act = Array.make 16 0.;
     heap = Array.make 16 0;
     heap_size = 0;
     var_inc = 1.0;
@@ -234,8 +245,8 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     proof_enabled = false;
     sink = null_sink;
     next_cid = 0;
-    chain = Vec.create 0;
-    resolved = Vec.create 0;
+    chain = Vec.create ();
+    resolved = Vec.create ();
     n_decisions = 0;
     n_propagations = 0;
     n_conflicts = 0;
@@ -368,7 +379,7 @@ let grow_var_arrays s needed =
     in
     s.assign <- grow s.assign 0;
     s.level <- grow s.level 0;
-    s.reason <- grow s.reason dummy_clause;
+    s.reason <- grow s.reason (-1);
     s.activity <- grow s.activity 0.;
     s.phase <- grow s.phase s.phase_init;
     s.seen <- grow s.seen false;
@@ -378,12 +389,9 @@ let grow_var_arrays s needed =
     let wcur = Array.length s.watches in
     if 2 * n + 2 >= wcur then begin
       let sz = max (2 * n + 2) (2 * wcur) in
-      let w = Array.init sz (fun _ -> Vec.create dummy_clause) in
-      Array.blit s.watches 0 w 0 wcur;
-      s.watches <- w;
-      let b = Array.init sz (fun _ -> Vec.create 0) in
-      Array.blit s.blockers 0 b 0 wcur;
-      s.blockers <- b
+      s.watches <-
+        Array.init sz (fun i ->
+            if i < wcur then s.watches.(i) else Vec.create ())
     end
   end
 
@@ -419,86 +427,141 @@ let enqueue s lit reason =
   s.trail.(s.trail_size) <- lit;
   s.trail_size <- s.trail_size + 1
 
+(* ---- clause arena ---- *)
+
+let clause_len s cr = s.arena.(cr) lsr 1
+let is_deleted s cr = s.arena.(cr) land 1 = 1
+let set_deleted s cr = s.arena.(cr) <- s.arena.(cr) lor 1
+let undelete s cr = s.arena.(cr) <- s.arena.(cr) land lnot 1
+let clause_lbd s cr = s.arena.(cr + 1)
+let is_learnt s cr = s.arena.(cr + 1) > 0
+let clause_slot s cr = s.arena.(cr + 2)
+let clause_cid s cr = s.arena.(cr + 3)
+let clause_lit s cr k = s.arena.(cr + hdr + k)
+let clause_lits s cr = Array.sub s.arena (cr + hdr) (clause_len s cr)
+
+let clause_exists s cr f =
+  let rec go k = k < clause_len s cr && (f (clause_lit s cr k) || go (k + 1)) in
+  go 0
+
+(* Appends a clause to the arena and returns its ref. The caller files the
+   ref in [clauses] or [learnts] at index [slot]. *)
+let alloc_clause s ~lbd ~slot ~cid lits =
+  let len = Array.length lits in
+  let cr = s.arena_size in
+  let need = cr + hdr + len in
+  if need > Array.length s.arena then begin
+    let a = Array.make (max need (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 a 0 cr;
+    s.arena <- a
+  end;
+  let a = s.arena in
+  a.(cr) <- len lsl 1;
+  a.(cr + 1) <- lbd;
+  a.(cr + 2) <- slot;
+  a.(cr + 3) <- cid;
+  Array.blit lits 0 a (cr + hdr) len;
+  s.arena_size <- need;
+  cr
+
+(* Files a new learned clause at the end of [learnts] with activity [act]. *)
+let push_learnt s ~lbd ~cid ~act lits =
+  let slot = Vec.size s.learnts in
+  let cr = alloc_clause s ~lbd ~slot ~cid lits in
+  Vec.push s.learnts cr;
+  if slot = Array.length s.cla_act then begin
+    let a = Array.make (2 * slot) 0. in
+    Array.blit s.cla_act 0 a 0 slot;
+    s.cla_act <- a
+  end;
+  s.cla_act.(slot) <- act;
+  cr
+
+let push_problem s ~cid lits =
+  let cr = alloc_clause s ~lbd:0 ~slot:(Vec.size s.clauses) ~cid lits in
+  Vec.push s.clauses cr;
+  cr
+
+let push_watch ws cr blocker =
+  Vec.reserve ws 2;
+  ws.Vec.data.(ws.Vec.size) <- cr;
+  ws.Vec.data.(ws.Vec.size + 1) <- blocker;
+  ws.Vec.size <- ws.Vec.size + 2
+
 (* ---- propagation ---- *)
 
-(* Propagates all enqueued literals. Returns the conflicting clause, or
-   [dummy_clause] if no conflict. Standard two-watched-literal scheme: a
-   clause is registered in the watch lists of the negations of lits 0 and 1;
-   when a watched literal becomes false we search a replacement. *)
+(* Propagates all enqueued literals. Returns the conflicting clause, or -1
+   if no conflict. Standard two-watched-literal scheme: a clause is
+   registered in the watch lists of the negations of lits 0 and 1; when a
+   watched literal becomes false we search a replacement. *)
 let propagate s =
-  let conflict = ref dummy_clause in
-  while !conflict == dummy_clause && s.qhead < s.trail_size do
+  let conflict = ref (-1) in
+  let a = s.arena in
+  while !conflict < 0 && s.qhead < s.trail_size do
     let lit = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.n_propagations <- s.n_propagations + 1;
     let false_lit = -lit in
-    let idx = lit_index false_lit in
-    let ws = s.watches.(idx) in
-    let bs = s.blockers.(idx) in
-    let n = Vec.size ws in
+    (* The scanned list never gains entries during its own scan: a new
+       watch goes to a non-false literal, never to [false_lit]. *)
+    let ws = s.watches.(lit_index false_lit) in
+    let d = ws.Vec.data in
+    let n = ws.Vec.size in
     let keep = ref 0 in
     let i = ref 0 in
     while !i < n do
-      let blocker = Vec.get bs !i in
+      let cr = d.(!i) and blocker = d.(!i + 1) in
+      i := !i + 2;
       if lit_sat s blocker then begin
         (* Satisfied via the blocker: keep without touching the clause. *)
-        Vec.set ws !keep (Vec.get ws !i);
-        Vec.set bs !keep blocker;
-        incr keep; incr i
+        d.(!keep) <- cr;
+        d.(!keep + 1) <- blocker;
+        keep := !keep + 2
       end
+      else if a.(cr) land 1 = 1 then ()  (* deleted: drop lazily *)
       else begin
-        let c = Vec.get ws !i in
-        incr i;
-        if c.deleted then ()  (* drop lazily *)
+        (* Ensure the false literal is at position 1. *)
+        let l0 = cr + hdr in
+        if a.(l0) = false_lit then begin
+          a.(l0) <- a.(l0 + 1);
+          a.(l0 + 1) <- false_lit
+        end;
+        let first = a.(l0) in
+        (* Every outcome but a moved watch keeps the entry, with [first] as
+           its fresher blocker; a moved watch leaves the slot to be reused. *)
+        d.(!keep) <- cr;
+        d.(!keep + 1) <- first;
+        if lit_sat s first then keep := !keep + 2  (* clause satisfied *)
         else begin
-          (* Ensure the false literal is at position 1. *)
-          if c.lits.(0) = false_lit then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- false_lit
-          end;
-          let first = c.lits.(0) in
-          if lit_sat s first then begin
-            (* Clause satisfied; keep the watch with a fresher blocker. *)
-            Vec.set ws !keep c; Vec.set bs !keep first; incr keep
+          (* Look for a new literal to watch. *)
+          let stop = l0 + (a.(cr) lsr 1) in
+          let k = ref (l0 + 2) in
+          while !k < stop && lit_false s a.(!k) do incr k done;
+          if !k < stop then begin
+            a.(l0 + 1) <- a.(!k);
+            a.(!k) <- false_lit;
+            push_watch s.watches.(lit_index a.(l0 + 1)) cr first
           end
           else begin
-            (* Look for a new literal to watch. *)
-            let len = Array.length c.lits in
-            let rec find k =
-              if k >= len then -1
-              else if not (lit_false s c.lits.(k)) then k
-              else find (k + 1)
-            in
-            let k = find 2 in
-            if k >= 0 then begin
-              c.lits.(1) <- c.lits.(k);
-              c.lits.(k) <- false_lit;
-              let j = lit_index c.lits.(1) in
-              Vec.push s.watches.(j) c;
-              Vec.push s.blockers.(j) first
-            end
-            else if s.assign.(var_of first) = 0 then begin
+            keep := !keep + 2;
+            if s.assign.(var_of first) = 0 then
               (* Unit: propagate first. *)
-              Vec.set ws !keep c; Vec.set bs !keep first; incr keep;
-              enqueue s first c
-            end
+              enqueue s first cr
             else begin
-              (* Conflict: first is false too. *)
-              Vec.set ws !keep c; Vec.set bs !keep first; incr keep;
-              (* Keep remaining watches as-is. *)
+              (* Conflict: first is false too. Keep remaining watches. *)
               while !i < n do
-                Vec.set ws !keep (Vec.get ws !i);
-                Vec.set bs !keep (Vec.get bs !i);
-                incr keep; incr i
+                d.(!keep) <- d.(!i);
+                d.(!keep + 1) <- d.(!i + 1);
+                keep := !keep + 2;
+                i := !i + 2
               done;
-              conflict := c
+              conflict := cr
             end
           end
         end
       end
     done;
-    Vec.shrink ws !keep;
-    Vec.shrink bs !keep
+    Vec.shrink ws !keep
   done;
   !conflict
 
@@ -516,12 +579,12 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
-let clause_bump s c =
-  c.cla_act <- c.cla_act +. s.cla_inc;
-  if c.cla_act > 1e20 then begin
-    for i = 0 to Vec.size s.learnts - 1 do
-      let d = Vec.get s.learnts i in
-      d.cla_act <- d.cla_act *. 1e-20
+let clause_bump s cr =
+  let i = clause_slot s cr in
+  s.cla_act.(i) <- s.cla_act.(i) +. s.cla_inc;
+  if s.cla_act.(i) > 1e20 then begin
+    for j = 0 to Vec.size s.learnts - 1 do
+      s.cla_act.(j) <- s.cla_act.(j) *. 1e-20
     done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
@@ -536,7 +599,7 @@ let cancel_until s lvl =
     for i = s.trail_size - 1 downto bound do
       let v = var_of s.trail.(i) in
       s.assign.(v) <- 0;
-      s.reason.(v) <- dummy_clause;
+      s.reason.(v) <- -1;
       heap_insert s v
     done;
     s.trail_size <- bound;
@@ -584,12 +647,12 @@ let lit_redundant s acc abstract_levels q0 =
        let q = List.hd !stack in
        stack := List.tl !stack;
        let r = s.reason.(var_of q) in
-       if s.proof_enabled then Vec.push s.chain r.cid;
-       for k = 1 to Array.length r.lits - 1 do
-         let p = r.lits.(k) in
+       if s.proof_enabled then Vec.push s.chain (clause_cid s r);
+       for k = 1 to clause_len s r - 1 do
+         let p = clause_lit s r k in
          let v = var_of p in
          if not s.seen.(v) && s.level.(v) > 0 then begin
-           if s.reason.(v) != dummy_clause
+           if s.reason.(v) >= 0
               && abstract_levels land (1 lsl (s.level.(v) land 31)) <> 0
            then begin
              s.seen.(v) <- true;
@@ -639,11 +702,11 @@ let analyze s conflict =
   let continue = ref true in
   while !continue do
     let c = !cls in
-    if is_learnt c then clause_bump s c;
-    if s.proof_enabled then Vec.push s.resolved c.cid;
+    if is_learnt s c then clause_bump s c;
+    if s.proof_enabled then Vec.push s.resolved (clause_cid s c);
     let start = if !lit = 0 then 0 else 1 in
-    for k = start to Array.length c.lits - 1 do
-      let q = c.lits.(k) in
+    for k = start to clause_len s c - 1 do
+      let q = clause_lit s c k in
       let v = var_of q in
       if not s.seen.(v) && s.level.(v) > 0 then begin
         s.seen.(v) <- true;
@@ -685,7 +748,7 @@ let analyze s conflict =
         uip
         :: List.filter
              (fun q ->
-               s.reason.(var_of q) == dummy_clause
+               s.reason.(var_of q) < 0
                || not (lit_redundant s extra abstract_levels q))
              rest
       in
@@ -725,12 +788,10 @@ let record_refutation s = if s.proof_enabled then ignore (record_step s [])
 
 (* A clause is registered under each of its two watched literals; when a
    literal L becomes true, the clauses watching -L are scanned. *)
-let attach_clause s c =
-  let i0 = lit_index c.lits.(0) and i1 = lit_index c.lits.(1) in
-  Vec.push s.watches.(i0) c;
-  Vec.push s.blockers.(i0) c.lits.(1);
-  Vec.push s.watches.(i1) c;
-  Vec.push s.blockers.(i1) c.lits.(0)
+let attach_clause s cr =
+  let l0 = clause_lit s cr 0 and l1 = clause_lit s cr 1 in
+  push_watch s.watches.(lit_index l0) cr l1;
+  push_watch s.watches.(lit_index l1) cr l0
 
 let add_clause s lits =
   if s.ok then begin
@@ -766,19 +827,13 @@ let add_clause s lits =
           s.ok <- false;
           record_refutation s
         | [ l ] ->
-          enqueue s l dummy_clause;
-          if propagate s != dummy_clause then begin
+          enqueue s l (-1);
+          if propagate s >= 0 then begin
             s.ok <- false;
             record_refutation s
           end
-        | l0 :: l1 :: _ ->
-          ignore l0; ignore l1;
-          let c =
-            { lits = Array.of_list lits; cla_act = 0.; lbd = 0;
-              deleted = false; cid }
-          in
-          Vec.push s.clauses c;
-          attach_clause s c
+        | _ :: _ :: _ ->
+          attach_clause s (push_problem s ~cid (Array.of_list lits))
     end
   end
 
@@ -796,7 +851,7 @@ let record_learnt s lits lbd =
   in
   if Array.length lits = 1 then begin
     cancel_until s 0;
-    enqueue s lits.(0) dummy_clause
+    enqueue s lits.(0) (-1)
   end
   else begin
     (* lits.(0) is the asserting literal; make lits.(1) the highest-level
@@ -808,8 +863,7 @@ let record_learnt s lits lbd =
     let tmp = lits.(1) in
     lits.(1) <- lits.(!best);
     lits.(!best) <- tmp;
-    let c = { lits; cla_act = 0.; lbd; deleted = false; cid } in
-    Vec.push s.learnts c;
+    let c = push_learnt s ~lbd ~cid ~act:0. lits in
     attach_clause s c;
     clause_bump s c;
     enqueue s lits.(0) c
@@ -818,34 +872,66 @@ let record_learnt s lits lbd =
 (* ---- learned clause DB reduction ---- *)
 
 let locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = var_of c.lits.(0) in
-  s.assign.(v) <> 0 && s.reason.(v) == c
+  let v = var_of (clause_lit s c 0) in
+  s.assign.(v) <> 0 && s.reason.(v) = c
 
-(* Purge deleted clauses from the database and rebuild every watch list
-   from scratch. Watch positions 0/1 of a live clause are preserved, so the
-   two-watched invariant — valid at any decision level — carries over. *)
+(* Purge deleted clauses and rebuild every watch list from scratch. Watch
+   positions 0/1 of a live clause are preserved, so the two-watched
+   invariant — valid at any decision level — carries over.
+
+   The arena is compacted in place: live clauses slide down in arena order
+   (a strip replacement can sit far from its list position, so list order
+   is not arena order). First each clause list drops its deleted entries
+   and every survivor's slot word is set to its new list index — its back
+   index, also its new activity slot. Then one linear walk moves each live
+   clause down and, through its back index, rewrites its list entry; the
+   reason of an assigned variable follows its clause. A deleted clause can
+   only be a reason at level 0, where conflict analysis never looks; its
+   variable's reason becomes -1 so that no moved clause inherits it. The
+   watches are rebuilt last, in list order. *)
 let rebuild_watches s =
-  for i = 0 to (2 * s.nvars) + 1 do
-    Vec.clear s.watches.(i);
-    Vec.clear s.blockers.(i)
-  done;
-  let compact vec =
-    let n = Vec.size vec in
+  let renumber vec ~learnt =
     let keep = ref 0 in
-    for i = 0 to n - 1 do
-      let c = Vec.get vec i in
-      if not c.deleted then begin
-        Vec.set vec !keep c;
-        incr keep;
-        attach_clause s c
+    for i = 0 to Vec.size vec - 1 do
+      let cr = Vec.get vec i in
+      if not (is_deleted s cr) then begin
+        Vec.set vec !keep cr;
+        s.arena.(cr + 2) <- !keep;
+        if learnt then s.cla_act.(!keep) <- s.cla_act.(i);
+        incr keep
       end
     done;
     Vec.shrink vec !keep
   in
-  compact s.clauses;
-  compact s.learnts
+  renumber s.clauses ~learnt:false;
+  renumber s.learnts ~learnt:true;
+  let a = s.arena in
+  let r = ref 0 and w = ref 0 in
+  while !r < s.arena_size do
+    let size = hdr + (a.(!r) lsr 1) in
+    let v = var_of a.(!r + hdr) in
+    let is_reason = s.assign.(v) <> 0 && s.reason.(v) = !r in
+    if a.(!r) land 1 = 1 then begin
+      if is_reason then s.reason.(v) <- -1
+    end
+    else begin
+      if !w < !r then Array.blit a !r a !w size;
+      Vec.set (if a.(!w + 1) > 0 then s.learnts else s.clauses) a.(!w + 2) !w;
+      if is_reason then s.reason.(v) <- !w;
+      w := !w + size
+    end;
+    r := !r + size
+  done;
+  s.arena_size <- !w;
+  for i = 0 to (2 * s.nvars) + 1 do
+    Vec.clear s.watches.(i)
+  done;
+  for i = 0 to Vec.size s.clauses - 1 do
+    attach_clause s (Vec.get s.clauses i)
+  done;
+  for i = 0 to Vec.size s.learnts - 1 do
+    attach_clause s (Vec.get s.learnts i)
+  done
 
 let reduce_db s =
   s.n_reductions <- s.n_reductions + 1;
@@ -857,18 +943,20 @@ let reduce_db s =
   let mid = ref [] and local = ref [] in
   for i = 0 to Vec.size s.learnts - 1 do
     let c = Vec.get s.learnts i in
+    let lbd = clause_lbd s c in
     if not
-         (c.deleted || locked s c || Array.length c.lits = 2
-         || c.lbd <= core_glue)
+         (is_deleted s c || locked s c || clause_len s c = 2
+         || lbd <= core_glue)
     then
-      if c.lbd <= mid_glue then mid := c :: !mid else local := c :: !local
+      if lbd <= mid_glue then mid := c :: !mid else local := c :: !local
   done;
+  let act c = s.cla_act.(clause_slot s c) in
   let drop_least_active frac cs =
     let arr = Array.of_list cs in
-    Array.sort (fun a b -> Float.compare a.cla_act b.cla_act) arr;
+    Array.sort (fun a b -> Float.compare (act a) (act b)) arr;
     let k = int_of_float (frac *. float_of_int (Array.length arr)) in
     for i = 0 to k - 1 do
-      arr.(i).deleted <- true
+      set_deleted s arr.(i)
     done
   in
   drop_least_active 0.25 !mid;
@@ -901,7 +989,7 @@ let simplify_inplace ?(budget = 30_000) s =
     @@ fun () ->
     cancel_until s 0;
     s.last_assumptions <- [||];
-    if propagate s != dummy_clause then begin
+    if propagate s >= 0 then begin
       s.ok <- false;
       record_refutation s
     end
@@ -912,13 +1000,13 @@ let simplify_inplace ?(budget = 30_000) s =
       let p0 = s.n_propagations in
       let over () = s.n_propagations - p0 > budget in
       let vivify c =
-        c.deleted <- true;
+        set_deleted s c;
         Vec.push s.trail_lim s.trail_size;
-        let n = Array.length c.lits in
+        let n = clause_len s c in
         let kept = ref [] in
         (try
            for j = 0 to n - 1 do
-             let l = c.lits.(j) in
+             let l = clause_lit s c j in
              if lit_sat s l then begin
                (* The kept prefix propagates l: prefix @ [l] subsumes. *)
                kept := l :: !kept;
@@ -927,8 +1015,8 @@ let simplify_inplace ?(budget = 30_000) s =
              else if lit_false s l then () (* implied false: drop l *)
              else begin
                kept := l :: !kept;
-               enqueue s (-l) dummy_clause;
-               if propagate s != dummy_clause then
+               enqueue s (-l) (-1);
+               if propagate s >= 0 then
                  (* Negating the prefix is contradictory: prefix is RUP. *)
                  raise Exit
              end
@@ -938,7 +1026,7 @@ let simplify_inplace ?(budget = 30_000) s =
         let kept = List.rev !kept in
         if List.length kept < n then Some kept
         else begin
-          c.deleted <- false;
+          undelete s c;
           None
         end
       in
@@ -954,21 +1042,21 @@ let simplify_inplace ?(budget = 30_000) s =
             record_refutation s
           end
           else if not (lit_sat s l) then begin
-            enqueue s l dummy_clause;
-            if propagate s != dummy_clause then begin
+            enqueue s l (-1);
+            if propagate s >= 0 then begin
               s.ok <- false;
               record_refutation s
             end
           end
         | _ :: _ :: _ ->
-          let c' =
-            { lits = Array.of_list kept; cla_act = c.cla_act;
-              lbd =
-                (if is_learnt c then min c.lbd (List.length kept - 1) else 0);
-              deleted = false; cid }
-          in
           (* Attached by the rebuild below; the original stays deleted. *)
-          Vec.push (if is_learnt c then s.learnts else s.clauses) c'
+          let lits = Array.of_list kept in
+          if is_learnt s c then
+            ignore
+              (push_learnt s
+                 ~lbd:(min (clause_lbd s c) (Array.length lits - 1))
+                 ~cid ~act:s.cla_act.(clause_slot s c) lits)
+          else ignore (push_problem s ~cid lits)
       in
       let probe vec =
         (* Snapshot the size: shortened replacements pushed past it are not
@@ -978,7 +1066,7 @@ let simplify_inplace ?(budget = 30_000) s =
         while s.ok && (not (over ())) && !i < n do
           let c = Vec.get vec !i in
           incr i;
-          if (not c.deleted) && Array.length c.lits >= 3 then
+          if (not (is_deleted s c)) && clause_len s c >= 3 then
             match vivify c with
             | Some kept -> apply c kept
             | None -> ()
@@ -992,31 +1080,37 @@ let simplify_inplace ?(budget = 30_000) s =
          survivors, then propagate to a fixpoint. *)
       if s.ok then begin
         let units = ref [] in
+        (* A shortened clause is allocated afresh and takes over the
+           original's list index (hence its activity slot); shrinking it in
+           place would leave words a linear arena walk cannot skip. *)
         let strip vec =
           for i = 0 to Vec.size vec - 1 do
             let c = Vec.get vec i in
-            if not c.deleted then
-              if Array.exists (lit_sat s) c.lits then c.deleted <- true
-              else if Array.exists (lit_false s) c.lits then begin
+            if not (is_deleted s c) then begin
+              if clause_exists s c (lit_sat s) then set_deleted s c
+              else if clause_exists s c (lit_false s) then begin
                 let lits =
                   Array.of_list
-                    (List.filter
-                       (fun l -> not (lit_false s l))
-                       (Array.to_list c.lits))
+                    (List.filter (fun l -> not (lit_false s l))
+                       (Array.to_list (clause_lits s c)))
                 in
                 (* The original clause, all of whose other literals are
                    root-false, is the whole derivation. *)
-                if s.proof_enabled then
-                  c.cid <- record_step ~chain:[| c.cid |] s (Array.to_list lits);
+                let cid =
+                  if s.proof_enabled then
+                    record_step ~chain:[| clause_cid s c |] s
+                      (Array.to_list lits)
+                  else clause_cid s c
+                in
+                set_deleted s c;
                 match Array.length lits with
-                | 0 ->
-                  s.ok <- false;
-                  c.deleted <- true
-                | 1 ->
-                  units := lits.(0) :: !units;
-                  c.deleted <- true
-                | _ -> c.lits <- lits
+                | 0 -> s.ok <- false
+                | 1 -> units := lits.(0) :: !units
+                | _ ->
+                  Vec.set vec i
+                    (alloc_clause s ~lbd:(clause_lbd s c) ~slot:i ~cid lits)
               end
+            end
           done
         in
         strip s.clauses;
@@ -1028,9 +1122,9 @@ let simplify_inplace ?(budget = 30_000) s =
               s.ok <- false;
               record_refutation s
             end
-            else if not (lit_sat s l) then enqueue s l dummy_clause)
+            else if not (lit_sat s l) then enqueue s l (-1))
           !units;
-        if s.ok && propagate s != dummy_clause then begin
+        if s.ok && propagate s >= 0 then begin
           s.ok <- false;
           record_refutation s
         end
@@ -1069,7 +1163,7 @@ let search s ~assumptions ~restart_budget =
     while true do
       check_cancel s;
       let conflict = propagate s in
-      if conflict != dummy_clause then begin
+      if conflict >= 0 then begin
         s.n_conflicts <- s.n_conflicts + 1;
         incr conflicts;
         if decision_level s = 0 then begin
@@ -1119,7 +1213,7 @@ let search s ~assumptions ~restart_budget =
           else if lit_false s a then raise (Done Unsat)
           else begin
             Vec.push s.trail_lim s.trail_size;
-            enqueue s a dummy_clause
+            enqueue s a (-1)
           end
         end
         else begin
@@ -1128,7 +1222,7 @@ let search s ~assumptions ~restart_budget =
           else begin
             s.n_decisions <- s.n_decisions + 1;
             Vec.push s.trail_lim s.trail_size;
-            enqueue s (if s.phase.(v) then v else -v) dummy_clause
+            enqueue s (if s.phase.(v) then v else -v) (-1)
           end
         end
       end
@@ -1156,7 +1250,7 @@ let solve_body ~assumptions s =
     (* A warm (level > 0) trail is fully propagated, so the entry
        propagation pass is only needed — and a conflict only meaningful —
        at the root. *)
-    if decision_level s = 0 && propagate s != dummy_clause then begin
+    if decision_level s = 0 && propagate s >= 0 then begin
       s.ok <- false;
       record_refutation s;
       Unsat

@@ -7,6 +7,16 @@
     inprocessing ({!simplify_inplace}). It is the decision engine underneath
     {!module:Bmc}.
 
+    Memory layout (internal, invisible through this interface): every
+    clause lives in one flat [int] arena — a header (length and deletion
+    bit, glue, list slot, proof id) followed by its literals inline — and
+    is named by its offset there. Each literal's watch list is one [int]
+    vector of interleaved (clause offset, blocker literal) pairs, so
+    propagation reads flat int arrays and skips a satisfied clause without
+    touching it. Database reduction and inprocessing compact the arena in
+    place. The layout does not affect the search: the same calls give the
+    same answers and the same {!stats}.
+
     Variables are positive integers allocated with {!new_var}. A literal is a
     non-zero integer: [v] is the positive literal of variable [v] and [-v] its
     negation (DIMACS convention).

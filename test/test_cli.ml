@@ -177,6 +177,12 @@ let test_sat_malformed () =
   with_cnf "p cnf two 2\n1 2 0\n-1 0\n" (fun path ->
       check "malformed problem line exits 2" 2 [ "sat"; path ])
 
+let test_sat_directory () =
+  (* An unreadable input is a runtime error (exit 2), not an uncaught
+     Sys_error: the directory holding a fresh temp file is always there. *)
+  with_temp (fun path ->
+      check "directory input exits 2" 2 [ "sat"; Filename.dirname path ])
+
 let test_wrap_certification_failure () =
   (* A certification divergence anywhere under a command maps to exit 2 —
      pinned on wrap directly, since producing a real solver/checker
@@ -215,6 +221,7 @@ let suite =
         test_sat_unsat_certified;
       Alcotest.test_case "sat sat --certify = 0" `Quick test_sat_sat_certified;
       Alcotest.test_case "sat malformed = 2" `Quick test_sat_malformed;
+      Alcotest.test_case "sat directory = 2" `Quick test_sat_directory;
       Alcotest.test_case "wrap exit mapping" `Quick
         test_wrap_certification_failure;
     ] )

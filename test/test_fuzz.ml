@@ -38,8 +38,8 @@ type certified = {
   mutable rejected : int option;
 }
 
-let certified_solver () =
-  let s = S.create () in
+let certified_solver ?reduce_first () =
+  let s = S.create ?reduce_first () in
   let c =
     { ck = Sat.Rup.create (); reported = []; steps = 0; rejected = None }
   in
@@ -68,8 +68,8 @@ let formula_is_input c added =
   in
   prefix (List.rev c.reported, added)
 
-let solver_of nvars clauses =
-  let s, c = certified_solver () in
+let solver_of ?reduce_first nvars clauses =
+  let s, c = certified_solver ?reduce_first () in
   for _ = 1 to nvars do
     ignore (S.new_var s)
   done;
@@ -79,14 +79,21 @@ let solver_of nvars clauses =
 let model_satisfies s clauses =
   List.for_all (List.exists (fun l -> S.lit_value s l)) clauses
 
-let test_random_3sat () =
-  let rng = P.create 0xF00D in
-  for round = 1 to 50 do
-    let nvars = 20 + P.below rng 41 in
-    let ratio = 3.8 +. (float_of_int (P.below rng 10) /. 10.) in
+(* [rounds] one-shot solves of random 3-SAT over [min_vars + below
+   spread_vars] variables, each answer certified; returns the number of
+   database reductions summed over the rounds. *)
+let random_3sat_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
+    ~min_ratio () =
+  let rng = P.create seed in
+  let reductions = ref 0 in
+  for round = 1 to rounds do
+    let nvars = min_vars + P.below rng spread_vars in
+    let ratio = min_ratio +. (float_of_int (P.below rng 10) /. 10.) in
     let clauses = random_3sat rng ~nvars ~ratio in
-    let s, c = solver_of nvars clauses in
-    match S.solve s with
+    let s, c = solver_of ?reduce_first nvars clauses in
+    let r = S.solve s in
+    reductions := !reductions + (S.stats s).S.reductions;
+    match r with
     | S.Sat ->
       if not (model_satisfies s clauses) then
         Alcotest.failf "round %d (n=%d): Sat model violates a clause" round
@@ -102,7 +109,26 @@ let test_random_3sat () =
         | None ->
           if not (Sat.Rup.contradictory c.ck) then
             Alcotest.failf "round %d (n=%d): proof incomplete" round nvars)
-  done
+  done;
+  !reductions
+
+let test_random_3sat () =
+  ignore
+    (random_3sat_rounds ~seed:0xF00D ~rounds:50 ~min_vars:20 ~spread_vars:41
+       ~min_ratio:3.8 ())
+
+(* The rounds above stay below a hundred conflicts each, far short of the
+   first database reduction. These run past a low [reduce_first] on
+   instances near the threshold, so learned clauses are deleted above
+   level 0 and the clause store is compacted while reasons are live — the
+   bookkeeping a compaction must preserve — and every answer is still
+   certified. *)
+let test_random_3sat_reductions () =
+  let reductions =
+    random_3sat_rounds ~reduce_first:100 ~seed:0xD1CE ~rounds:8
+      ~min_vars:130 ~spread_vars:40 ~min_ratio:3.9 ()
+  in
+  Alcotest.(check bool) "reductions happened" true (reductions > 0)
 
 (* The incremental shape: clauses arrive in batches, solves run under
    assumption lists that share prefixes with the previous call (so the
@@ -111,26 +137,29 @@ let test_random_3sat () =
    trust, each learned or vivified clause only if it is RUP — and after
    every solve judges the answer: Unsat must refute the assumptions by
    unit propagation alone, Sat must not. *)
-let test_incremental_fuzz () =
-  let rng = P.create 0xBEEF in
-  for round = 1 to 20 do
-    let nvars = 12 + P.below rng 17 in
-    let s, c = certified_solver () in
+let random_lit rng nvars =
+  let v = 1 + P.below rng nvars in
+  if P.bool rng then v else -v
+
+(* [rounds] incremental sessions of [steps] steps each; a step adds
+   [batch rng] clauses of [width rng] literals. Returns the solver
+   statistics summed over the rounds. *)
+let incremental_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
+    ~steps ~batch ~width () =
+  let rng = P.create seed in
+  let reductions = ref 0 and vivified = ref 0 in
+  for round = 1 to rounds do
+    let nvars = min_vars + P.below rng spread_vars in
+    let s, c = certified_solver ?reduce_first () in
     for _ = 1 to nvars do
       ignore (S.new_var s)
     done;
     let added = ref [] in
     let assumptions = ref [] in
-    for step = 1 to 25 do
+    for step = 1 to steps do
       let batch =
-        List.init
-          (1 + P.below rng 5)
-          (fun _ ->
-            List.init
-              (1 + P.below rng 3)
-              (fun _ ->
-                let v = 1 + P.below rng nvars in
-                if P.bool rng then v else -v))
+        List.init (batch rng) (fun _ ->
+            List.init (width rng) (fun _ -> random_lit rng nvars))
       in
       List.iter
         (fun c ->
@@ -141,11 +170,7 @@ let test_incremental_fuzz () =
       (* Keep a random prefix of the previous assumptions, then extend —
          matched prefixes are exactly what the warm start keeps decided. *)
       let keep = P.below rng (List.length !assumptions + 1) in
-      let tail =
-        List.init (P.below rng 3) (fun _ ->
-            let v = 1 + P.below rng nvars in
-            if P.bool rng then v else -v)
-      in
+      let tail = List.init (P.below rng 3) (fun _ -> random_lit rng nvars) in
       assumptions := List.filteri (fun i _ -> i < keep) !assumptions @ tail;
       let r = S.solve ~assumptions:!assumptions s in
       if not (formula_is_input c (List.rev !added)) then
@@ -173,8 +198,37 @@ let test_incremental_fuzz () =
       else if not refuted then
         Alcotest.failf "round %d step %d: Unsat not confirmed by RUP" round
           step
-    done
-  done
+    done;
+    let st = S.stats s in
+    reductions := !reductions + st.S.reductions;
+    vivified := !vivified + st.S.vivified
+  done;
+  (!reductions, !vivified)
+
+let test_incremental_fuzz () =
+  ignore
+    (incremental_rounds ~seed:0xBEEF ~rounds:20 ~min_vars:12 ~spread_vars:17
+       ~steps:25
+       ~batch:(fun rng -> 1 + P.below rng 5)
+       ~width:(fun rng -> 1 + P.below rng 3)
+       ())
+
+(* The same shape at a size where the searches run past a low
+   [reduce_first]: a near-threshold 3-SAT formula arrives in batches, with
+   the odd unit or binary clause so the root strip has literals to remove.
+   Reductions then interleave with inprocessing and warm assumption
+   prefixes, and both must happen. *)
+let test_incremental_reductions () =
+  let reductions, vivified =
+    incremental_rounds ~reduce_first:100 ~seed:0xCAFE ~rounds:8 ~min_vars:200
+      ~spread_vars:40 ~steps:24
+      ~batch:(fun rng -> 25 + P.below rng 25)
+      ~width:(fun rng ->
+        if P.chance rng 0.005 then 1 else if P.chance rng 0.05 then 2 else 3)
+      ()
+  in
+  Alcotest.(check bool) "reductions happened" true (reductions > 0);
+  Alcotest.(check bool) "clauses vivified" true (vivified > 0)
 
 (* A reliably UNSAT instance (pigeonhole) fed in two halves with
    inprocessing in between, under proof recording: the vivified and
@@ -227,6 +281,10 @@ let suite =
       Alcotest.test_case "random 3-SAT differential" `Quick test_random_3sat;
       Alcotest.test_case "incremental add/assume/simplify differential" `Quick
         test_incremental_fuzz;
+      Alcotest.test_case "random 3-SAT through reductions" `Quick
+        test_random_3sat_reductions;
+      Alcotest.test_case "incremental through reductions" `Quick
+        test_incremental_reductions;
       Alcotest.test_case "UNSAT proof survives inprocessing" `Quick
         test_unsat_proof_with_inprocessing;
     ] )

@@ -166,6 +166,56 @@ let test_tiered_reduction () =
   Alcotest.(check bool) "proof valid across reductions" true
     (Sat.Rup.check cnf (proof ()) = Sat.Rup.Valid)
 
+(* Pins the exact search on one deterministic instance that goes through
+   every clause-store maintenance path. php(8,7) arrives in parts: with
+   hole 7 unconstrained it is SAT; the unit "pigeon 1 in hole 1" then
+   makes the root strip shorten every other pigeon's row (shortened
+   clauses are allocated afresh, away from their list position);
+   constraining hole 7 leaves php(7,6), refuted first under an assumption
+   and, after inprocessing has vivified the learned clauses, outright —
+   with learned clauses reduced from 100 conflicts on. Verdicts alone
+   would not notice a bookkeeping slip that only perturbs the search (a
+   clause lost in a compaction, a stale reason keeping a clause alive), so
+   the counts are checked exactly. A change of memory layout or
+   bookkeeping must leave them as they are; only a deliberate search
+   change (say, implicit binary watches) may update them. *)
+let test_search_pinned () =
+  let pigeons = 8 and holes = 7 in
+  let s = S.create ~reduce_first:100 () in
+  let v = Array.init (pigeons + 1) (fun _ -> Array.make (holes + 1) 0) in
+  for p = 1 to pigeons do
+    for h = 1 to holes do
+      v.(p).(h) <- S.new_var s
+    done
+  done;
+  for p = 1 to pigeons do
+    S.add_clause s (List.init holes (fun h -> v.(p).(h + 1)))
+  done;
+  let at_most_one h =
+    for p1 = 1 to pigeons do
+      for p2 = p1 + 1 to pigeons do
+        S.add_clause s [ -v.(p1).(h); -v.(p2).(h) ]
+      done
+    done
+  in
+  for h = 1 to holes - 1 do at_most_one h done;
+  Alcotest.(check bool) "hole 7 shared: SAT" true (is_sat (S.solve s));
+  S.add_clause s [ v.(1).(1) ];
+  (* A zero budget stops vivification after one probe, which leaves the
+     rows to the root strip. *)
+  S.simplify_inplace ~budget:0 s;
+  at_most_one holes;
+  Alcotest.(check bool) "UNSAT under an assumption" false
+    (is_sat (S.solve ~assumptions:[ v.(2).(2) ] s));
+  S.simplify_inplace s;
+  Alcotest.(check bool) "php(8,7) UNSAT" false (is_sat (S.solve s));
+  let st = S.stats s in
+  Alcotest.(check bool) "reductions happened" true (st.S.reductions > 0);
+  Alcotest.(check bool) "clauses vivified" true (st.S.vivified > 0);
+  Alcotest.(check (list int)) "conflicts, decisions, propagations"
+    [ 849; 1022; 17012 ]
+    [ st.S.conflicts; st.S.decisions; st.S.propagations ]
+
 let test_ema_restarts () =
   (* The EMA strategy must reach the same verdicts; on a conflict-heavy
      UNSAT instance it actually restarts. *)
@@ -578,6 +628,8 @@ let suite =
       Alcotest.test_case "bad literal rejected" `Quick test_bad_literal;
       Alcotest.test_case "tiered reduction under proof" `Quick
         test_tiered_reduction;
+      Alcotest.test_case "search pinned across maintenance" `Quick
+        test_search_pinned;
       Alcotest.test_case "EMA restarts" `Quick test_ema_restarts;
       Alcotest.test_case "clause vivification" `Quick test_vivification;
       Alcotest.test_case "warm assumption prefixes" `Quick
