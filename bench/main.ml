@@ -11,7 +11,6 @@
               divergence or missing certificate, records the overhead
      sat      the default solver alone on its known answers; records the
               per-obligation solver statistics and journals every report
-     overhead the sat entries with the time-series sampler off and on
      store    persistent verdict store: cold (empty store), warm (all hits,
               >= 5x faster) and dirty (one design swapped for its bug
               variant; only it re-solves) legs
@@ -25,20 +24,20 @@
      kernels  Bechamel micro-benchmarks of the substrate (SAT, BMC, sim)
      ablate   ablations called out in DESIGN.md
 
-   reduce, certify, sat, overhead and store draw on one declarative
+   reduce, certify, sat and store draw on one declarative
    obligation suite, each entry carrying its known verdict@depth, and run
    through one runner: every leg is checked against the known answer and
    the other legs, and any mismatch exits 1.
 
    Run with no argument for the paper artefacts (table1 fig5 table2 fig2);
-   pass target names to select; `all` runs every target but overhead. An
-   unknown target exits 2 before anything runs.
+   pass target names to select; `all` runs every target. An unknown
+   target exits 2 before anything runs.
 
    `-j N` sizes the domain pool: table2 then runs both the sequential
    baseline and the parallel batch driver, checks the outcomes agree and
    reports the speedup. `-p N` additionally races N diversified solver
    configurations inside each obligation. Every run also emits
-   machine-readable BENCH_results.json (schema 10: run metadata, per-table
+   machine-readable BENCH_results.json (schema 11: run metadata, per-table
    wall times, one uniform row per A/B obligation — per leg its verdict,
    wall time, solver stats including the glue-tier tallies, certificate
    and cache hit — plus each target's gates, mutation-campaign scores,
@@ -162,7 +161,7 @@ let write_json_results ~jobs ~portfolio ~total_wall =
   json_out buf
     (Obj
        ([
-          ("schema", Int 10);
+          ("schema", Int 11);
           ( "meta",
             Obj
               ([ ("jobs", Int jobs); ("portfolio", Int portfolio);
@@ -611,7 +610,7 @@ let print_fig2 () =
 
 (* ---- A/B targets: one obligation suite, one runner ---- *)
 
-(* The reduce, certify, sat, store and overhead targets all draw their
+(* The reduce, certify, sat and store targets all draw their
    obligations from one declarative suite and run them through one runner
    ([run_ab]): a target is a list of variants (legs) plus its gates. Every
    leg of every target is checked against the entry's known answer and
@@ -628,7 +627,7 @@ type ab_entry = {
   depth : int;
   build : unit -> Aqed.Iface.t;
   sweep : bool;
-  targets : ab_target list;  (* overhead runs the sat entries *)
+  targets : ab_target list;
   expect : string;  (* the known answer, verdict@depth *)
   dirty : ((unit -> Aqed.Iface.t) * string) option;
       (* store's dirty leg: the bug variant built instead, and its answer *)
@@ -793,14 +792,12 @@ let legs_of run label =
 
 (* Runs every variant over the target's entries and checks every answer
    against the entry's known answer and against the other variants'.
-   [rounds] > 1 repeats the variants interleaved (v1 v2 v1 v2 ...); a leg
-   then keeps its fastest round, and rounds that disagree show up in its
-   answer. When every variant solves one obligation at a time, the
+   When every variant solves one obligation at a time, the
    runner goes entry by entry — all of an entry's legs back to back — so
    drift slower than one solve hits every variant alike. One uniform row
    per entry: the known answer, each leg's wall time ([*] = a cache or
    store answered) and any certificate. *)
-let run_ab ?(rounds = 1) ~title target variants =
+let run_ab ~title target variants =
   pf "\n== %s ==\n" title;
   let entries = ab_entries target in
   let solve v es =
@@ -813,23 +810,8 @@ let run_ab ?(rounds = 1) ~title target variants =
       let legs = List.map (fun (e, ob) -> f e ob) obs in
       (legs, List.fold_left (fun acc l -> acc +. l.wall) 0. legs)
   in
-  let merge = function
-    | [] -> invalid_arg "run_ab: no rounds"
-    | l :: _ as ls ->
-      { l with
-        wall = List.fold_left (fun m l -> Float.min m l.wall) infinity ls;
-        answer = String.concat "/" (List.sort_uniq compare
-                                      (List.map (fun l -> l.answer) ls)) }
-  in
-  (* Per variant over [es]: its merged legs and its fastest round's wall. *)
-  let run es =
-    List.map
-      (fun runs ->
-        ( List.map merge (transpose (List.map fst runs)),
-          List.fold_left (fun m (_, wall) -> Float.min m wall) infinity runs ))
-      (transpose
-         (List.init rounds (fun _ -> List.map (fun v -> solve v es) variants)))
-  in
+  (* Per variant over [es]: its legs and its wall. *)
+  let run es = List.map (fun v -> solve v es) variants in
   let per_variant =
     if List.for_all (fun v -> match v.solve with Each _ -> true | Batch _ -> false)
          variants
@@ -931,14 +913,13 @@ let print_reduce () =
 (* Plain vs certified (replayed counterexamples, RUP-certified frames):
    zero divergences and a certificate on every certified leg; the suite
    overhead is recorded (CI gates it at <= 2x). The hard clean dualpath
-   search is in: each learned clause is checked along its conflict-analysis
-   chain, so certification costs about the derivation, not a propagation
-   over the formula. [unhinted_share] — the RUP steps that needed full
-   propagation, over all steps — is a deterministic count of how well the
-   chains close (CI gates it at <= 0.10). *)
+   search is in: each derived clause is checked along the chain it
+   carries, so certification costs about the derivation, not a propagation
+   over the formula. A chain that does not close is a divergence;
+   [rup_steps] counts the steps checked. *)
 let print_certify () =
   let rup name = Telemetry.Counter.get (Telemetry.Counter.make name) in
-  let h0 = rup "cert.rup_hinted" and u0 = rup "cert.rup_unhinted" in
+  let n0 = rup "cert.rup_steps" and r0 = rup "cert.rup_rejected" in
   let certified =
     Each
       (fun _ ob ->
@@ -958,22 +939,18 @@ let print_certify () =
   let zero_divergences = List.for_all (fun l -> Option.is_some l.report) cert in
   let all_certified = List.for_all (fun l -> certificate l <> "-") cert in
   let overhead = if plain_wall > 0. then cert_wall /. plain_wall else 1. in
-  let hinted = rup "cert.rup_hinted" - h0
-  and unhinted = rup "cert.rup_unhinted" - u0 in
-  let unhinted_share =
-    if hinted + unhinted > 0 then
-      float_of_int unhinted /. float_of_int (hinted + unhinted)
-    else 0.
-  in
+  let steps = rup "cert.rup_steps" - n0
+  and rejected = rup "cert.rup_rejected" - r0 in
   pf "suite: %.2fx certification overhead%s\n" overhead
     (if all_certified then "" else "  (FAILURE: a leg is uncertified)");
-  pf "RUP steps: %d closed by their chain, %d by full propagation (%.3f)\n"
-    hinted unhinted unhinted_share;
+  pf "RUP steps: %d checked, %d closed by their chain, %d rejected\n" steps
+    (steps - rejected) rejected;
   record_ab "certify" run ~ok:(run.outcomes_ok && all_certified)
     [ ("zero_divergences", Bool zero_divergences);
       ("all_certified", Bool all_certified);
       ("overhead", Num overhead);
-      ("unhinted_share", Num unhinted_share) ]
+      ("rup_steps", Int steps);
+      ("rup_rejected", Int rejected) ]
 
 (* The default solver alone on its known answers, every report journaled;
    the per-obligation solver statistics in each row are the deterministic
@@ -992,45 +969,6 @@ let print_sat () =
       [ variant "default" (Each journaled) ]
   in
   record_ab "sat" run ~ok:run.outcomes_ok []
-
-(* ---- journal + sampler overhead (EXPERIMENTS.md E9) ---- *)
-
-(* The sat entries solved with the time-series sampler off and journaling
-   inert, and with the sampler configured and every report serialized to
-   a journal file (so the measured cost covers sampling, collection and
-   JSONL encoding). Two interleaved rounds, each leg keeping its faster
-   one: container-level drift (GC heap growth, CPU throttling) hits both
-   legs alike instead of masquerading as sampler cost. Gate: parity. *)
-let print_overhead () =
-  let tmp = Filename.temp_file "aqed_overhead" ".jsonl" in
-  let timed ~sampled _ ob =
-    if sampled then Telemetry.Series.configure ()
-    else Telemetry.Series.disable ();
-    let t0 = Unix.gettimeofday () in
-    let r = Aqed.Check.run_obligation ob in
-    (* The journal append is part of the measured cost on the sampled
-       leg; per-obligation appends overestimate the CLI's single
-       end-of-run append. *)
-    if sampled then begin
-      let name = Aqed.Check.obligation_name ob in
-      Report.Journal.append tmp
-        [ Report.Journal.Obligation
-            (Report.Journal.of_report ~design:name ~name r) ]
-    end;
-    solved ~wall:(Unix.gettimeofday () -. t0) r
-  in
-  let run =
-    run_ab `Sat ~rounds:2 ~title:"Journal + sampler overhead (sat entries)"
-      [ variant "off" (Each (timed ~sampled:false));
-        variant "on" (Each (timed ~sampled:true)) ]
-  in
-  Sys.remove tmp;
-  (* Leave the sampler on: the bench run as a whole journals. *)
-  Telemetry.Series.configure ();
-  let _, off = legs_of run "off" and _, on = legs_of run "on" in
-  let ratio = if off > 0. then on /. off else 0. in
-  pf "sampler+journal overhead: %.2fx\n" ratio;
-  record_ab "overhead" run ~ok:run.outcomes_ok [ ("ratio", Num ratio) ]
 
 (* ---- persistent verdict store: cold / warm / dirty ---- *)
 
@@ -1456,21 +1394,20 @@ let print_ablations () =
   pf "  throughput: 16 txns in %d cycles sequential, %d cycles pipelined\n"
     (throughput Hls.Codegen.Sequential) (throughput Hls.Codegen.Pipelined)
 
-(* Every target, in `all` order; the flag says whether `all` runs it. *)
+(* Every target, in `all` order. *)
 let bench_targets ~jobs ~portfolio =
   [
-    ("table1", true, print_table1);
-    ("fig5", true, print_fig5);
-    ("table2", true, print_table2 ~jobs ~portfolio);
-    ("fig2", true, print_fig2);
-    ("reduce", true, print_reduce);
-    ("certify", true, print_certify);
-    ("sat", true, print_sat);
-    ("overhead", false, print_overhead);
-    ("store", true, print_store ~jobs);
-    ("mutate", true, print_mutate ~jobs);
-    ("ablate", true, print_ablations);
-    ("kernels", true, print_kernels);
+    ("table1", print_table1);
+    ("fig5", print_fig5);
+    ("table2", print_table2 ~jobs ~portfolio);
+    ("fig2", print_fig2);
+    ("reduce", print_reduce);
+    ("certify", print_certify);
+    ("sat", print_sat);
+    ("store", print_store ~jobs);
+    ("mutate", print_mutate ~jobs);
+    ("ablate", print_ablations);
+    ("kernels", print_kernels);
   ]
 
 let () =
@@ -1494,7 +1431,7 @@ let () =
     if targets = [] then [ "table1"; "fig5"; "table2"; "fig2" ] else targets
   in
   let table = bench_targets ~jobs ~portfolio in
-  let names = List.map (fun (name, _, _) -> name) table @ [ "all" ] in
+  let names = List.map fst table @ [ "all" ] in
   (match List.filter (fun t -> not (List.mem t names)) targets with
    | [] -> ()
    | unknown ->
@@ -1530,8 +1467,7 @@ let () =
     (fun t ->
       let t1 = Unix.gettimeofday () in
       List.iter
-        (fun (name, in_all, run) ->
-          if name = t || (t = "all" && in_all) then run ())
+        (fun (name, run) -> if name = t || t = "all" then run ())
         table;
       record ("wall_s_" ^ t) (Num (Unix.gettimeofday () -. t1)))
     targets;

@@ -130,11 +130,10 @@ type relation = {
    facts into the relation is sound for bounded checks from reset, the only
    search this engine performs.
    [sweep] (default off here, though on in [Logic.Reduce.run]) gates SAT
-   sweeping: on this repository's obligations the proven merges are few
-   (2-4% of nodes) and their CNF savings are reproducibly outweighed on
-   some instances by the solver-trajectory perturbation — the AES FC
-   obligation solves 4x slower at depth 13 with its 22 merges applied —
-   so the engine treats sweeping as an explicit opt-in (CLI [--sweep]). *)
+   sweeping: on most of this repository's obligations the proven merges
+   are few (2-4% of nodes), and any merge changes the CNF and so the
+   solver's trajectory; the engine treats sweeping as an explicit opt-in
+   (CLI [--sweep]). Measurements are under [prepare] in engine.mli. *)
 let build_relation ?(reduce = true) ?(sweep = false) circuit ~prop =
   if Rtl.Ir.width prop <> 1 then
     invalid_arg "Bmc: property must be a 1-bit signal";
@@ -286,10 +285,10 @@ let cert_fail msg =
   Telemetry.Counter.incr m_cert_failures;
   raise (Certification_failed msg)
 
-(* The sink aborts the search on the first derived clause the checker
-   does not confirm: the exception leaves the solver call that derived it.
-   Learned clauses never depend on the assumption (conflict analysis
-   resolves only on clauses), so the steps check without it. *)
+(* The sink aborts the search on the first derived clause whose chain the
+   checker does not close: the exception leaves the solver call that
+   derived it. Learned clauses never depend on the assumption (conflict
+   analysis resolves only on clauses), so the steps check without it. *)
 let cert_sink cs =
   {
     Solver.on_clause = (fun id lits -> Rup.add_clause ~id cs.checker lits);
@@ -298,25 +297,23 @@ let cert_sink cs =
         if not (Rup.add_step ~id ~chain cs.checker lits) then
           cert_fail
             (Printf.sprintf
-               "frame %d: learned clause #%d is not confirmed by reverse unit \
-                propagation"
+               "frame %d: derived clause #%d is not closed by its RUP chain"
                cs.depth cs.step);
         cs.step <- cs.step + 1);
   }
 
 (* A frame answered Unsat under the single assumption [bad_lit], which the
-   solver can only conclude at decision level 0 — so [-bad_lit] must be
-   implied by unit propagation over the clause database. Every clause of
-   that database already reached the checker through the sink, so the
-   certificate is that asserting [bad_lit] propagates to a conflict there.
-   The blocking clause the search adds next reaches the checker the same
-   way, as a problem clause. *)
+   solver can only conclude at decision level 0 — so [-bad_lit] is fixed
+   there, and the solver has sent it as a unit step chained to its reason
+   (or the formula is refuted outright). The check closes at once against
+   that root fact. The blocking clause the search adds next reaches the
+   checker the same way, as a problem clause. *)
 let certify_clean_frame cs ~depth bad_lit =
   if not (Rup.check_step cs.checker [ -bad_lit ]) then
     cert_fail
       (Printf.sprintf
-         "frame %d: UNSAT answer not confirmed — unit propagation does not \
-          refute the bad literal"
+         "frame %d: UNSAT answer not confirmed — the bad literal is not \
+          refuted at the root"
          depth);
   Telemetry.Counter.incr m_cert_rup_valid
 

@@ -149,16 +149,21 @@ type t = {
   mutable conflict_ceiling : int;
   (* Proof recording: every problem clause (verbatim — the database itself
      simplifies units away) and every derived clause goes to [sink] the
-     moment it exists, under a fresh id from [next_cid]. [chain] collects
-     the ids conflict analysis resolves on, in the order a checker can
-     replay them ([resolved] holds the main loop's share until it is
-     appended); [record_learnt] hands it over 0-terminated. Both are
-     reused scratch, so a learned clause's chain allocates nothing. *)
+     moment it exists, under a fresh id from [next_cid], with the chain of
+     ids that closes it. [chain] collects a derivation's ids in the order a
+     checker can replay them ([resolved] holds conflict analysis's main
+     loop share until it is appended) and is handed over 0-terminated.
+     Both are reused scratch, so a learned clause's chain allocates
+     nothing. The first [proof_root] trail literals (all at level 0) have
+     been sent as unit steps, each chained through [unit_chain] to its
+     reason. *)
   mutable proof_enabled : bool;
   mutable sink : proof_sink;
   mutable next_cid : int;
   chain : Vec.t;
   resolved : Vec.t;
+  mutable proof_root : int;
+  unit_chain : int array;
   (* Statistics *)
   mutable n_decisions : int;
   mutable n_propagations : int;
@@ -247,6 +252,8 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
     next_cid = 0;
     chain = Vec.create ();
     resolved = Vec.create ();
+    proof_root = 0;
+    unit_chain = [| 0 |];
     n_decisions = 0;
     n_propagations = 0;
     n_conflicts = 0;
@@ -777,14 +784,49 @@ let fresh_cid s =
   s.next_cid <- s.next_cid + 1;
   s.next_cid
 
-(* Hands a derived clause to the sink under a fresh id, which it returns. *)
-let record_step ?(chain = [||]) s lits =
+let emit_step s lits chain =
   let id = fresh_cid s in
   s.sink.on_step id lits chain;
   id
 
-(* The empty clause, once the database is refuted at the root. *)
-let record_refutation s = if s.proof_enabled then ignore (record_step s [])
+(* Sends each level-0 literal not yet sent as a unit step chained to its
+   reason. Trail order makes every other literal of that reason a root
+   fact by then. A literal without a reason came from a unit the sink
+   has already seen: a unit step, or a problem clause [add_clause]
+   handled itself. *)
+let flush_root_units s =
+  let top =
+    if decision_level s = 0 then s.trail_size else Vec.get s.trail_lim 0
+  in
+  while s.proof_root < top do
+    let l = s.trail.(s.proof_root) in
+    let r = s.reason.(var_of l) in
+    s.proof_root <- s.proof_root + 1;
+    if r >= 0 then begin
+      s.unit_chain.(0) <- clause_cid s r;
+      ignore (emit_step s [ l ] s.unit_chain)
+    end
+  done
+
+(* Hands a derived clause and the chain that closes it to the sink under
+   a fresh id, which it returns. The level-0 literals go first, so the
+   chain may leave them out. *)
+let record_step s lits chain =
+  flush_root_units s;
+  emit_step s lits chain
+
+(* The empty clause, once the database is refuted at the root: the clause
+   proof id [cid] is falsified there. *)
+let record_refutation s cid =
+  if s.proof_enabled then ignore (record_step s [] [| cid |])
+
+(* Propagates at the root; a conflict refutes the database. *)
+let propagate_root s =
+  let conflict = propagate s in
+  if conflict >= 0 then begin
+    s.ok <- false;
+    record_refutation s (clause_cid s conflict)
+  end
 
 (* A clause is registered under each of its two watched literals; when a
    literal L becomes true, the clauses watching -L are scanned. *)
@@ -819,21 +861,22 @@ let add_clause s lits =
       (* Clauses are added at level 0 only: unwind any model left by a
          previous solve. *)
       cancel_until s 0;
-      let lits = List.filter (fun l -> not (lit_false s l)) lits in
-      if List.exists (lit_sat s) lits then ()
+      let live = List.filter (fun l -> not (lit_false s l)) lits in
+      if List.exists (lit_sat s) live then ()
       else
-        match lits with
+        match live with
         | [] ->
           s.ok <- false;
-          record_refutation s
+          record_refutation s cid
         | [ l ] ->
+          (* Its other literals are root-false, so the checker is told
+             [l] as a unit step. *)
+          if s.proof_enabled && List.compare_length_with lits 1 > 0 then
+            ignore (record_step s [ l ] [| cid |]);
           enqueue s l (-1);
-          if propagate s >= 0 then begin
-            s.ok <- false;
-            record_refutation s
-          end
+          propagate_root s
         | _ :: _ :: _ ->
-          attach_clause s (push_problem s ~cid (Array.of_list lits))
+          attach_clause s (push_problem s ~cid (Array.of_list live))
     end
   end
 
@@ -845,7 +888,7 @@ let record_learnt s lits lbd =
   let cid =
     if s.proof_enabled then begin
       Vec.push s.chain 0;
-      record_step ~chain:s.chain.Vec.data s (Array.to_list lits)
+      record_step s (Array.to_list lits) s.chain.Vec.data
     end
     else 0
   in
@@ -887,9 +930,12 @@ let locked s c =
    clause down and, through its back index, rewrites its list entry; the
    reason of an assigned variable follows its clause. A deleted clause can
    only be a reason at level 0, where conflict analysis never looks; its
-   variable's reason becomes -1 so that no moved clause inherits it. The
-   watches are rebuilt last, in list order. *)
+   variable's reason becomes -1 so that no moved clause inherits it (under
+   proof recording, the level-0 literals are sent as unit steps first,
+   while their reasons can still chain them). The watches are rebuilt
+   last, in list order. *)
 let rebuild_watches s =
+  if s.proof_enabled then flush_root_units s;
   let renumber vec ~learnt =
     let keep = ref 0 in
     for i = 0 to Vec.size vec - 1 do
@@ -974,11 +1020,12 @@ let reduce_db s =
    literal found already true, proves a prefix of the clause; a literal
    found false drops out. Every shortened clause is RUP with respect to a
    database that still contains the original, so under proof recording the
-   replacement goes to the sink like any learned clause (without a chain:
-   the checker finds it by full propagation); the checker never deletes,
-   so the original clause remains available as a premise. Nothing this
-   pass derives falls outside RUP, hence nothing needs disabling under
-   [enable_proof]. *)
+   replacement goes to the sink like any learned clause, chained through
+   the reasons on the probe trail and then the conflict clause, or else
+   the original clause itself, which the negated prefix and the dropped
+   literals falsify. The checker never deletes, so the original remains
+   available as a premise. Nothing this pass derives falls outside RUP,
+   hence nothing needs disabling under [enable_proof]. *)
 let simplify_inplace ?(budget = 30_000) s =
   Fun.protect ~finally:(fun () -> publish_props s) @@ fun () ->
   if s.ok then
@@ -989,11 +1036,8 @@ let simplify_inplace ?(budget = 30_000) s =
     @@ fun () ->
     cancel_until s 0;
     s.last_assumptions <- [||];
-    if propagate s >= 0 then begin
-      s.ok <- false;
-      record_refutation s
-    end
-    else begin
+    propagate_root s;
+    if s.ok then begin
       (* Probing must not pollute the saved phases. *)
       let saving = s.phase_saving in
       s.phase_saving <- false;
@@ -1001,9 +1045,10 @@ let simplify_inplace ?(budget = 30_000) s =
       let over () = s.n_propagations - p0 > budget in
       let vivify c =
         set_deleted s c;
-        Vec.push s.trail_lim s.trail_size;
+        let base = s.trail_size in
+        Vec.push s.trail_lim base;
         let n = clause_len s c in
-        let kept = ref [] in
+        let kept = ref [] and conflict = ref (-1) in
         (try
            for j = 0 to n - 1 do
              let l = clause_lit s c j in
@@ -1016,15 +1061,27 @@ let simplify_inplace ?(budget = 30_000) s =
              else begin
                kept := l :: !kept;
                enqueue s (-l) (-1);
-               if propagate s >= 0 then
+               conflict := propagate s;
+               if !conflict >= 0 then
                  (* Negating the prefix is contradictory: prefix is RUP. *)
                  raise Exit
              end
            done
          with Exit -> ());
-        cancel_until s 0;
         let kept = List.rev !kept in
-        if List.length kept < n then Some kept
+        let shortened = List.length kept < n in
+        if shortened && s.proof_enabled then begin
+          Vec.clear s.chain;
+          for i = base to s.trail_size - 1 do
+            let r = s.reason.(var_of s.trail.(i)) in
+            if r >= 0 then Vec.push s.chain (clause_cid s r)
+          done;
+          Vec.push s.chain
+            (clause_cid s (if !conflict >= 0 then !conflict else c));
+          Vec.push s.chain 0
+        end;
+        cancel_until s 0;
+        if shortened then Some kept
         else begin
           undelete s c;
           None
@@ -1033,20 +1090,19 @@ let simplify_inplace ?(budget = 30_000) s =
       let apply c kept =
         s.n_vivified <- s.n_vivified + 1;
         Telemetry.Counter.incr m_vivified;
-        let cid = if s.proof_enabled then record_step s kept else 0 in
+        let cid =
+          if s.proof_enabled then record_step s kept s.chain.Vec.data else 0
+        in
         match kept with
         | [] -> s.ok <- false
         | [ l ] ->
           if lit_false s l then begin
             s.ok <- false;
-            record_refutation s
+            record_refutation s cid
           end
           else if not (lit_sat s l) then begin
             enqueue s l (-1);
-            if propagate s >= 0 then begin
-              s.ok <- false;
-              record_refutation s
-            end
+            propagate_root s
           end
         | _ :: _ :: _ ->
           (* Attached by the rebuild below; the original stays deleted. *)
@@ -1098,14 +1154,13 @@ let simplify_inplace ?(budget = 30_000) s =
                    root-false, is the whole derivation. *)
                 let cid =
                   if s.proof_enabled then
-                    record_step ~chain:[| clause_cid s c |] s
-                      (Array.to_list lits)
+                    record_step s (Array.to_list lits) [| clause_cid s c |]
                   else clause_cid s c
                 in
                 set_deleted s c;
                 match Array.length lits with
                 | 0 -> s.ok <- false
-                | 1 -> units := lits.(0) :: !units
+                | 1 -> units := (lits.(0), cid) :: !units
                 | _ ->
                   Vec.set vec i
                     (alloc_clause s ~lbd:(clause_lbd s c) ~slot:i ~cid lits)
@@ -1117,17 +1172,14 @@ let simplify_inplace ?(budget = 30_000) s =
         strip s.learnts;
         rebuild_watches s;
         List.iter
-          (fun l ->
+          (fun (l, cid) ->
             if lit_false s l then begin
               s.ok <- false;
-              record_refutation s
+              record_refutation s cid
             end
             else if not (lit_sat s l) then enqueue s l (-1))
           !units;
-        if s.ok && propagate s >= 0 then begin
-          s.ok <- false;
-          record_refutation s
-        end
+        if s.ok then propagate_root s
       end
     end
 
@@ -1154,6 +1206,27 @@ let pick_branch s =
 
 exception Done of result
 
+(* Under proof recording, the assumption [a] was found false above level
+   0: the clause "some assumption decided so far is false, or [-a]" is
+   sent, chained through the reasons on the trail up to [-a] (whose reason
+   it falsifies). Assumptions are the only decisions of those levels. When
+   [-a] is at level 0 there is nothing to send: it goes as a unit step. *)
+let record_failed_assumption s a =
+  if s.level.(var_of a) > 0 then begin
+    Vec.clear s.chain;
+    let lits = ref [ -a ] and i = ref (Vec.get s.trail_lim 0) in
+    let reached = ref false in
+    while not !reached do
+      let l = s.trail.(!i) in
+      let r = s.reason.(var_of l) in
+      if r >= 0 then Vec.push s.chain (clause_cid s r) else lits := -l :: !lits;
+      reached := l = -a;
+      incr i
+    done;
+    Vec.push s.chain 0;
+    ignore (record_step s !lits s.chain.Vec.data)
+  end
+
 (* Internal: the [solve_limited] conflict budget ran out. *)
 exception Limit_hit
 
@@ -1167,7 +1240,7 @@ let search s ~assumptions ~restart_budget =
         s.n_conflicts <- s.n_conflicts + 1;
         incr conflicts;
         if decision_level s = 0 then begin
-          record_refutation s;
+          record_refutation s (clause_cid s conflict);
           raise (Done Unsat)
         end;
         if s.n_conflicts >= s.conflict_ceiling then raise Limit_hit;
@@ -1210,7 +1283,10 @@ let search s ~assumptions ~restart_budget =
             (* Already satisfied: open an empty level so indices advance. *)
             Vec.push s.trail_lim s.trail_size
           end
-          else if lit_false s a then raise (Done Unsat)
+          else if lit_false s a then begin
+            if s.proof_enabled then record_failed_assumption s a;
+            raise (Done Unsat)
+          end
           else begin
             Vec.push s.trail_lim s.trail_size;
             enqueue s a (-1)
@@ -1250,11 +1326,8 @@ let solve_body ~assumptions s =
     (* A warm (level > 0) trail is fully propagated, so the entry
        propagation pass is only needed — and a conflict only meaningful —
        at the root. *)
-    if decision_level s = 0 && propagate s >= 0 then begin
-      s.ok <- false;
-      record_refutation s;
-      Unsat
-    end
+    if decision_level s = 0 then propagate_root s;
+    if not s.ok then Unsat
     else begin
       try
         let rec loop i =
@@ -1270,7 +1343,10 @@ let solve_body ~assumptions s =
         let r = loop 1 in
         (match r with
          | Sat -> ()
-         | Unsat -> cancel_until s 0);
+         | Unsat ->
+           cancel_until s 0;
+           (* A refuted assumption is a root fact by now. *)
+           if s.proof_enabled then flush_root_units s);
         r
       with Cancelled ->
         (* Defensive reset so a cancelled solver can be re-entered (the

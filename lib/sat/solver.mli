@@ -130,8 +130,9 @@ val simplify_inplace : ?budget:int -> t -> unit
 
     Interaction with proof logging: every shortened clause is RUP with
     respect to a formula that still contains the original clause, so each
-    one goes to the proof sink like a learned clause and keeps certifying —
-    an external checker never deletes, so originals remain premises.
+    one goes to the proof sink like a learned clause, chained through the
+    probe's reasons, and keeps certifying — an external checker never
+    deletes, so originals remain premises.
     Nothing this pass derives falls outside RUP, hence nothing is disabled
     under {!enable_proof}. The BMC engine calls this between frames. *)
 
@@ -157,8 +158,8 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Proof logging}
 
-    When enabled, the solver streams a hinted clausal proof to a sink as it
-    runs: every problem clause exactly as it was passed to {!add_clause}
+    When enabled, the solver streams a chained clausal proof to a sink as
+    it runs: every problem clause exactly as it was passed to {!add_clause}
     (the internal database simplifies — dedup, tautology and
     satisfied-clause drop, unit stripping — so it is not a faithful base
     formula for an external checker), and every derived clause the moment
@@ -166,29 +167,41 @@ val pp_stats : Format.formatter -> stats -> unit
     solver. After an [Unsat] answer without assumptions the last step is
     the empty clause.
 
-    A learned clause carries a {e chain}: the ids of the clauses its
-    conflict analysis resolved on — the minimization walks' reasons, then
-    the main loop's reasons in trail order, the conflict clause last. Under
-    the negation of the learned clause each named clause becomes unit in
-    turn and the last one is falsified, so a checker ({!Rup.add_step})
-    replays the chain instead of propagating over the whole formula, and
-    falls back to full propagation when the chain does not close. The
-    chain only orders the checker's work: a step is accepted iff it is
-    RUP, whatever chain it carries. A root-strengthened clause carries the
-    id of its original; vivified clauses and the empty clause carry none.
-    There are no deletions: a clause dropped by database reduction stays
-    implied, so a checker may keep it. *)
+    Every derived clause carries a {e chain}: ids of clauses sent before
+    it, in an order where, under the negation of the clause, each named
+    clause becomes unit in turn and one is falsified. A checker
+    ({!Rup.add_step}) replays the chain and nothing else, so the chain
+    must close on its own:
+    - a learned clause names the clauses its conflict analysis resolved
+      on — the minimization walks' reasons, then the main loop's reasons
+      in trail order, the conflict clause last;
+    - a vivified clause names the reasons on its probe trail, then the
+      conflict clause (or, without one, the original clause);
+    - a root-strengthened clause names its original;
+    - the empty clause names the clause falsified at the root;
+    - when an assumption is refuted above level 0, the clause "one of the
+      assumptions decided so far is false" names the reasons on the trail
+      up to the refuted literal.
+
+    Chains skip the literals fixed at level 0. Each of those goes to the
+    sink as a unit step, chained to its reason, before any step relies on
+    it, and before [solve] returns [Unsat]. So a query refuted under a
+    single assumption [a] leaves [-a] as such a unit, and a checker
+    confirms it against that root fact at once. There are no deletions: a
+    clause dropped by database reduction stays implied, so a checker may
+    keep it. *)
 
 type proof_sink = {
   on_clause : int -> int list -> unit;
       (** [on_clause id lits]: a problem clause, verbatim, in order of
           addition. *)
   on_step : int -> int list -> int array -> unit;
-      (** [on_step id lits chain]: a learned, vivified or strengthened
-          clause, RUP with respect to every clause sent before it. Its
-          chain is the ids in [chain] up to the first [0] (or the end);
-          the array may be the solver's scratch buffer, overwritten once
-          the call returns. *)
+      (** [on_step id lits chain]: a derived clause — learned, vivified,
+          strengthened, a level-0 unit, a refuted assumption set or the
+          empty clause — closed by its chain over the clauses sent before
+          it. The chain is the ids in [chain] up to the first [0] (or the
+          end); the array may be the solver's scratch buffer, overwritten
+          once the call returns. *)
 }
 
 val enable_proof : t -> proof_sink -> unit

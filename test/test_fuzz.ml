@@ -4,8 +4,10 @@
    solver's search: a Sat answer must carry a model that satisfies the
    original clauses (and the assumptions), and an Unsat answer must be
    confirmed by {!Sat.Rup}, the reverse-unit-propagation checker, fed the
-   solver's proof stream with its hint chains as the engine's certified
-   mode does. The incremental fuzz interleaves clause additions,
+   solver's proof stream with its chains as the engine's certified mode
+   does. In the one-shot rounds every step that checker accepts is also
+   held to a naive oracle ({!Rup_oracle}) that reads no chains. The
+   incremental fuzz interleaves clause additions,
    prefix-correlated assumption solves and {!Sat.Solver.simplify_inplace}
    calls, the exact shape of the BMC frame loop, and certifies each answer
    against the checker's state after it. Seeds are fixed (Testbench.Prng),
@@ -27,33 +29,39 @@ let random_3sat rng ~nvars ~ratio =
           if P.bool rng then v else -v))
 
 (* A solver whose proof streams into a fresh checker. Each derived clause
-   must be RUP the moment it is sent ([rejected] keeps the index of the
-   first that is not), and the problem clauses the solver reports are
-   logged so a test can hold them to the ones it added: the checker's
-   formula must be the test's, not the solver's say-so. *)
+   must be closed by its chain the moment it is sent ([rejected] keeps the
+   index of the first that is not), and the stream is logged: the problem
+   clauses, so a test can hold them to the ones it added (the checker's
+   formula must be the test's, not the solver's say-so), and the accepted
+   steps, for the oracle. *)
 type certified = {
   ck : Sat.Rup.checker;
-  mutable reported : int list list;  (* problem clauses, latest first *)
+  mutable stream : (bool * int list) list;
+      (* problem clauses (false) and accepted steps (true), latest first *)
   mutable steps : int;
+  mutable last_step : int;  (* id of the latest step *)
   mutable rejected : int option;
 }
 
 let certified_solver ?reduce_first () =
   let s = S.create ?reduce_first () in
   let c =
-    { ck = Sat.Rup.create (); reported = []; steps = 0; rejected = None }
+    { ck = Sat.Rup.create (); stream = []; steps = 0; last_step = 0;
+      rejected = None }
   in
   S.enable_proof s
     {
       S.on_clause =
         (fun id lits ->
-          c.reported <- lits :: c.reported;
+          c.stream <- (false, lits) :: c.stream;
           Sat.Rup.add_clause ~id c.ck lits);
       on_step =
         (fun id lits chain ->
-          if (not (Sat.Rup.add_step ~id ~chain c.ck lits)) && c.rejected = None
-          then c.rejected <- Some c.steps;
-          c.steps <- c.steps + 1);
+          if Sat.Rup.add_step ~id ~chain c.ck lits then
+            c.stream <- (true, lits) :: c.stream
+          else if c.rejected = None then c.rejected <- Some c.steps;
+          c.steps <- c.steps + 1;
+          c.last_step <- id);
     };
   (s, c)
 
@@ -66,7 +74,23 @@ let formula_is_input c added =
     | r :: rs, a :: added -> r = a && prefix (rs, added)
     | _ :: _, [] -> false
   in
-  prefix (List.rev c.reported, added)
+  let reported =
+    List.filter_map (fun (step, lits) -> if step then None else Some lits)
+      c.stream
+  in
+  prefix (List.rev reported, added)
+
+(* The index (among accepted steps) of the first one the naive oracle
+   finds not RUP over the problem clauses and accepted steps before it. *)
+let oracle_rejects c =
+  let rec go clauses i = function
+    | [] -> None
+    | (false, lits) :: rest -> go (lits :: clauses) i rest
+    | (true, lits) :: rest ->
+      if Rup_oracle.rup clauses lits then go (lits :: clauses) (i + 1) rest
+      else Some i
+  in
+  go [] 0 (List.rev c.stream)
 
 let solver_of ?reduce_first nvars clauses =
   let s, c = certified_solver ?reduce_first () in
@@ -80,8 +104,9 @@ let model_satisfies s clauses =
   List.for_all (List.exists (fun l -> S.lit_value s l)) clauses
 
 (* [rounds] one-shot solves of random 3-SAT over [min_vars + below
-   spread_vars] variables, each answer certified; returns the number of
-   database reductions summed over the rounds. *)
+   spread_vars] variables, each answer certified and each accepted step
+   confirmed by the oracle; returns the number of database reductions
+   summed over the rounds. *)
 let random_3sat_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
     ~min_ratio () =
   let rng = P.create seed in
@@ -93,6 +118,10 @@ let random_3sat_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
     let s, c = solver_of ?reduce_first nvars clauses in
     let r = S.solve s in
     reductions := !reductions + (S.stats s).S.reductions;
+    Option.iter
+      (Alcotest.failf "round %d (n=%d): accepted step %d is not RUP" round
+         nvars)
+      (oracle_rejects c);
     match r with
     | S.Sat ->
       if not (model_satisfies s clauses) then
@@ -134,9 +163,10 @@ let test_random_3sat_reductions () =
    assumption lists that share prefixes with the previous call (so the
    warm-start path is exercised), and inprocessing fires between solves.
    The RUP checker takes the stream as it comes — the problem clauses on
-   trust, each learned or vivified clause only if it is RUP — and after
-   every solve judges the answer: Unsat must refute the assumptions by
-   unit propagation alone, Sat must not. *)
+   trust, each derived clause only if its chain closes — and after every
+   solve judges the answer: Unsat must refute the assumptions along the
+   latest step (the solver's last word on a refuted assumption, or a root
+   fact), Sat must not. *)
 let random_lit rng nvars =
   let v = 1 + P.below rng nvars in
   if P.bool rng then v else -v
@@ -182,7 +212,8 @@ let incremental_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
         c.rejected;
       let refuted =
         Sat.Rup.contradictory c.ck
-        || Sat.Rup.check_step c.ck (List.map (fun a -> -a) !assumptions)
+        || Sat.Rup.check_step ~chain:[| c.last_step |] c.ck
+             (List.map (fun a -> -a) !assumptions)
       in
       if is_sat r then begin
         if not (model_satisfies s !added) then

@@ -107,8 +107,9 @@ let test_bad_literal () =
 
 (* ---- modern-CDCL machinery ---- *)
 
-(* Streams the solver's proof into a list (hints dropped) and returns its
-   reader: the derived clauses in derivation order, for {!Sat.Rup.check}. *)
+(* Streams the solver's proof into a list (chains dropped) and returns its
+   reader: the derived clauses in derivation order, for the naive oracle
+   ({!Rup_oracle.check}). *)
 let recorded_proof s =
   let steps = ref [] in
   S.enable_proof s
@@ -164,7 +165,7 @@ let test_tiered_reduction () =
   Alcotest.(check bool) "tiers account for every learnt" true
     (st.S.lbd_core + st.S.lbd_mid + st.S.lbd_local = st.S.learned);
   Alcotest.(check bool) "proof valid across reductions" true
-    (Sat.Rup.check cnf (proof ()) = Sat.Rup.Valid)
+    (Rup_oracle.check cnf (proof ()) = Rup_oracle.Valid)
 
 (* Pins the exact search on one deterministic instance that goes through
    every clause-store maintenance path. php(8,7) arrives in parts: with
@@ -222,7 +223,7 @@ let test_ema_restarts () =
   let s, proof, cnf = php_solver ~restarts:S.Ema ~restart_base:50 6 5 in
   Alcotest.(check bool) "php(6,5) UNSAT under EMA" true (S.solve s = S.Unsat);
   Alcotest.(check bool) "ema proof valid" true
-    (Sat.Rup.check cnf (proof ()) = Sat.Rup.Valid);
+    (Rup_oracle.check cnf (proof ()) = Rup_oracle.Valid);
   let sat = S.create ~restarts:S.Ema () in
   ignore (fresh_vars sat 3);
   S.add_clause sat [ 1; 2 ];
@@ -363,16 +364,17 @@ let test_proof_tampering_detected () =
   (* A fabricated step that is not implied: x1 alone is not RUP for this
      formula. *)
   let cnf = { Sat.Dimacs.nvars = 2; clauses = [ [ 1; 2 ] ] } in
-  (match Sat.Rup.check cnf [ [ 1 ]; [] ] with
-   | Sat.Rup.Invalid 0 -> ()
-   | Sat.Rup.Invalid i -> Alcotest.fail (Printf.sprintf "wrong index %d" i)
-   | Sat.Rup.Valid | Sat.Rup.Incomplete -> Alcotest.fail "tampered proof accepted");
+  (match Rup_oracle.check cnf [ [ 1 ]; [] ] with
+   | Rup_oracle.Invalid 0 -> ()
+   | Rup_oracle.Invalid i -> Alcotest.fail (Printf.sprintf "wrong index %d" i)
+   | Rup_oracle.Valid | Rup_oracle.Incomplete ->
+     Alcotest.fail "tampered proof accepted");
   (* A truncated proof (no empty clause) is incomplete, not valid. *)
   let cnf2 =
     { Sat.Dimacs.nvars = 1; clauses = [ [ 1 ]; [ -1 ] ] }
   in
   Alcotest.(check bool) "truncated proof incomplete" true
-    (Sat.Rup.check cnf2 [] = Sat.Rup.Incomplete)
+    (Rup_oracle.check cnf2 [] = Rup_oracle.Incomplete)
 
 let prop_proofs_check =
   QCheck.Test.make ~name:"every UNSAT run yields a valid RUP proof"
@@ -383,33 +385,42 @@ let prop_proofs_check =
       | Sat.Rup.Invalid _ -> false)
 
 let test_rup_incremental () =
-  (* The incremental checker the BMC engine drives frame by frame. *)
-  let ck = Sat.Rup.create ~nvars:2 () in
-  List.iter (Sat.Rup.add_clause ck)
+  (* The incremental checker the BMC engine drives frame by frame, over
+     #1 (x1 v x2), #2 (-x1 v x2), #3 (x1 v -x2), #4 (-x1 v -x2). *)
+  let ck = Sat.Rup.create () in
+  List.iteri
+    (fun i c -> Sat.Rup.add_clause ~id:(i + 1) ck c)
     [ [ 1; 2 ]; [ -1; 2 ]; [ 1; -2 ]; [ -1; -2 ] ];
   Alcotest.(check bool) "before any step, not contradictory" false
     (Sat.Rup.contradictory ck);
-  (* [2] is RUP (asserting -2 propagates 1 and -1), and installing it
-     refutes the rest of the formula by propagation alone. *)
-  Alcotest.(check bool) "implied step accepted" true (Sat.Rup.add_step ck [ 2 ]);
+  (* [x2]: under -x2, #1 forces x1 and #2 is falsified. The accepted unit
+     step becomes a root fact; the checker propagates nothing further on
+     its own. *)
+  Alcotest.(check bool) "implied step accepted" true
+    (Sat.Rup.add_step ~id:5 ~chain:[| 1; 2 |] ck [ 2 ]);
+  Alcotest.(check bool) "a root fact refutes nothing by itself" false
+    (Sat.Rup.contradictory ck);
+  (* The empty clause: on top of x2, #3 forces x1 and #4 is falsified. *)
+  Alcotest.(check bool) "refutation accepted" true
+    (Sat.Rup.add_step ~id:6 ~chain:[| 3; 4 |] ck []);
   Alcotest.(check bool) "formula now contradictory" true
     (Sat.Rup.contradictory ck);
   Alcotest.(check bool) "everything follows from a contradiction" true
     (Sat.Rup.check_step ck [ ]);
   (* A step that is not implied is rejected and not installed. *)
-  let ck2 = Sat.Rup.create ~nvars:2 () in
-  Sat.Rup.add_clause ck2 [ 1; 2 ];
+  let ck2 = Sat.Rup.create () in
+  Sat.Rup.add_clause ~id:1 ck2 [ 1; 2 ];
   Alcotest.(check bool) "non-implied step rejected" false
-    (Sat.Rup.check_step ck2 [ 1 ]);
+    (Sat.Rup.check_step ~chain:[| 1 |] ck2 [ 1 ]);
   Alcotest.(check bool) "empty clause not implied" false
-    (Sat.Rup.check_step ck2 [])
+    (Sat.Rup.check_step ~chain:[| 1 |] ck2 [])
 
-(* Hint chains only order the checker's work. Formula, with proof ids:
+(* Chains are replayed, never trusted. Formula, with proof ids:
    #1 (x1 v x2), #2 (-x1 v x3), #3 (-x2 v x3), #4 (x4 v x5). Under -x3,
    #2 forces -x1, #3 forces -x2 and #1 is falsified: [x3] is RUP, with
    chain [2; 3; 1]. [x4] is not RUP: under -x4 only #4 fires. *)
 let chain_checker () =
-  let ck = Sat.Rup.create ~nvars:5 () in
+  let ck = Sat.Rup.create () in
   List.iteri
     (fun i c -> Sat.Rup.add_clause ~id:(i + 1) ck c)
     [ [ 1; 2 ]; [ -1; 3 ]; [ -2; 3 ]; [ 4; 5 ] ];
@@ -434,16 +445,14 @@ let test_chain_cannot_admit () =
   Alcotest.(check bool) "its id names nothing" false
     (Sat.Rup.check_step ~chain:[| 10 |] ck [ 4; 1 ])
 
-let test_chain_cannot_refuse () =
+let test_closing_chains_accept () =
   let accepts name chain =
     Alcotest.(check bool) name true
       (Sat.Rup.check_step ~chain (chain_checker ()) [ 3 ])
   in
   accepts "exact chain" [| 2; 3; 1 |];
   accepts "misordered chain" [| 1; 3; 2 |];
-  accepts "partial chain" [| 2 |];
-  accepts "garbage chain" [| 99; 4; -5; 0 |];
-  accepts "no chain" [||];
+  accepts "closing chain among unknown ids" [| 99; 2; -5; 3; 4; 1 |];
   (* An accepted step is installed under its id and serves later chains. *)
   let ck = chain_checker () in
   Alcotest.(check bool) "step installed" true
@@ -451,38 +460,62 @@ let test_chain_cannot_refuse () =
   Alcotest.(check bool) "later chain through it" true
     (Sat.Rup.check_step ~chain:[| 5 |] ck [ 3; 4 ])
 
-(* The telemetry counters tell the two ways a step closes apart; a 0 ends
-   the chain, so a reused buffer's stale tail is never read. *)
+(* [x3] is RUP (the oracle confirms it), but a chain that leaves out a
+   clause the refutation needs does not close, and there is no fallback
+   to full propagation: the step is rejected. *)
+let test_short_chain_rejected () =
+  let formula = [ [ 1; 2 ]; [ -1; 3 ]; [ -2; 3 ]; [ 4; 5 ] ] in
+  Alcotest.(check bool) "x3 is RUP" true (Rup_oracle.rup formula [ 3 ]);
+  let rejects name chain =
+    Alcotest.(check bool) name false
+      (Sat.Rup.check_step ~chain (chain_checker ()) [ 3 ])
+  in
+  rejects "without the falsified clause" [| 2; 3 |];
+  rejects "without a forcing clause" [| 2; 1 |];
+  rejects "no chain" [||];
+  let ck = chain_checker () in
+  Alcotest.(check bool) "short chain refused" false
+    (Sat.Rup.add_step ~id:5 ~chain:[| 2 |] ck [ 3 ]);
+  Alcotest.(check bool) "its id names nothing" false
+    (Sat.Rup.check_step ~chain:[| 5 |] ck [ 3 ])
+
+(* Every check bumps [cert.rup_steps], a rejected one [cert.rup_rejected]
+   too; a 0 ends the chain, so a reused buffer's stale tail is never
+   read. *)
 let test_chain_counters () =
   let get name = Telemetry.Counter.get (Telemetry.Counter.make name) in
-  let closed_by chain =
-    let h = get "cert.rup_hinted" and u = get "cert.rup_unhinted" in
-    Alcotest.(check bool) "accepted" true
-      (Sat.Rup.check_step ~chain (chain_checker ()) [ 3 ]);
-    (get "cert.rup_hinted" - h, get "cert.rup_unhinted" - u)
+  let counted chain =
+    let n = get "cert.rup_steps" and r = get "cert.rup_rejected" in
+    let ok = Sat.Rup.check_step ~chain (chain_checker ()) [ 3 ] in
+    (ok, get "cert.rup_steps" - n, get "cert.rup_rejected" - r)
   in
   let check name want chain =
-    Alcotest.(check (pair int int)) name want (closed_by chain)
+    Alcotest.(check (triple bool int int)) name want (counted chain)
   in
-  check "exact chain: hinted" (1, 0) [| 2; 3; 1 |];
-  check "misordered chain: hinted" (1, 0) [| 1; 3; 2 |];
-  check "partial chain: full propagation" (0, 1) [| 2 |];
-  check "a 0 ends the chain" (0, 1) [| 2; 0; 3; 1 |]
+  check "exact chain: closed" (true, 1, 0) [| 2; 3; 1 |];
+  check "misordered chain: closed" (true, 1, 0) [| 1; 3; 2 |];
+  check "partial chain: rejected" (false, 1, 1) [| 2 |];
+  check "a 0 ends the chain" (false, 1, 1) [| 2; 0; 3; 1 |]
 
-(* Tautologies are dropped and duplicates merged: a tautology never
-   propagates, a duplicated unit still does. *)
+(* Tautologies are dropped, duplicates merged, and a unit clause becomes a
+   root fact that chains walk on. *)
 let test_rup_normalize () =
   let ck = Sat.Rup.create () in
-  Sat.Rup.add_clause ck [ 1; 2; -1 ];
+  Sat.Rup.add_clause ~id:1 ck [ 1; 2; -1 ];
   Alcotest.(check bool) "tautology adds nothing" false
-    (Sat.Rup.check_step ck [ 2 ]);
-  Sat.Rup.add_clause ~id:1 ck [ -3; 2; -3 ];
+    (Sat.Rup.check_step ~chain:[| 1 |] ck [ 2 ]);
+  Sat.Rup.add_clause ~id:2 ck [ -3; 2; -3 ];
   Alcotest.(check bool) "duplicates merged into a binary clause" true
-    (Sat.Rup.check_step ~chain:[| 1 |] ck [ -3; 2 ]);
-  Sat.Rup.add_clause ck [ 3; 3 ];
-  Alcotest.(check bool) "duplicated unit propagates at the root" true
-    (Sat.Rup.check_step ck [ 2 ]);
-  Alcotest.(check bool) "not contradictory" false (Sat.Rup.contradictory ck)
+    (Sat.Rup.check_step ~chain:[| 2 |] ck [ -3; 2 ]);
+  Sat.Rup.add_clause ~id:3 ck [ 3; 3 ];
+  Alcotest.(check bool) "duplicated unit is a root fact" true
+    (Sat.Rup.check_step ~chain:[| 2 |] ck [ 2 ]);
+  Alcotest.(check bool) "a root fact closes a step at once" true
+    (Sat.Rup.check_step ck [ 3; 4 ]);
+  Alcotest.(check bool) "not contradictory" false (Sat.Rup.contradictory ck);
+  Sat.Rup.add_clause ~id:4 ck [ -3 ];
+  Alcotest.(check bool) "a unit against a root fact refutes" true
+    (Sat.Rup.contradictory ck)
 
 let test_solve_limited () =
   (* A definite answer within the budget is returned; a hard instance under
@@ -640,8 +673,10 @@ let suite =
       Alcotest.test_case "incremental RUP checker" `Quick test_rup_incremental;
       Alcotest.test_case "chains cannot admit a non-RUP step" `Quick
         test_chain_cannot_admit;
-      Alcotest.test_case "chains cannot refuse a RUP step" `Quick
-        test_chain_cannot_refuse;
+      Alcotest.test_case "closing chains accept a RUP step" `Quick
+        test_closing_chains_accept;
+      Alcotest.test_case "short chain rejects a RUP step" `Quick
+        test_short_chain_rejected;
       Alcotest.test_case "chain counters and terminator" `Quick
         test_chain_counters;
       Alcotest.test_case "RUP clause normalization" `Quick test_rup_normalize;
