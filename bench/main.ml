@@ -653,8 +653,11 @@ let ab_suite =
       ~expect:"clean@10"
       (fun () -> M.build M.Fifo_mode ());
     (* fig2 at depth 16 and AES at depth 18 are the two searches dominated
-       by frame-solve time rather than encoding; certification leaves them
-       out (RUP replay is proportional to the clauses learned). *)
+       by frame-solve time rather than encoding. Certification leaves them
+       out for the time their legs would add to the CI gate, not for the
+       checker's share: on a 2-core host their plain + certified legs took
+       26.4 + 23.5 s (fig2) and 20.9 + 31.0 s (AES), about 102 s on top of
+       the 21 s the whole certify target takes without them. *)
     ab "fig2" (`Fc None) 16 ~note:" bug" ~targets:[ `Reduce; `Sat ]
       ~expect:"bug@14"
       (fun () -> Accel.Fig2.build ~bug:true ());

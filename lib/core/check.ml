@@ -131,8 +131,11 @@ type obligation = {
 
 let obligation_name o = o.ob_name
 
-(* Bit-blast (and reduce) the obligation's instance exactly once. *)
+(* Build, bit-blast and reduce the obligation's instance exactly once. *)
 let prepare_engine ob =
+  Telemetry.Span.with_ "check.prepare"
+    ~args:[ ("obligation", Telemetry.Str ob.ob_name) ]
+  @@ fun () ->
   let circuit, prop = ob.ob_build () in
   Bmc.Engine.prepare ~reduce:ob.ob_reduce ~sweep:ob.ob_sweep circuit ~prop
 

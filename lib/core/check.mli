@@ -232,7 +232,10 @@ type cache
     (the structural hash of the reduced relation) plus the solve
     parameters. The relation is bit-blasted and reduced once per
     obligation; the same prepared value feeds the key and, on a miss, the
-    solve. Shareable across batches and domains; single-flight. *)
+    solve. Shareable across batches and domains; single-flight. Its users
+    are batch runs ([verify -j], [bench]), where structurally equal
+    obligations from different sources collide; the service keys its own
+    cache on the job spec instead ([Serve.cache]). *)
 
 val create_cache : unit -> cache
 val cache_stats : cache -> Parallel.Cache.stats

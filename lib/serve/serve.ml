@@ -7,9 +7,9 @@
    What happens between admission and a job's terminal state belongs to
    an [executor]:
 
-   - [in_process] solves the job on the submitting connection's thread
-     through [Check.run_batch] on one shared pool, cache and store
-     ([aqed_cli serve]);
+   - [in_process] answers a repeated spec from its spec cache on the
+     submitting connection's thread, and solves anything else through
+     [Check.run_batch] on one shared pool and store ([aqed_cli serve]);
    - [Shard.Fleet] leases it to worker processes over the same socket
      ([aqed_cli serve --workers N]).
 
@@ -199,25 +199,44 @@ type outcome =
   | Timeout
   | Failed of string
 
-(* One obligation through the exact batch path a direct CLI run uses
-   (store + single-flight cache + certification), so a [Done] record is
-   byte-identical to a [verify --journal] record. Total: cancellation
-   becomes [Timeout] and anything the solve throws becomes [Failed], so
-   every job reaches exactly one terminal state. *)
+(* The spec cache: a job's answer keyed on what it asks, not on the
+   instance it builds. The key is the spec with its check lower-cased
+   and its deadline dropped (a deadline bounds the wait, not the
+   answer), so a repeat is found before any build. *)
+type cache = (job_spec, Aqed.Check.batch_entry) Parallel.Cache.t
+
+let create_cache () = Parallel.Cache.create ()
+
+let spec_key s =
+  { s with sj_check = String.lowercase_ascii s.sj_check; sj_timeout_s = None }
+
+(* A miss runs the exact batch path a direct CLI run uses (store +
+   certification), so a [Done] record is byte-identical to a
+   [verify --journal] record; a hit replays that record marked cached.
+   Only a [Done] is cached: cancellation and failures propagate out of
+   the single-flight compute, so a waiter retries under its own
+   deadline. Total: cancellation becomes [Timeout] and anything the
+   solve throws becomes [Failed], so every job reaches exactly one
+   terminal state. *)
 let solve ~pool ~cache ?store ~span ~id ~cancel spec design ob =
   try
     Telemetry.Span.with_ span
       ~args:[ ("job", Telemetry.Int id); ("design", Telemetry.Str design) ]
     @@ fun () ->
     match
-      Aqed.Check.run_batch ~pool ~cache ?store ~certify:spec.sj_certify
-        ~cancel [ ob ]
+      Parallel.Cache.find_or_compute cache (spec_key spec) (fun () ->
+          match
+            Aqed.Check.run_batch ~pool ?store ~certify:spec.sj_certify
+              ~cancel [ ob ]
+          with
+          | { Aqed.Check.entries = [ e ]; _ } -> e
+          | _ -> failwith "internal: batch returned no entry")
     with
-    | { Aqed.Check.entries = [ e ]; _ } ->
+    | hit, e ->
       Done
         (Journal.of_report ~design ~name:e.Aqed.Check.entry_name
-           ~cached:e.Aqed.Check.entry_cached e.Aqed.Check.entry_report)
-    | _ -> Failed "internal: batch returned no entry"
+           ~cached:(hit || e.Aqed.Check.entry_cached)
+           e.Aqed.Check.entry_report)
     | exception Sat.Solver.Cancelled -> Timeout
     | exception Bmc.Engine.Certification_failed m ->
       Failed ("certification failed: " ^ m)
@@ -606,7 +625,7 @@ let wait srv =
 
 let in_process ?store ?workers () =
   let pool = Parallel.Pool.create ?workers () in
-  let cache = Aqed.Check.create_cache () in
+  let cache = create_cache () in
   {
     run =
       (fun srv job ->

@@ -6,8 +6,9 @@
     table with per-job deadlines and cancel flags, exactly-once
     finalization, the lifetime counters, the journal, the status frame
     and the drain. An executor decides how an admitted job reaches its
-    terminal state: {!in_process} solves it on one shared
-    {!Parallel.Pool}, obligation cache and (optionally) {!Store.t};
+    terminal state: {!in_process} answers it from one spec {!cache} or
+    solves it on one shared {!Parallel.Pool} and (optionally)
+    {!Store.t};
     [Shard.Fleet] leases it to worker processes. The wire protocol is
     JSONL in both directions, printed and parsed with {!Report.Json};
     the verdict payload of a completed job is byte-identical to a
@@ -83,15 +84,31 @@ type outcome =
   | Timeout  (** the cancel flag was tripped *)
   | Failed of string
 
+type cache
+(** A single-flight {!Parallel.Cache} of completed jobs, keyed on the
+    job spec: design, bug, lower-cased check, depth and [certify] — not
+    [timeout_s], which bounds the wait and not the answer. The value is
+    the batch entry of that spec's first [Done]. Each executor holds
+    one: {!in_process} for the whole server, the fleet one per worker
+    process. *)
+
+val create_cache : unit -> cache
+
 val solve :
-  pool:Parallel.Pool.t -> cache:Aqed.Check.cache -> ?store:Store.t ->
+  pool:Parallel.Pool.t -> cache:cache -> ?store:Store.t ->
   span:string -> id:int -> cancel:bool Atomic.t -> job_spec -> string ->
   Aqed.Check.obligation -> outcome
-(** [solve ~pool ~cache ~span ~id ~cancel spec design ob] runs one
-    obligation through {!Aqed.Check.run_batch}, inside a [span] trace
-    span, and classifies the result. Total: {!Sat.Solver.Cancelled}
-    becomes [Timeout] and any other exception becomes [Failed]. The one
-    outcome classifier shared by {!in_process} and the fleet's workers. *)
+(** [solve ~pool ~cache ~span ~id ~cancel spec design ob], inside a
+    [span] trace span. A spec already in [cache] is answered on the
+    calling thread, without building [ob] or entering [pool]: the first
+    answer's record, marked cached. Otherwise [ob] runs through
+    {!Aqed.Check.run_batch} on [pool] (and [store]), and a [Done] lands
+    in [cache]; concurrent submissions of one spec solve once, the
+    others wait for it. A timeout or an error is never cached, so a
+    waiter whose leader failed retries under its own deadline. Total:
+    {!Sat.Solver.Cancelled} becomes [Timeout] and any other exception
+    becomes [Failed]. The one outcome classifier shared by {!in_process}
+    and the fleet's workers. *)
 
 (** {1 Server} *)
 
@@ -101,7 +118,11 @@ type config = {
       (** maps a job to its (design label, prepared-able obligation) at
           admission; the CLI builds this from its design registry, tests
           from whatever toy designs they like. [Error] becomes a typed
-          [error] frame for the client. *)
+          [error] frame for the client. The label and the obligation
+          must be a function of the spec's {!cache}d fields alone
+          (design, bug, check up to case, depth, [certify]): a repeat of
+          a cached spec is answered with the first answer, and its own
+          obligation is never built. *)
   capacity : int;               (** max admitted-but-unfinished jobs *)
   job_timeout_s : float;        (** default per-job wall-clock deadline *)
   idle_timeout_s : float;       (** silent-connection read timeout *)
@@ -162,10 +183,11 @@ type executor = {
 }
 
 val in_process : ?store:Store.t -> ?workers:int -> unit -> executor
-(** Solve each job with {!solve} on the submitting connection's thread,
-    on one shared pool of [workers] domains (default:
-    {!Parallel.Pool.create}'s), one obligation cache, and the optional
-    store. *)
+(** Run each job through {!solve} on the submitting connection's
+    thread, with one {!cache}, one shared pool of [workers] domains
+    (default: {!Parallel.Pool.create}'s) and the optional store. A
+    cached spec never reaches the pool, so a repeat does not queue
+    behind misses. *)
 
 val finalize : server -> job -> wall:float -> outcome -> unit
 (** Record the job's terminal state and release its slot. Exactly-once:

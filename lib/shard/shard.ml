@@ -500,7 +500,7 @@ module Worker = struct
         ()
     in
     let pool = Parallel.Pool.create ~workers:cfg.pool_workers () in
-    let cache = Aqed.Check.create_cache () in
+    let cache = Serve.create_cache () in
     let leases = ref 0 and completed = ref 0 in
     let timeouts = ref 0 and errors = ref 0 in
     let lease_op =

@@ -4,10 +4,11 @@
     socket, admission, deadlines, accounting, the journal and the drain,
     and the fleet leases each admitted job, one obligation at a time, to
     {!Worker} processes connected to the same socket. A worker is a thin
-    lease loop over {!Serve.solve} with its own domain pool, sharing one
-    on-disk {!Store.t} with the rest of the fleet (the store's
-    tmp-then-rename + revalidation discipline, plus its advisory gc lock,
-    make cross-process sharing safe).
+    lease loop over {!Serve.solve} with its own domain pool and spec
+    {!Serve.cache} (a repeat it has answered before skips the build),
+    sharing one on-disk {!Store.t} with the rest of the fleet (the
+    store's tmp-then-rename + revalidation discipline, plus its advisory
+    gc lock, make cross-process sharing safe).
 
     Clients cannot tell the executors apart, except that the status
     frame gains fleet fields. The fleet↔worker wire reuses
@@ -118,10 +119,10 @@ module Worker : sig
   val run : config -> summary
   (** Connect (retrying for up to 30 s — a worker may start before the
       server has bound its socket), then loop: lease, solve through
-      {!Serve.solve} on this worker's own pool, report the result, lease
-      again — until the server sends [drain] or its socket closes. One
-      ticker thread per worker sends the current lease's heartbeats and
-      trips its cancel flag at the deadline, so a timed-out job becomes
-      a [timeout] result and the pool survives. Raises [Failure] when
-      the server cannot be reached. *)
+      {!Serve.solve} on this worker's own pool and cache, report the
+      result, lease again — until the server sends [drain] or its
+      socket closes. One ticker thread per worker sends the current
+      lease's heartbeats and trips its cancel flag at the deadline, so a
+      timed-out job becomes a [timeout] result and the pool survives.
+      Raises [Failure] when the server cannot be reached. *)
 end

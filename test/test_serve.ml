@@ -3,7 +3,9 @@
    parity against a direct solve, per-job wall-clock timeouts with a
    surviving executor, malformed-frame connection isolation, client
    disconnects mid-job, SIGTERM drain flushing the store and journal,
-   and bounded-admission backpressure.
+   bounded-admission backpressure, and the spec cache: a repeat is
+   answered without a build, one fresh spec solves once, a timeout is
+   never cached, and the key folds the check's case but keeps the depth.
 
    Cheap jobs use the 4-bit echo design (as in test_store); the "slow"
    job is a deep AES FC obligation, which reliably outlives a
@@ -33,9 +35,17 @@ let echo ?(twist = false) () =
   Aqed.Iface.make c ~in_valid ~in_data ~in_ready ~out_valid:have
     ~out_data:value ~out_ready ()
 
+(* Calls of any resolved obligation's build, across every server and
+   worker thread: the spec-cache cases read its deltas. *)
+let builds = Atomic.make 0
+
+let counted build () =
+  Atomic.incr builds;
+  build ()
+
 let ob_fc ?(twist = false) ~depth () =
-  Aqed.Check.prepare_fc ~max_depth:depth ~cnt_width:8 (fun () ->
-      echo ~twist ())
+  Aqed.Check.prepare_fc ~max_depth:depth ~cnt_width:8
+    (counted (fun () -> echo ~twist ()))
 
 (* The test-side resolver: two cheap echo designs plus a deliberately
    expensive deep AES obligation for timeout/backpressure scenarios. *)
@@ -48,7 +58,8 @@ let resolve (spec : Serve.job_spec) =
     Ok
       ( "aes-deep",
         Aqed.Check.prepare_fc ~max_depth:depth
-          ~shared:Accel.Aes.shared_key (fun () -> Accel.Aes.build ()) )
+          ~shared:Accel.Aes.shared_key
+          (counted (fun () -> Accel.Aes.build ())) )
   | d -> Error (Printf.sprintf "unknown design %s" d)
 
 let rec rm_rf path =
@@ -67,16 +78,17 @@ let tmp_path label =
 type executor = In_process | Fleet
 
 (* Start a server over [executor], run [f srv sock], [drain] it, and
-   return [f]'s value and the drain summary. The fleet brings two worker
-   threads running the real lease loop, sharing [store]. *)
+   return [f]'s value and the drain summary. The fleet brings
+   [fleet_workers] worker threads running the real lease loop, sharing
+   [store]. *)
 let with_server ?store ?journal ?(capacity = 4) ?(drain = Serve.stop)
-    executor label f =
+    ?(fleet_workers = 2) executor label f =
   let label = (if executor = Fleet then "fleet_" else "") ^ label in
   let sock = tmp_path (label ^ ".sock") in
   let executor, workers =
     match executor with
     | In_process -> (Serve.in_process ?store ~workers:2 (), 0)
-    | Fleet -> (Shard.Fleet.executor (Shard.Fleet.create ()), 2)
+    | Fleet -> (Shard.Fleet.executor (Shard.Fleet.create ()), fleet_workers)
   in
   let srv =
     Serve.start ~executor
@@ -402,6 +414,102 @@ let test_backpressure_busy executor () =
   Alcotest.(check int) "one rejected" 1 summary.Serve.sm_rejected;
   Alcotest.(check int) "two accepted" 2 summary.Serve.sm_accepted
 
+(* ---- the spec cache ---- *)
+
+(* Each fleet worker keeps its own spec cache, so a repeat skips the
+   build only on a worker that answered the spec before. The cases that
+   count builds therefore run the fleet with a single worker: every job
+   then meets the one cache, as every in-process job does. *)
+let cache_server executor label f =
+  with_server ~fleet_workers:1 executor label f
+
+let record_json o =
+  Report.Json.to_string (Report.Journal.json_of_obligation o)
+
+let builds_during f =
+  let b0 = Atomic.get builds in
+  let v = f () in
+  (v, Atomic.get builds - b0)
+
+let test_repeat_skips_build executor () =
+  let spec = Serve.job_spec ~depth:10 ~certify:true "echo-twist" in
+  let (), summary =
+    cache_server executor "repeat" (fun _ sock ->
+        with_client sock (fun c ->
+            let first, b1 = builds_during (fun () -> submit_ok c spec) in
+            let again, b2 = builds_during (fun () -> submit_ok c spec) in
+            Alcotest.(check int) "the first answer builds once" 1 b1;
+            Alcotest.(check int) "the repeat builds nothing" 0 b2;
+            Alcotest.(check bool) "first answer solved" false
+              first.Report.Journal.ob_cached;
+            Alcotest.(check bool) "repeat answered cached" true
+              again.Report.Journal.ob_cached;
+            Alcotest.(check string) "same record but for [cached]"
+              (record_json first)
+              (record_json { again with Report.Journal.ob_cached = false })))
+  in
+  Alcotest.(check int) "both completed" 2 summary.Serve.sm_completed
+
+let test_fresh_spec_solves_once executor () =
+  let spec = Serve.job_spec ~depth:12 "echo-twist" in
+  let served, summary =
+    cache_server executor "single_flight" (fun _ sock ->
+        builds_during (fun () -> submit_all sock [ spec; spec ]))
+  in
+  let records, b = served in
+  Alcotest.(check int) "exactly one build" 1 b;
+  Alcotest.(check int) "exactly one uncached record" 1
+    (List.length
+       (List.filter (fun o -> not o.Report.Journal.ob_cached) records));
+  (match records with
+   | [ a; b ] ->
+     Alcotest.(check string) "both answers agree"
+       (record_json { a with Report.Journal.ob_cached = false })
+       (record_json { b with Report.Journal.ob_cached = false })
+   | _ -> Alcotest.fail "expected two answers");
+  Alcotest.(check int) "both completed" 2 summary.Serve.sm_completed
+
+let test_timeout_never_cached executor () =
+  let spec = Serve.job_spec ~depth:24 ~timeout_s:0.3 "aes-deep" in
+  let timed_out c =
+    match Serve.Client.submit c spec with
+    | Serve.Client.Timed_out (_, wall) ->
+      Alcotest.(check bool) "waited out its own deadline" true (wall >= 0.3)
+    | _ -> Alcotest.fail "expected a typed timeout frame"
+  in
+  let (), summary =
+    with_server executor "timeout_uncached" (fun _ sock ->
+        with_client sock (fun c ->
+            timed_out c;
+            let (), b = builds_during (fun () -> timed_out c) in
+            Alcotest.(check int) "the resubmission built again" 1 b))
+  in
+  Alcotest.(check int) "two timeouts" 2 summary.Serve.sm_timeouts;
+  Alcotest.(check int) "nothing completed" 0 summary.Serve.sm_completed
+
+let test_spec_key executor () =
+  let (), _summary =
+    cache_server executor "spec_key" (fun _ sock ->
+        with_client sock (fun c ->
+            let submit check depth =
+              builds_during (fun () ->
+                  submit_ok c (Serve.job_spec ~check ~depth "echo"))
+            in
+            let upper, b1 = submit "FC" 8 in
+            let lower, b2 = submit "fc" 8 in
+            let deeper, b3 = submit "fc" 10 in
+            Alcotest.(check (list int)) "builds per submit" [ 1; 0; 1 ]
+              [ b1; b2; b3 ];
+            Alcotest.(check (list bool)) "cached per submit"
+              [ false; true; false ]
+              (List.map
+                 (fun o -> o.Report.Journal.ob_cached)
+                 [ upper; lower; deeper ]);
+            Alcotest.(check int) "the deeper bound is its own answer" 10
+              deeper.Report.Journal.ob_depth))
+  in
+  ()
+
 let cases executor =
   [
     Alcotest.test_case "submit/complete parity vs direct solve" `Quick
@@ -418,6 +526,14 @@ let cases executor =
       (test_sigterm_drain_flushes executor);
     Alcotest.test_case "backpressure: typed busy at capacity" `Quick
       (test_backpressure_busy executor);
+    Alcotest.test_case "repeated spec answered without a build" `Quick
+      (test_repeat_skips_build executor);
+    Alcotest.test_case "one fresh spec from two clients solves once" `Quick
+      (test_fresh_spec_solves_once executor);
+    Alcotest.test_case "a timeout is never cached" `Quick
+      (test_timeout_never_cached executor);
+    Alcotest.test_case "spec key folds check case, keeps depth" `Quick
+      (test_spec_key executor);
   ]
 
 let suite = ("serve", cases In_process)

@@ -249,6 +249,34 @@ let test_layers_emit_spans () =
             true (List.mem expected names))
         [ "sat.solve"; "bmc.search"; "bmc.frame"; "pool.task"; "check" ])
 
+(* A traced [check] run brackets build, bit-blast and reduction in one
+   [check.prepare] span: it encloses the [reduce] pass and closes before
+   the search's [check] span opens. *)
+let test_prepare_span () =
+  quiesced (fun () ->
+      T.reset_events ();
+      T.enable ();
+      ignore
+        (Aqed.Check.run_obligation
+           (Aqed.Check.prepare_fc ~max_depth:4 (fun () ->
+                Accel.Memctrl.build Accel.Memctrl.Fifo_mode ())));
+      T.disable ();
+      let events = load_events () in
+      check_trace_invariants events;
+      let phases =
+        List.filter_map
+          (fun e ->
+            let name = as_str (member "name" e) in
+            if List.mem name [ "check.prepare"; "reduce"; "check" ] then
+              Some (as_str (member "ph" e) ^ " " ^ name)
+            else None)
+          events
+      in
+      Alcotest.(check (list string)) "prepare, then the search"
+        [ "B check.prepare"; "B reduce"; "E reduce"; "E check.prepare";
+          "B check"; "E check" ]
+        phases)
+
 let test_counters_under_contention () =
   let c = T.Counter.make "test.contention" in
   let before = T.Counter.get c in
@@ -585,4 +613,6 @@ let suite =
       Alcotest.test_case "series rate limit" `Quick test_series_rate_limit;
       Alcotest.test_case "series forced first/last sample" `Quick
         test_series_forced_sample;
+      Alcotest.test_case "check.prepare span brackets the build" `Quick
+        test_prepare_span;
     ] )
