@@ -11,9 +11,6 @@
               divergence or missing certificate, records the overhead
      sat      the default solver alone on its known answers; records the
               per-obligation solver statistics and journals every report
-     store    persistent verdict store: cold (empty store), warm (all hits,
-              >= 5x faster) and dirty (one design swapped for its bug
-              variant; only it re-solves) legs
      mutate   mutation fault-injection campaign on the three memctrl
               configurations (fixed seed): generated faults instead of the
               hand-written registry; records the mutation score, kill-depth
@@ -24,10 +21,10 @@
      kernels  Bechamel micro-benchmarks of the substrate (SAT, BMC, sim)
      ablate   ablations called out in DESIGN.md
 
-   reduce, certify, sat and store draw on one declarative
+   reduce, certify and sat draw on one declarative
    obligation suite, each entry carrying its known verdict@depth, and run
-   through one runner: every leg is checked against the known answer and
-   the other legs, and any mismatch exits 1.
+   through one runner: every leg is checked against the known answer, and
+   any mismatch exits 1.
 
    Run with no argument for the paper artefacts (table1 fig5 table2 fig2);
    pass target names to select; `all` runs every target. An unknown
@@ -37,10 +34,10 @@
    baseline and the parallel batch driver, checks the outcomes agree and
    reports the speedup. `-p N` additionally races N diversified solver
    configurations inside each obligation. Every run also emits
-   machine-readable BENCH_results.json (schema 11: run metadata, per-table
+   machine-readable BENCH_results.json (schema 12: run metadata, per-table
    wall times, one uniform row per A/B obligation — per leg its verdict,
-   wall time, solver stats including the glue-tier tallies, certificate
-   and cache hit — plus each target's gates, mutation-campaign scores,
+   wall time, solver stats including the glue-tier tallies and
+   certificate — plus each target's gates, mutation-campaign scores,
    and a final snapshot of the global telemetry metrics registry) so the
    perf trajectory is tracked across changes. *)
 
@@ -161,7 +158,7 @@ let write_json_results ~jobs ~portfolio ~total_wall =
   json_out buf
     (Obj
        ([
-          ("schema", Int 11);
+          ("schema", Int 12);
           ( "meta",
             Obj
               ([ ("jobs", Int jobs); ("portfolio", Int portfolio);
@@ -517,9 +514,8 @@ let print_table2 ~jobs ~portfolio () =
     (* Re-solve the same obligations on the domain pool and hold the result
        to the sequential baseline: identical outcomes and depths, or the
        row is flagged (and the JSON records the mismatch). *)
-    let cache = Aqed.Check.create_cache () in
     let batch =
-      Aqed.Check.run_batch ~jobs ~cache ~portfolio
+      Aqed.Check.run_batch ~jobs ~portfolio
         (List.map (fun s -> s.ob) specs)
     in
     let par_reports = Aqed.Check.batch_reports batch in
@@ -541,13 +537,10 @@ let print_table2 ~jobs ~portfolio () =
       (if all_match then "identical" else "MISMATCH");
     List.iter2
       (fun (e : Aqed.Check.batch_entry) m ->
-        pf "  %-18s %6.3fs%s%s\n" e.Aqed.Check.entry_name
+        pf "  %-18s %6.3fs%s\n" e.Aqed.Check.entry_name
           e.Aqed.Check.entry_wall
-          (if e.Aqed.Check.entry_cached then " (cached)" else "")
           (if m then "" else "  << MISMATCH"))
       batch.Aqed.Check.entries matches;
-    pf "cache: %d hits / %d solved\n" batch.Aqed.Check.batch_hits
-      batch.Aqed.Check.batch_misses;
     record "table2"
       (Obj
          (base_fields
@@ -560,8 +553,6 @@ let print_table2 ~jobs ~portfolio () =
                     ("wall_s", Num batch.Aqed.Check.batch_wall);
                     ("speedup", Num speedup);
                     ("outcomes_match", Bool all_match);
-                    ("cache_hits", Int batch.Aqed.Check.batch_hits);
-                    ("cache_misses", Int batch.Aqed.Check.batch_misses);
                     ( "per_obligation_wall_s",
                       Arr
                         (List.map
@@ -570,7 +561,6 @@ let print_table2 ~jobs ~portfolio () =
                                [
                                  ("name", Str e.Aqed.Check.entry_name);
                                  ("wall_s", Num e.Aqed.Check.entry_wall);
-                                 ("cached", Bool e.Aqed.Check.entry_cached);
                                ])
                            batch.Aqed.Check.entries) );
                   ] );
@@ -610,14 +600,14 @@ let print_fig2 () =
 
 (* ---- A/B targets: one obligation suite, one runner ---- *)
 
-(* The reduce, certify, sat and store targets all draw their
+(* The reduce, certify and sat targets all draw their
    obligations from one declarative suite and run them through one runner
    ([run_ab]): a target is a list of variants (legs) plus its gates. Every
-   leg of every target is checked against the entry's known answer and
-   against the other legs, so a wrong verdict fails the bench (exit 1)
-   even when all legs agree on it. *)
+   leg of every target is checked against the entry's known answer, so a
+   wrong verdict fails the bench (exit 1) even when all legs agree on
+   it. *)
 
-type ab_target = [ `Reduce | `Certify | `Sat | `Store ]
+type ab_target = [ `Reduce | `Certify | `Sat ]
 
 type ab_entry = {
   design : string;
@@ -629,16 +619,14 @@ type ab_entry = {
   sweep : bool;
   targets : ab_target list;
   expect : string;  (* the known answer, verdict@depth *)
-  dirty : ((unit -> Aqed.Iface.t) * string) option;
-      (* store's dirty leg: the bug variant built instead, and its answer *)
 }
 
-let ab ?(note = "") ?(sweep = false) ?dirty ~targets ~expect design check
-    depth build =
-  { design; note; check; depth; build; sweep; targets; expect; dirty }
+let ab ?(note = "") ?(sweep = false) ~targets ~expect design check depth
+    build =
+  { design; note; check; depth; build; sweep; targets; expect }
 
 let ab_suite =
-  let every = [ `Reduce; `Certify; `Sat; `Store ] in
+  let every = [ `Reduce; `Certify; `Sat ] in
   [
     (* The sweep showcase: the checker datapath is functionally equal but
        structurally disjoint from the functional one, so only SAT sweeping
@@ -672,22 +660,19 @@ let ab_suite =
     ab "Optical Flow" (`Rb Accel.Optflow.tau) 16 ~note:" bug"
       ~targets:[ `Reduce; `Certify; `Sat ] ~expect:"bug@10"
       (fun () -> Accel.Optflow.build ~bug:true ());
-    ab "memctrl-fifo" (`Fc None) 12 ~note:" bug" ~targets:[ `Certify; `Store ]
+    ab "memctrl-fifo" (`Fc None) 12 ~note:" bug" ~targets:[ `Certify ]
       ~expect:"bug@8"
       (fun () -> M.build ~bug:M.Fifo_oversize_ready M.Fifo_mode ());
-    ab "memctrl-fifo" (`Fc None) 8 ~note:" clean" ~targets:[ `Certify; `Store ]
+    ab "memctrl-fifo" (`Fc None) 8 ~note:" clean" ~targets:[ `Certify ]
       ~expect:"clean@8"
       (fun () -> M.build M.Fifo_mode ());
-    ab "fig2" (`Fc None) 8 ~note:" clean" ~targets:[ `Certify; `Store ]
+    ab "fig2" (`Fc None) 8 ~note:" clean" ~targets:[ `Certify ]
       ~expect:"clean@8"
       (fun () -> Accel.Fig2.build ());
     ab "dualpath" (`Fc None) 12 ~note:" bug" ~targets:[ `Certify; `Sat ]
       ~expect:"bug@6"
       (fun () -> Accel.Dualpath.build ~bug:true ());
-    (* The dirty leg flips this design's stale-operand bug on: its key
-       changes, so it alone re-solves, and must find the bug. *)
-    ab "dualpath" (`Fc None) 8 ~targets:[ `Certify; `Store ] ~expect:"clean@8"
-      ~dirty:((fun () -> Accel.Dualpath.build ~bug:true ()), "bug@6")
+    ab "dualpath" (`Fc None) 8 ~targets:[ `Certify ] ~expect:"clean@8"
       (fun () -> Accel.Dualpath.build ());
   ]
 
@@ -697,31 +682,26 @@ let ab_name e =
 
 let ab_label e = ab_name e ^ e.note
 
-let ab_prepare ?(reduce = true) ?(dirty = false) e =
+let ab_prepare ?(reduce = true) e =
   let name = ab_name e and max_depth = e.depth and sweep = e.sweep in
-  let build =
-    match e.dirty with Some (bug, _) when dirty -> bug | Some _ | None -> e.build
-  in
   match e.check with
   | `Fc shared ->
-    Aqed.Check.prepare_fc ~name ~max_depth ?shared ~reduce ~sweep build
+    Aqed.Check.prepare_fc ~name ~max_depth ?shared ~reduce ~sweep e.build
   | `Rb tau ->
-    Aqed.Check.prepare_rb ~name ~max_depth ~tau ~reduce ~sweep build
+    Aqed.Check.prepare_rb ~name ~max_depth ~tau ~reduce ~sweep e.build
 
 let ab_entries target = List.filter (fun e -> List.mem target e.targets) ab_suite
 
 (* One variant's answer on one entry: verdict@depth (or why there is
-   none), wall time, whether a cache or store answered, and the report. *)
+   none), wall time and the report. *)
 type leg = {
   answer : string;
   wall : float;
-  cached : bool;
   report : Aqed.Check.report option;
 }
 
-let solved ?(cached = false) ?wall (r : Aqed.Check.report) =
-  { answer = verdict_sig r; cached; report = Some r;
-    wall = Option.value wall ~default:r.Aqed.Check.wall_time }
+let solved (r : Aqed.Check.report) =
+  { answer = verdict_sig r; wall = r.Aqed.Check.wall_time; report = Some r }
 
 let certificate l =
   match l.report with
@@ -734,54 +714,28 @@ let certificate l =
 let json_of_leg l =
   Obj
     ([ ("answer", Str l.answer); ("wall_s", Num l.wall);
-       ("cached", Bool l.cached); ("certificate", Str (certificate l)) ]
+       ("certificate", Str (certificate l)) ]
      @ match l.report with
        | Some r -> [ ("report", json_of_report r) ]
        | None -> [])
 
-(* How a variant solves: one obligation at a time on this domain (its
-   wall time is the sum of its legs'), or the whole list at once —
-   one leg per obligation, in order, and the leg's wall time. *)
-type solve =
-  | Each of (ab_entry -> Aqed.Check.obligation -> leg)
-  | Batch of ((ab_entry * Aqed.Check.obligation) list -> leg list * float)
-
+(* How a variant solves: one obligation at a time on this domain; its
+   wall time is the sum of its legs'. *)
 type variant = {
   label : string;
   reduce : bool;  (* prepare through the reduction pipeline *)
-  dirty : bool;  (* prepare the entries' dirty swaps *)
-  solve : solve;
+  solve : ab_entry -> Aqed.Check.obligation -> leg;
 }
 
-let variant ?(reduce = true) ?(dirty = false) label solve =
-  { label; reduce; dirty; solve }
+let variant ?(reduce = true) label solve = { label; reduce; solve }
 
-let run_plain = Each (fun _ ob -> solved (Aqed.Check.run_obligation ob))
-
-(* The obligations as one batch on [jobs] domains, through [store] when
-   one is given. *)
-let batch ?store ~jobs () =
-  Batch
-    (fun obs ->
-      let b = Aqed.Check.run_batch ~jobs ?store (List.map snd obs) in
-      ( List.map
-          (fun (be : Aqed.Check.batch_entry) ->
-            solved ~cached:be.Aqed.Check.entry_cached
-              ~wall:be.Aqed.Check.entry_wall be.Aqed.Check.entry_report)
-          b.Aqed.Check.entries,
-        b.Aqed.Check.batch_wall ))
-
-let expected v (e : ab_entry) =
-  match e.dirty with
-  | Some (_, answer) when v.dirty -> answer
-  | Some _ | None -> e.expect
+let run_plain _ ob = solved (Aqed.Check.run_obligation ob)
 
 let rec transpose = function
   | [] | [] :: _ -> []
   | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
 
 type ab_run = {
-  entries : ab_entry list;
   legs : (variant * leg list * float) list;
       (* per variant: one leg per entry and the variant's wall time *)
   outcomes_ok : bool;
@@ -794,61 +748,34 @@ let legs_of run label =
   | None -> invalid_arg ("legs_of: no variant " ^ label)
 
 (* Runs every variant over the target's entries and checks every answer
-   against the entry's known answer and against the other variants'.
-   When every variant solves one obligation at a time, the
-   runner goes entry by entry — all of an entry's legs back to back — so
-   drift slower than one solve hits every variant alike. One uniform row
-   per entry: the known answer, each leg's wall time ([*] = a cache or
-   store answered) and any certificate. *)
+   against the entry's known answer. The runner goes entry by entry — all
+   of an entry's legs back to back — so drift slower than one solve hits
+   every variant alike. One uniform row per entry: the known answer, each
+   leg's wall time and any certificate. *)
 let run_ab ~title target variants =
   pf "\n== %s ==\n" title;
   let entries = ab_entries target in
-  let solve v es =
-    let obs =
-      List.map (fun e -> (e, ab_prepare ~reduce:v.reduce ~dirty:v.dirty e)) es
-    in
-    match v.solve with
-    | Batch f -> f obs
-    | Each f ->
-      let legs = List.map (fun (e, ob) -> f e ob) obs in
-      (legs, List.fold_left (fun acc l -> acc +. l.wall) 0. legs)
+  let by_entry =
+    List.map
+      (fun e ->
+        List.map (fun v -> v.solve e (ab_prepare ~reduce:v.reduce e)) variants)
+      entries
   in
-  (* Per variant over [es]: its legs and its wall. *)
-  let run es = List.map (fun v -> solve v es) variants in
-  let per_variant =
-    if List.for_all (fun v -> match v.solve with Each _ -> true | Batch _ -> false)
-         variants
-    then
-      List.map
-        (fun runs ->
-          ( List.concat_map fst runs,
-            List.fold_left (fun acc (_, wall) -> acc +. wall) 0. runs ))
-        (transpose (List.map (fun e -> run [ e ]) entries))
-    else run entries
+  let legs =
+    List.map2
+      (fun v ls -> (v, ls, List.fold_left (fun acc l -> acc +. l.wall) 0. ls))
+      variants (transpose by_entry)
   in
-  let legs = List.map2 (fun v (ls, wall) -> (v, ls, wall)) variants per_variant in
   let rows =
     List.map2
       (fun e ls ->
         let answers = List.combine variants ls in
-        let ok =
-          List.for_all
-            (fun (v, l) ->
-              l.answer = expected v e
-              && List.for_all
-                   (fun (v', l') ->
-                     expected v e <> expected v' e || l.answer = l'.answer)
-                   answers)
-            answers
-        in
+        let ok = List.for_all (fun l -> l.answer = e.expect) ls in
         pf "%-26s %-9s" (ab_label e) e.expect;
+        List.iter (fun (v, l) -> pf " | %s %.3fs" v.label l.wall) answers;
         List.iter
-          (fun (v, l) ->
-            pf " | %s %.3fs%s" v.label l.wall (if l.cached then "*" else ""))
-          answers;
-        List.iter
-          (fun (_, l) -> if certificate l <> "-" then pf " %s" (certificate l))
-          answers;
+          (fun l -> if certificate l <> "-" then pf " %s" (certificate l))
+          ls;
         if not ok then
           pf "  << UNEXPECTED: %s"
             (String.concat ", "
@@ -861,8 +788,7 @@ let run_ab ~title target variants =
               ( "legs",
                 Obj (List.map (fun (v, l) -> (v.label, json_of_leg l)) answers)
               ) ] ))
-      entries
-      (transpose (List.map (fun (_, ls, _) -> ls) legs))
+      entries by_entry
   in
   let outcomes_ok = List.for_all fst rows in
   pf "legs: %s%s\n"
@@ -870,7 +796,7 @@ let run_ab ~title target variants =
        (List.map (fun (v, _, wall) -> Printf.sprintf "%s %.3fs" v.label wall)
           legs))
     (if outcomes_ok then "" else "  (FAILURE: an unexpected verdict)");
-  { entries; legs; outcomes_ok; rows = List.map snd rows }
+  { legs; outcomes_ok; rows = List.map snd rows }
 
 (* Records a target's result; [ok] is the target's gate, and a failed gate
    fails the bench. *)
@@ -923,14 +849,11 @@ let print_reduce () =
 let print_certify () =
   let rup name = Telemetry.Counter.get (Telemetry.Counter.make name) in
   let n0 = rup "cert.rup_steps" and r0 = rup "cert.rup_rejected" in
-  let certified =
-    Each
-      (fun _ ob ->
-        match Aqed.Check.run_obligation ~certify:true ob with
-        | r -> solved r
-        | exception Bmc.Engine.Certification_failed msg ->
-          { answer = "diverged: " ^ msg; wall = 0.; cached = false;
-            report = None })
+  let certified _ ob =
+    match Aqed.Check.run_obligation ~certify:true ob with
+    | r -> solved r
+    | exception Bmc.Engine.Certification_failed msg ->
+      { answer = "diverged: " ^ msg; wall = 0.; report = None }
   in
   let run =
     run_ab `Certify
@@ -969,85 +892,9 @@ let print_sat () =
   in
   let run =
     run_ab `Sat ~title:"Solver known answers (default CDCL)"
-      [ variant "default" (Each journaled) ]
+      [ variant "default" journaled ]
   in
   record_ab "sat" run ~ok:run.outcomes_ok []
-
-(* ---- persistent verdict store: cold / warm / dirty ---- *)
-
-(* The incremental re-verification bench (DESIGN.md §15): the store
-   entries run three times against one on-disk verdict store.
-
-     cold  — empty store: every obligation solves (certified) and writes
-             its entry.
-     warm  — unchanged suite: every obligation must answer from a
-             revalidated entry, and the leg must beat cold by
-             store_speedup_floor.
-     dirty — each entry with a dirty swap builds its bug variant: its
-             structural key changes, so it — and only it — re-solves;
-             everything else still hits.
-
-   Any unexpected verdict, a warm miss, a wrong dirty re-solve or a warm
-   speedup below the floor fails the bench (exit 1). *)
-let store_speedup_floor = 5.0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> (try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let print_store ~jobs () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aqed_bench_store.%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  let store = Store.open_store dir in
-  let batch = batch ~store ~jobs () in
-  let run =
-    run_ab `Store
-      ~title:"Persistent verdict store (cold / warm / dirty re-verification)"
-      [ variant "cold" batch; variant "warm" batch;
-        variant ~dirty:true "dirty" batch ]
-  in
-  let _, cold_wall = legs_of run "cold" in
-  let warm, warm_wall = legs_of run "warm" in
-  let dirty, _ = legs_of run "dirty" in
-  let warm_all_hits = List.for_all (fun l -> l.cached) warm in
-  let dirty_resolves =
-    List.length (List.filter (fun l -> not l.cached) dirty)
-  in
-  (* Exactly the entries with a dirty swap re-solve. *)
-  let dirty_ok =
-    List.for_all2
-      (fun (e : ab_entry) l -> l.cached = (e.dirty = None))
-      run.entries dirty
-  in
-  let speedup = if warm_wall > 0. then cold_wall /. warm_wall else 0. in
-  let ok =
-    run.outcomes_ok && warm_all_hits && dirty_ok
-    && speedup >= store_speedup_floor
-  in
-  pf "%.1fx warm speedup (floor %.1fx); dirty leg: %d re-solve(s), \
-      expected exactly the dirty swaps%s\n"
-    speedup store_speedup_floor dirty_resolves
-    (if ok then ""
-     else "  (FAILURE: verdict, warm hit, dirty re-solve or speedup floor)");
-  let st = Store.stats store in
-  pf "store: %d entries, %d bytes on disk\n" st.Store.n_entries
-    st.Store.n_bytes;
-  record_ab "store" run ~ok
-    [ ("warm_all_hits", Bool warm_all_hits);
-      ("dirty_resolves", Int dirty_resolves);
-      ("dirty_ok", Bool dirty_ok);
-      ("speedup", Num speedup);
-      ("speedup_floor", Num store_speedup_floor);
-      ("entries", Int st.Store.n_entries);
-      ("bytes", Int st.Store.n_bytes) ];
-  rm_rf dir
 
 (* ---- mutation campaign ---- *)
 
@@ -1407,7 +1254,6 @@ let bench_targets ~jobs ~portfolio =
     ("reduce", print_reduce);
     ("certify", print_certify);
     ("sat", print_sat);
-    ("store", print_store ~jobs);
     ("mutate", print_mutate ~jobs);
     ("ablate", print_ablations);
     ("kernels", print_kernels);

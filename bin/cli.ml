@@ -27,8 +27,8 @@
    Observability (check and verify): --trace FILE writes a Chrome
    trace_event JSON of solver/BMC/pool/check spans (load in Perfetto),
    --progress streams rate-limited progress lines to stderr during long
-   solves, --stats prints per-check solver statistics and cache hit/miss
-   counts after each report.
+   solves, --stats prints per-check solver statistics after each report
+   and the metrics registry (store./cache. counters included) on stderr.
 
    Certification (check and verify): --certify cross-checks every verdict
    through an independent mechanism — counterexamples are replayed (and
@@ -349,8 +349,7 @@ let cmd_check design_name bug check depth jobs stats no_reduce sweep certify
   if Aqed.Check.found_bug report && not certify then 1 else 0
 
 (* The full flow as a batch: FC, RB and (when a spec is registered) SAC as
-   independent obligations fanned across the domain pool, with the
-   obligation cache deduplicating structurally identical instances. Unlike
+   independent obligations fanned across the domain pool. Unlike
    [Check.verify] this does not stop at the first bug — all checks run. *)
 let cmd_verify design_name bug depth jobs portfolio stats no_reduce sweep
     certify restarts no_inprocess journal store_dir =
@@ -371,10 +370,9 @@ let cmd_verify design_name bug depth jobs portfolio stats no_reduce sweep
              (fun () -> d.build ?bug ()) ]
        | None -> [])
   in
-  let cache = Aqed.Check.create_cache () in
   let batch =
-    Aqed.Check.run_batch ~jobs:(max 1 jobs) ~cache
-      ~portfolio:(max 1 portfolio) ~certify ~solver ?store obligations
+    Aqed.Check.run_batch ~jobs:(max 1 jobs) ~portfolio:(max 1 portfolio)
+      ~certify ~solver ?store obligations
   in
   Format.printf "%a@." Aqed.Check.pp_batch batch;
   if stats then begin
@@ -383,11 +381,7 @@ let cmd_verify design_name bug depth jobs portfolio stats no_reduce sweep
         Format.printf "  %-28s %a@." e.Aqed.Check.entry_name
           Sat.Solver.pp_stats
           e.Aqed.Check.entry_report.Aqed.Check.solver_stats)
-      batch.Aqed.Check.entries;
-    let cs = Aqed.Check.cache_stats cache in
-    Format.printf "  cache: %d hits / %d misses / %d entries (%.0f%% hit rate)@."
-      cs.Parallel.Cache.hits cs.Parallel.Cache.misses cs.Parallel.Cache.entries
-      (100. *. Aqed.Check.cache_hit_rate cache)
+      batch.Aqed.Check.entries
   end;
   let reports = Aqed.Check.batch_reports batch in
   List.iter
@@ -859,8 +853,8 @@ let count_arg =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print solver statistics (and cache hit/miss counts for \
-                 verify) after each report.")
+           ~doc:"Print solver statistics after each report, and the \
+                 metrics registry on stderr.")
 
 let trace_arg =
   Arg.(value & opt (some string) None

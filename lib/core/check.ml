@@ -21,7 +21,7 @@ type report = {
   certificate : certificate;
   key : string;
       (* structural hash of the prepared (reduced) instance — the same
-         digest the obligation cache keys on, and what journals join on *)
+         digest the verdict store keys on, and what journals join on *)
   winner : string;
       (* label of the solver configuration that produced the verdict (the
          portfolio winner when racing) *)
@@ -35,7 +35,7 @@ let m_obligations = Telemetry.Counter.make "check.obligations"
 let m_bugs = Telemetry.Counter.make "check.bugs"
 
 (* The search side of one obligation: takes an already-prepared (bit-blasted
-   and reduced) relation, so preparing once serves both the cache key and
+   and reduced) relation, so preparing once serves both the store key and
    the solve. *)
 let run_bmc ?(portfolio = 1) ?(certify = false) ?solver ?(warm_depth = 0)
     ?cancel name ~max_depth prepared =
@@ -117,8 +117,8 @@ let auto_cnt_width cnt_width ~max_depth ~floor =
    producing the monitored circuit and property, plus the solve parameters.
    Keeping the build as a closure (rather than an already-built circuit)
    lets the batch driver construct each instance inside the worker domain
-   that solves it, and lets the obligation cache skip construction details
-   entirely — the key is the structural hash of the bit-blasted instance. *)
+   that solves it; the store key is the structural hash of the bit-blasted
+   instance, whatever recipe produced it. *)
 
 type obligation = {
   ob_name : string;
@@ -347,13 +347,19 @@ let run_with_store store ?portfolio ?solver ?cancel ob prepared =
         (* Certificate kind disagrees with the verdict: never trust it. *)
         invalid_then_miss ())
 
-let run_obligation ?portfolio ?certify ?solver ?store ?cancel ob =
+(* [(store_hit, report)]: [store_hit] is true only when a store answered
+   from a revalidated entry without solving. *)
+let solve ?portfolio ?certify ?solver ?store ?cancel ob =
   let prepared = prepare_engine ob in
   match store with
-  | Some s -> snd (run_with_store s ?portfolio ?solver ?cancel ob prepared)
+  | Some s -> run_with_store s ?portfolio ?solver ?cancel ob prepared
   | None ->
-    run_bmc ?portfolio ?certify ?solver ?cancel ob.ob_check
-      ~max_depth:ob.ob_max_depth prepared
+    ( false,
+      run_bmc ?portfolio ?certify ?solver ?cancel ob.ob_check
+        ~max_depth:ob.ob_max_depth prepared )
+
+let run_obligation ?portfolio ?certify ?solver ?store ?cancel ob =
+  snd (solve ?portfolio ?certify ?solver ?store ?cancel ob)
 
 let functional_consistency ?max_depth ?cnt_width ?shared ?lanes ?portfolio
     ?certify ?solver ?store ?reduce ?sweep build =
@@ -402,12 +408,6 @@ let verify ?max_depth ?cnt_width ~tau ?in_min ?shared ?spec ?portfolio
 
 (* ---- the parallel batch driver ---- *)
 
-type cache = (string, report) Parallel.Cache.t
-
-let create_cache () = Parallel.Cache.create ()
-let cache_stats = Parallel.Cache.stats
-let cache_hit_rate = Parallel.Cache.hit_rate
-
 type batch_entry = {
   entry_name : string;
   entry_report : report;
@@ -423,79 +423,34 @@ type batch_result = {
   batch_misses : int;
 }
 
-(* Solve one obligation, through the cache when one is given. The cache key
-   is the structural hash of the bit-blasted instance plus the solve
-   parameters; [Parallel.Cache] is single-flight, so identical obligations
-   landing on different workers at the same time still solve once. *)
-let solve_obligation ?cache ?portfolio ?(certify = false) ?solver ?store
-    ?cancel ob =
-  let t0 = Unix.gettimeofday () in
-  (* Every store-mediated solve is certified. *)
-  let certify = certify || store <> None in
-  let cached, report =
-    match (cache, store) with
-    | None, None ->
-      (false, run_obligation ?portfolio ~certify ?solver ?cancel ob)
-    | None, Some s ->
-      run_with_store s ?portfolio ?solver ?cancel ob (prepare_engine ob)
-    | Some c, _ ->
-      (* One bit-blast serves both the key and (on a miss) the solve. The
-         key is over the reduced graph, so preparations with different
-         [reduce] settings never collide. Certified and uncertified runs
-         are kept apart too: their reports differ (certificate field,
-         shrunk trace), so one must not answer for the other. *)
-      let prepared = prepare_engine ob in
-      let key =
-        Printf.sprintf "%s:%s:d%d:c%b"
-          (Bmc.Engine.prepared_key prepared)
-          ob.ob_check ob.ob_max_depth certify
-      in
-      let store_hit = ref false in
-      let cached, report =
-        Parallel.Cache.find_or_compute c key (fun () ->
-            match store with
-            | None ->
-              run_bmc ?portfolio ~certify ?solver ?cancel ob.ob_check
-                ~max_depth:ob.ob_max_depth prepared
-            | Some s ->
-              let h, r =
-                run_with_store s ?portfolio ?solver ?cancel ob prepared
-              in
-              store_hit := h;
-              r)
-      in
-      (* A store hit behind the in-process cache is still a cache answer
-         from the entry's point of view. *)
-      (cached || !store_hit, report)
-  in
-  {
-    entry_name = ob.ob_name;
-    entry_report = report;
-    entry_cached = cached;
-    entry_wall = Unix.gettimeofday () -. t0;
-  }
-
-let run_batch ?jobs ?pool ?cache ?portfolio ?certify ?solver ?store ?cancel
+let run_batch ?jobs ?pool ?portfolio ?certify ?solver ?store ?cancel
     obligations =
   let t0 = Unix.gettimeofday () in
-  let solve ob =
-    solve_obligation ?cache ?portfolio ?certify ?solver ?store ?cancel ob
+  let run ob =
+    let t0 = Unix.gettimeofday () in
+    let cached, report = solve ?portfolio ?certify ?solver ?store ?cancel ob in
+    {
+      entry_name = ob.ob_name;
+      entry_report = report;
+      entry_cached = cached;
+      entry_wall = Unix.gettimeofday () -. t0;
+    }
   in
   let entries, nworkers =
     match pool with
-    | Some p -> (Parallel.Pool.map_list p solve obligations, Parallel.Pool.workers p)
+    | Some p -> (Parallel.Pool.map_list p run obligations, Parallel.Pool.workers p)
     | None ->
       Parallel.Pool.with_pool ?workers:jobs (fun p ->
-          (Parallel.Pool.map_list p solve obligations, Parallel.Pool.workers p))
+          (Parallel.Pool.map_list p run obligations, Parallel.Pool.workers p))
   in
-  (* Attribute cache traffic per entry rather than by diffing the global
-     cache counters: with two batches sharing one cache concurrently, the
-     diff charges this batch for the other's lookups. Without a cache the
-     pair stays 0/0, so printers keep eliding the cache summary. *)
+  (* Attribute store traffic per entry rather than by diffing the global
+     store counters: with two batches sharing one store concurrently, the
+     diff charges this batch for the other's lookups. Without a store the
+     pair stays 0/0, so printers keep eliding the store summary. *)
   let batch_hits, batch_misses =
-    match (cache, store) with
-    | None, None -> (0, 0)
-    | _ ->
+    match store with
+    | None -> (0, 0)
+    | Some _ ->
       List.fold_left
         (fun (h, m) e -> if e.entry_cached then (h + 1, m) else (h, m + 1))
         (0, 0) entries
@@ -514,7 +469,7 @@ let pp_batch fmt b =
   Format.fprintf fmt "batch: %d obligations, %d workers, %.3fs wall"
     (List.length b.entries) b.batch_jobs b.batch_wall;
   if b.batch_hits + b.batch_misses > 0 then
-    Format.fprintf fmt " (cache: %d hit%s / %d solved)" b.batch_hits
+    Format.fprintf fmt " (%d store hit%s / %d solved)" b.batch_hits
       (if b.batch_hits = 1 then "" else "s")
       b.batch_misses;
   List.iter

@@ -45,7 +45,7 @@ type report = {
   key : string;             (** structural hash of the prepared (reduced)
                                 instance — same digest as
                                 {!Bmc.Engine.prepared_key}, what the
-                                obligation cache and run journals key on *)
+                                verdict store and run journals key on *)
   winner : string;          (** {!Bmc.Engine.config_label} of the solver
                                 configuration that produced the verdict
                                 (the portfolio winner when racing) *)
@@ -156,10 +156,7 @@ val pp_report : Format.formatter -> report -> unit
     A {!obligation} packages one of them {e unsolved}: the instrumentation
     recipe plus solve parameters. {!run_batch} fans a list of them across a
     {!Parallel.Pool} of domains and returns the reports in input order,
-    whatever the scheduling; with a {!cache}, structurally identical
-    instances (the same sub-check regenerated across bug variants, as in
-    Table 1's 26 configurations) are solved once and answered from the
-    cache afterwards. *)
+    whatever the scheduling. *)
 
 type obligation
 
@@ -227,40 +224,29 @@ val run_obligation :
     portfolio win never writes it back — so one flag can be shared across
     obligations or reused after a reset to [false]. *)
 
-type cache
-(** A concurrent obligation cache, keyed by {!Bmc.Engine.prepared_key}
-    (the structural hash of the reduced relation) plus the solve
-    parameters. The relation is bit-blasted and reduced once per
-    obligation; the same prepared value feeds the key and, on a miss, the
-    solve. Shareable across batches and domains; single-flight. Its users
-    are batch runs ([verify -j], [bench]), where structurally equal
-    obligations from different sources collide; the service keys its own
-    cache on the job spec instead ([Serve.cache]). *)
-
-val create_cache : unit -> cache
-val cache_stats : cache -> Parallel.Cache.stats
-val cache_hit_rate : cache -> float
-
 type batch_entry = {
   entry_name : string;
   entry_report : report;
-  entry_cached : bool;   (** answered from the cache *)
+  entry_cached : bool;   (** answered from a revalidated store entry,
+                             without solving; always [false] without a
+                             store *)
   entry_wall : float;    (** seconds spent on this entry's worker, including
-                             cache lookup (near zero on a hit) *)
+                             the store lookup (near zero on a hit) *)
 }
 
 type batch_result = {
   entries : batch_entry list;  (** positionally matches the input list *)
   batch_wall : float;
   batch_jobs : int;
-  batch_hits : int;            (** cache hits within this batch *)
-  batch_misses : int;
+  batch_hits : int;            (** entries answered from the store, counted
+                                   from this batch's own [entry_cached]
+                                   flags; [0] without a store *)
+  batch_misses : int;          (** entries solved; [0] without a store *)
 }
 
 val run_batch :
   ?jobs:int ->
   ?pool:Parallel.Pool.t ->
-  ?cache:cache ->
   ?portfolio:int ->
   ?certify:bool ->
   ?solver:Bmc.Engine.solver_config ->
@@ -275,13 +261,14 @@ val run_batch :
     sequential semantics on one worker domain. [portfolio] additionally
     races solver configurations {e within} each obligation — useful when
     obligations are few and cores are many. [solver] selects the per-solve
-    configuration; it is {e not} part of the in-process cache key (all
-    configurations produce identical reports up to timing), so A/B
-    measurements must bypass the cache. [store] threads the persistent
-    verdict store under every worker (and under the in-process cache, which
-    stays single-flight in front of it): unchanged obligations answer from
-    revalidated entries, changed ones — whose structural key differs — are
-    the only ones re-solved. A store hit counts as [entry_cached].
+    configuration. [store] threads the persistent verdict store under
+    every worker (see {!run_obligation}, every store-mediated solve is
+    certified): unchanged obligations answer from revalidated entries,
+    changed ones — whose structural key differs — are the only ones
+    re-solved. A store hit counts as [entry_cached]. Every obligation is
+    solved or looked up on its own: two equal obligations in one batch
+    both solve, and a repeat within one process is the caller's to
+    answer ([Serve.cache] does so for the service).
     [cancel] is threaded to every worker's solve (see {!run_obligation});
     setting it abandons the whole batch — each in-flight obligation raises
     {!Sat.Solver.Cancelled} on its worker. *)

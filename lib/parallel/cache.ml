@@ -1,48 +1,40 @@
 type 'v slot = In_flight | Value of 'v
 
-(* Telemetry series, aggregated across every cache instance (per-instance
-   numbers stay in [stats]). A single-flight wait wakeup counts under
-   [cache.wait_wakeups]; the loser still lands in [cache.hits] when the
-   winning computation publishes. *)
+exception Cancelled
+
+(* Telemetry series, aggregated across every cache instance. A
+   single-flight wait wakeup counts under [cache.wait_wakeups]; the loser
+   still lands in [cache.hits] when the winning computation publishes. *)
 let m_hits = Telemetry.Counter.make "cache.hits"
 let m_misses = Telemetry.Counter.make "cache.misses"
 let m_waits = Telemetry.Counter.make "cache.wait_wakeups"
 
 type ('k, 'v) t = {
   m : Mutex.t;
-  c : Condition.t;                  (* signaled when an in-flight slot lands *)
+  c : Condition.t;  (* broadcast when an in-flight slot lands, and by [wake] *)
   tbl : ('k, 'v slot) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
-type stats = { hits : int; misses : int; entries : int }
-
 let create () =
-  {
-    m = Mutex.create ();
-    c = Condition.create ();
-    tbl = Hashtbl.create 64;
-    hits = 0;
-    misses = 0;
-  }
+  { m = Mutex.create (); c = Condition.create (); tbl = Hashtbl.create 64 }
 
-let find_or_compute t k f =
+let find_or_compute t k ~cancel f =
   Mutex.lock t.m;
   let rec get () =
     match Hashtbl.find_opt t.tbl k with
     | Some (Value v) ->
-      t.hits <- t.hits + 1;
       Telemetry.Counter.incr m_hits;
       Mutex.unlock t.m;
       (true, v)
+    | Some In_flight when Atomic.get cancel ->
+      Mutex.unlock t.m;
+      raise Cancelled
     | Some In_flight ->
       Telemetry.Counter.incr m_waits;
       Condition.wait t.c t.m;
       get ()
     | None ->
       Hashtbl.replace t.tbl k In_flight;
-      t.misses <- t.misses + 1;
       Telemetry.Counter.incr m_misses;
       Mutex.unlock t.m;
       (match f () with
@@ -61,40 +53,6 @@ let find_or_compute t k f =
   in
   get ()
 
-let mem t k =
-  Mutex.lock t.m;
-  let r =
-    match Hashtbl.find_opt t.tbl k with
-    | Some (Value _) -> true
-    | Some In_flight | None -> false
-  in
-  Mutex.unlock t.m;
-  r
-
-let stats t =
-  Mutex.lock t.m;
-  let entries =
-    Hashtbl.fold
-      (fun _ s n -> match s with Value _ -> n + 1 | In_flight -> n)
-      t.tbl 0
-  in
-  let r = { hits = t.hits; misses = t.misses; entries } in
-  Mutex.unlock t.m;
-  r
-
-let hit_rate t =
-  let s = stats t in
-  let total = s.hits + s.misses in
-  if total = 0 then 0. else float_of_int s.hits /. float_of_int total
-
-let clear t =
-  Mutex.lock t.m;
-  let drop =
-    Hashtbl.fold
-      (fun k s acc -> match s with Value _ -> k :: acc | In_flight -> acc)
-      t.tbl []
-  in
-  List.iter (Hashtbl.remove t.tbl) drop;
-  t.hits <- 0;
-  t.misses <- 0;
-  Mutex.unlock t.m
+(* Taking the lock orders this broadcast after any waiter's flag check:
+   a waiter either saw the flag already set or is parked and is woken. *)
+let wake t = Mutex.protect t.m (fun () -> Condition.broadcast t.c)

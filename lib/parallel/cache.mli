@@ -1,38 +1,31 @@
 (** A concurrent single-flight memo cache.
 
-    Safe to use from any number of domains. When several workers ask for the
-    same key at once, exactly one computes it and the others block until the
-    value lands ("single flight"), so a batch of identical obligations costs
-    one solve. A failed computation is not cached; the next asker retries.
+    Safe to use from any number of threads and domains. When several
+    callers ask for the same key at once, exactly one computes it and the
+    others block until the value lands ("single flight"), so a burst of
+    identical requests costs one computation. A failed computation is not
+    cached; the next asker retries.
 
-    Used by {!Aqed.Check} to memoize BMC obligations keyed by the structural
-    hash of the bit-blasted instance, so sub-obligations shared across bug
-    variants and configurations are solved once. *)
+    Used by [Serve.cache] to answer a repeated verification job from its
+    first answer, keyed on the job spec. *)
 
 type ('k, 'v) t
 
-type stats = {
-  hits : int;      (** lookups answered from the table (incl. waits on an
-                       in-flight computation of the same key) *)
-  misses : int;    (** lookups that ran the computation *)
-  entries : int;   (** values currently stored *)
-}
+exception Cancelled
+(** Raised to a waiter that gives up on an in-flight computation. *)
 
 val create : unit -> ('k, 'v) t
 
-val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> bool * 'v
-(** [find_or_compute t k f] returns [(hit, v)]: the cached value when
-    present ([hit = true]), otherwise [f ()], stored under [k]. Re-raises
-    [f]'s exception without caching anything. *)
+val find_or_compute :
+  ('k, 'v) t -> 'k -> cancel:bool Atomic.t -> (unit -> 'v) -> bool * 'v
+(** [find_or_compute t k ~cancel f] returns [(hit, v)]: the cached value
+    when present ([hit = true]), otherwise [f ()], stored under [k].
+    Re-raises [f]'s exception without caching anything. A caller waiting
+    on another's in-flight computation of [k] raises {!Cancelled} once it
+    finds [cancel] set: on entry, or when woken by {!wake} or by a
+    computation landing. [cancel] is only read. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** True when a completed value is stored (in-flight keys excluded). *)
-
-val stats : ('k, 'v) t -> stats
-
-val hit_rate : ('k, 'v) t -> float
-(** [hits / (hits + misses)]; [0.] before any lookup. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drops completed entries (and the counters); in-flight computations
-    finish and store their value normally. *)
+val wake : ('k, 'v) t -> unit
+(** Wakes every waiter to re-read its [cancel] flag. Call it after
+    setting a flag a waiter may hold; the waiters whose flag is still
+    clear go back to waiting. *)

@@ -215,16 +215,17 @@ let spec_key s =
    [verify --journal] record; a hit replays that record marked cached.
    Only a [Done] is cached: cancellation and failures propagate out of
    the single-flight compute, so a waiter retries under its own
-   deadline. Total: cancellation becomes [Timeout] and anything the
-   solve throws becomes [Failed], so every job reaches exactly one
-   terminal state. *)
+   deadline. A waiter leaves when its own flag trips (the executor
+   wakes it, see [in_process]). Total: cancellation becomes [Timeout]
+   and anything the solve throws becomes [Failed], so every job reaches
+   exactly one terminal state. *)
 let solve ~pool ~cache ?store ~span ~id ~cancel spec design ob =
   try
     Telemetry.Span.with_ span
       ~args:[ ("job", Telemetry.Int id); ("design", Telemetry.Str design) ]
     @@ fun () ->
     match
-      Parallel.Cache.find_or_compute cache (spec_key spec) (fun () ->
+      Parallel.Cache.find_or_compute cache (spec_key spec) ~cancel (fun () ->
           match
             Aqed.Check.run_batch ~pool ?store ~certify:spec.sj_certify
               ~cancel [ ob ]
@@ -237,7 +238,7 @@ let solve ~pool ~cache ?store ~span ~id ~cancel spec design ob =
         (Journal.of_report ~design ~name:e.Aqed.Check.entry_name
            ~cached:(hit || e.Aqed.Check.entry_cached)
            e.Aqed.Check.entry_report)
-    | exception Sat.Solver.Cancelled -> Timeout
+    | exception (Sat.Solver.Cancelled | Parallel.Cache.Cancelled) -> Timeout
     | exception Bmc.Engine.Certification_failed m ->
       Failed ("certification failed: " ^ m)
     | exception Failure m -> Failed m
@@ -287,6 +288,7 @@ type job = {
 
 type executor = {
   run : server -> job -> unit;
+  tripped : unit -> unit;
   tick : server -> unit;
   ops :
     (string * (server -> Unix.file_descr -> Wire.reader -> Json.t -> unit))
@@ -519,18 +521,23 @@ let handle_conn srv fd =
 
 (* ---- lifecycle ---- *)
 
-(* Every 50 ms: trip the cancel flag of each job past its deadline, then
-   give the executor its tick (the fleet's lease bookkeeping, and the
-   wake-up that delivers a drain begun from a signal handler). *)
+(* Every 50 ms: trip the cancel flag of each job past its deadline (and
+   tell the executor when one newly tripped), then give the executor its
+   tick (the fleet's lease bookkeeping, and the wake-up that delivers a
+   drain begun from a signal handler). *)
 let watchdog srv () =
   while not (Atomic.get srv.wd_stop) do
     let now = Unix.gettimeofday () in
-    locked srv (fun () ->
-        Hashtbl.iter
-          (fun _ e ->
-            if now >= e.job.submitted +. e.job.timeout_s then
-              Atomic.set e.job.cancel true)
-          srv.live);
+    let tripped =
+      locked srv (fun () ->
+          Hashtbl.fold
+            (fun _ e tripped ->
+              (now >= e.job.submitted +. e.job.timeout_s
+               && not (Atomic.exchange e.job.cancel true))
+              || tripped)
+            srv.live false)
+    in
+    if tripped then srv.exec.tripped ();
     srv.exec.tick srv;
     Thread.delay 0.05
   done
@@ -635,6 +642,9 @@ let in_process ?store ?workers () =
             ~cancel:job.cancel job.spec job.design job.ob
         in
         finalize srv job ~wall:(Unix.gettimeofday () -. t0) outcome);
+    (* A job waiting on another's solve of its spec sits in the cache,
+       not the solver: waking the cache is what lets it see its flag. *)
+    tripped = (fun () -> Parallel.Cache.wake cache);
     tick = ignore;
     ops = [];
     queued = (fun () -> Parallel.Pool.queued pool);

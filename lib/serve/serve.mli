@@ -104,9 +104,12 @@ val solve :
     answer's record, marked cached. Otherwise [ob] runs through
     {!Aqed.Check.run_batch} on [pool] (and [store]), and a [Done] lands
     in [cache]; concurrent submissions of one spec solve once, the
-    others wait for it. A timeout or an error is never cached, so a
-    waiter whose leader failed retries under its own deadline. Total:
-    {!Sat.Solver.Cancelled} becomes [Timeout] and any other exception
+    others wait for it. A waiter still honours its own [cancel]: once it
+    trips and {!Parallel.Cache.wake} runs on [cache], the waiter leaves
+    with [Timeout] while the solve goes on for its leader. A timeout or
+    an error is never cached, so a waiter whose leader failed retries
+    under its own deadline. Total: {!Sat.Solver.Cancelled} and
+    {!Parallel.Cache.Cancelled} become [Timeout] and any other exception
     becomes [Failed]. The one outcome classifier shared by {!in_process}
     and the fleet's workers. *)
 
@@ -169,6 +172,9 @@ type executor = {
       (** called on the submitting connection's thread right after the
           [accepted] frame; must lead to exactly one {!finalize} of the
           job, now or later, from any thread *)
+  tripped : unit -> unit;
+      (** on the watchdog's thread, after it trips at least one job's
+          [cancel] flag *)
   tick : server -> unit;  (** every watchdog tick (50 ms) *)
   ops :
     (string
@@ -187,7 +193,8 @@ val in_process : ?store:Store.t -> ?workers:int -> unit -> executor
     thread, with one {!cache}, one shared pool of [workers] domains
     (default: {!Parallel.Pool.create}'s) and the optional store. A
     cached spec never reaches the pool, so a repeat does not queue
-    behind misses. *)
+    behind misses. Its [tripped] wakes the cache, so a job waiting on
+    another's solve of its spec times out on its own deadline. *)
 
 val finalize : server -> job -> wall:float -> outcome -> unit
 (** Record the job's terminal state and release its slot. Exactly-once:

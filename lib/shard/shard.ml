@@ -386,6 +386,7 @@ module Fleet = struct
   let executor t =
     {
       Serve.run = run t;
+      tripped = ignore;
       tick = tick t;
       ops = [ ("lease", serve_worker t) ];
       queued = (fun () -> (stats t).st_pending);

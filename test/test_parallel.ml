@@ -1,5 +1,5 @@
 (* Tests for the parallel verification subsystem: the work-stealing domain
-   pool, the portfolio BMC mode, the obligation cache, and the solver's
+   pool, the portfolio BMC mode, the single-flight cache, and the solver's
    cancellation/re-entry contract. The structural guarantee under test
    throughout: parallelism changes wall time, never results. *)
 
@@ -54,29 +54,33 @@ let test_pool_shutdown_rejects () =
 
 (* ---- cache ---- *)
 
+let no_cancel = Atomic.make false
+
 let test_cache_basic () =
   let c = Parallel.Cache.create () in
   let calls = ref 0 in
   let compute () = incr calls; !calls * 10 in
-  let hit1, v1 = Parallel.Cache.find_or_compute c "k" compute in
-  let hit2, v2 = Parallel.Cache.find_or_compute c "k" compute in
+  let find k = Parallel.Cache.find_or_compute c k ~cancel:no_cancel compute in
+  let hit1, v1 = find "k" in
+  let hit2, v2 = find "k" in
   Alcotest.(check bool) "first is a miss" false hit1;
   Alcotest.(check bool) "second is a hit" true hit2;
   Alcotest.(check int) "computed once" 1 !calls;
   Alcotest.(check int) "same value" v1 v2;
-  let s = Parallel.Cache.stats c in
-  Alcotest.(check int) "hits" 1 s.Parallel.Cache.hits;
-  Alcotest.(check int) "misses" 1 s.Parallel.Cache.misses;
-  Alcotest.(check int) "entries" 1 s.Parallel.Cache.entries;
-  Alcotest.(check bool) "mem" true (Parallel.Cache.mem c "k");
-  Parallel.Cache.clear c;
-  Alcotest.(check bool) "cleared" false (Parallel.Cache.mem c "k")
+  let hit3, _ = find "other" in
+  Alcotest.(check bool) "another key is a miss" false hit3;
+  Alcotest.(check int) "computed for the new key" 2 !calls
 
 let test_cache_failure_not_cached () =
   let c = Parallel.Cache.create () in
-  (try ignore (Parallel.Cache.find_or_compute c 1 (fun () -> failwith "no"))
+  (try
+     ignore
+       (Parallel.Cache.find_or_compute c 1 ~cancel:no_cancel (fun () ->
+            failwith "no"))
    with Failure _ -> ());
-  let hit, v = Parallel.Cache.find_or_compute c 1 (fun () -> 7) in
+  let hit, v =
+    Parallel.Cache.find_or_compute c 1 ~cancel:no_cancel (fun () -> 7)
+  in
   Alcotest.(check bool) "retried after failure" false hit;
   Alcotest.(check int) "value" 7 v
 
@@ -89,7 +93,8 @@ let test_cache_single_flight () =
         Parallel.Pool.map_list p
           (fun _ ->
             snd
-              (Parallel.Cache.find_or_compute c "shared" (fun () ->
+              (Parallel.Cache.find_or_compute c "shared" ~cancel:no_cancel
+                 (fun () ->
                    ignore (Atomic.fetch_and_add calls 1);
                    (* Give the other workers time to pile onto the key. *)
                    let t = Unix.gettimeofday () in
@@ -99,6 +104,42 @@ let test_cache_single_flight () =
       in
       List.iter (Alcotest.(check int) "same value" 123) results);
   Alcotest.(check int) "computed exactly once" 1 (Atomic.get calls)
+
+let test_cache_waiter_cancel () =
+  (* A waiter on an in-flight key leaves with [Cancelled] once its own
+     flag is set and the cache is woken; the computation goes on and
+     publishes for everyone else. *)
+  let c = Parallel.Cache.create () in
+  let started = Atomic.make false and release = Atomic.make false in
+  let leader =
+    Domain.spawn (fun () ->
+        Parallel.Cache.find_or_compute c "k" ~cancel:no_cancel (fun () ->
+            Atomic.set started true;
+            (* Bounded, so a waiter that cannot leave fails the test
+               instead of hanging it. *)
+            let t = Unix.gettimeofday () in
+            while (not (Atomic.get release)) && Unix.gettimeofday () -. t < 2.
+            do Domain.cpu_relax () done;
+            42))
+  in
+  while not (Atomic.get started) do Domain.cpu_relax () done;
+  let cancel = Atomic.make false in
+  let waiter =
+    Domain.spawn (fun () ->
+        match Parallel.Cache.find_or_compute c "k" ~cancel (fun () -> 0) with
+        | _ -> false
+        | exception Parallel.Cache.Cancelled -> true)
+  in
+  Unix.sleepf 0.05;
+  Atomic.set cancel true;
+  Parallel.Cache.wake c;
+  Alcotest.(check bool) "the waiter left cancelled" true (Domain.join waiter);
+  Atomic.set release true;
+  Alcotest.(check (pair bool int)) "the leader still computed" (false, 42)
+    (Domain.join leader);
+  Alcotest.(check (pair bool int)) "its value answers later lookups"
+    (true, 42)
+    (Parallel.Cache.find_or_compute c "k" ~cancel (fun () -> 0))
 
 (* ---- batch driver vs sequential (the echo design, kept cheap) ---- *)
 
@@ -189,64 +230,6 @@ let test_portfolio_matches_single () =
   in
   Alcotest.(check bool) "portfolio clean verdict matches" true
     (same_verdict clean_single clean_raced)
-
-let test_cache_hits_identical_reports () =
-  let cache = Aqed.Check.create_cache () in
-  let first = Aqed.Check.run_batch ~jobs:2 ~cache (seed_obligations ()) in
-  (* Bit-blasting prunes to the property cone, so the RB instances of the
-     clean and twisted echo are structurally identical — the cache dedups
-     them even within the first batch. That intra-batch sharing is the
-     point of keying on the blasted structure rather than the source. *)
-  Alcotest.(check int) "first batch dedups the twist-invariant RB pair" 1
-    first.Aqed.Check.batch_hits;
-  Alcotest.(check int) "first batch distinct solves" 3
-    first.Aqed.Check.batch_misses;
-  let second = Aqed.Check.run_batch ~jobs:2 ~cache (seed_obligations ()) in
-  Alcotest.(check int) "second batch all hits"
-    (List.length (seed_obligations ()))
-    second.Aqed.Check.batch_hits;
-  List.iter2
-    (fun (a : Aqed.Check.batch_entry) (b : Aqed.Check.batch_entry) ->
-      Alcotest.(check bool) "cached flag" true b.Aqed.Check.entry_cached;
-      (* A hit returns the stored report itself — identical in every field,
-         including the original solve's wall time and solver statistics. *)
-      Alcotest.(check bool) "identical report" true
-        (a.Aqed.Check.entry_report == b.Aqed.Check.entry_report))
-    first.Aqed.Check.entries second.Aqed.Check.entries;
-  (* 5 hits out of 8 lookups: 1 intra-batch dedup + 4 second-batch hits. *)
-  Alcotest.(check bool) "hit rate reflects reuse" true
-    (Aqed.Check.cache_hit_rate cache = 0.625)
-
-let test_shared_cache_batch_accounting () =
-  (* Two batches racing on one shared cache: each batch's hit/miss counts
-     are derived from its own entries' cached flags, so they add up per
-     batch whatever the interleaving. (The previous implementation diffed
-     the global cache counters around the batch and could attribute the
-     concurrent batch's traffic to itself.) *)
-  let cache = Aqed.Check.create_cache () in
-  let run () = Aqed.Check.run_batch ~jobs:2 ~cache (seed_obligations ()) in
-  let other = Domain.spawn run in
-  let a = run () in
-  let b = Domain.join other in
-  List.iter
-    (fun (batch : Aqed.Check.batch_result) ->
-      let flagged =
-        List.length
-          (List.filter
-             (fun (e : Aqed.Check.batch_entry) -> e.Aqed.Check.entry_cached)
-             batch.Aqed.Check.entries)
-      in
-      Alcotest.(check int) "hits match the per-entry flags" flagged
-        batch.Aqed.Check.batch_hits;
-      Alcotest.(check int) "hits + misses cover the batch"
-        (List.length batch.Aqed.Check.entries)
-        (batch.Aqed.Check.batch_hits + batch.Aqed.Check.batch_misses))
-    [ a; b ];
-  (* The four obligations reduce to three distinct instances (the RB pair
-     is twist-invariant); across both batches each is solved exactly once —
-     single-flight waiters and later lookups all count as hits. *)
-  Alcotest.(check int) "total misses = distinct obligations" 3
-    (a.Aqed.Check.batch_misses + b.Aqed.Check.batch_misses)
 
 let test_obligation_key_structural () =
   let key_of build =
@@ -391,10 +374,6 @@ let suite =
         test_batch_matches_sequential;
       Alcotest.test_case "portfolio matches single solver" `Slow
         test_portfolio_matches_single;
-      Alcotest.test_case "cache hits identical reports" `Slow
-        test_cache_hits_identical_reports;
-      Alcotest.test_case "shared-cache batch accounting" `Slow
-        test_shared_cache_batch_accounting;
       Alcotest.test_case "obligation key structural" `Quick
         test_obligation_key_structural;
       Alcotest.test_case "cancelled re-solve" `Quick test_cancelled_resolve;
@@ -404,4 +383,6 @@ let suite =
         test_portfolio_external_cancel;
       Alcotest.test_case "config knobs agree" `Quick
         test_solver_config_knobs_same_result;
+      Alcotest.test_case "cache waiter leaves on cancel" `Quick
+        test_cache_waiter_cancel;
     ] )

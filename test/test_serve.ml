@@ -5,7 +5,9 @@
    disconnects mid-job, SIGTERM drain flushing the store and journal,
    bounded-admission backpressure, and the spec cache: a repeat is
    answered without a build, one fresh spec solves once, a timeout is
-   never cached, and the key folds the check's case but keeps the depth.
+   never cached, the key folds the check's case but keeps the depth, and
+   a job waiting on another's solve of its spec leaves on its own
+   deadline.
 
    Cheap jobs use the 4-bit echo design (as in test_store); the "slow"
    job is a deep AES FC obligation, which reliably outlives a
@@ -510,6 +512,55 @@ let test_spec_key executor () =
   in
   ()
 
+(* A job waiting on another's in-flight solve of its spec still leaves on
+   its own deadline, long before the leader's; neither timeout is cached,
+   so a resubmission builds again. *)
+let test_waiter_own_deadline executor () =
+  let spec timeout_s = Serve.job_spec ~depth:24 ~timeout_s "aes-deep" in
+  let (), summary =
+    with_server executor "waiter" (fun _ sock ->
+        let submit timeout_s =
+          let r =
+            try
+              with_client sock (fun c ->
+                  Serve.Client.submit c (spec timeout_s))
+            with e -> Serve.Client.Refused (Printexc.to_string e)
+          in
+          (r, Unix.gettimeofday ())
+        in
+        let leader = ref (Serve.Client.Refused "no reply", 0.) in
+        let th = Thread.create (fun () -> leader := submit 2.5) () in
+        (* Let the leader's solve get under way before the waiter joins. *)
+        Thread.delay 0.2;
+        let waiter, waiter_done = submit 0.3 in
+        Thread.join th;
+        let leader, leader_done = !leader in
+        (match waiter with
+         | Serve.Client.Timed_out (_, wall) ->
+           Alcotest.(check bool)
+             (Printf.sprintf "the waiter left on its own deadline (%.2fs)" wall)
+             true
+             (wall >= 0.3 && wall < 1.5)
+         | _ -> Alcotest.fail "the waiter expected a typed timeout frame");
+        (match leader with
+         | Serve.Client.Timed_out (_, wall) ->
+           Alcotest.(check bool) "the leader ran to its own deadline" true
+             (wall >= 2.5)
+         | _ -> Alcotest.fail "the leader expected a typed timeout frame");
+        Alcotest.(check bool) "the waiter answered well before the leader"
+          true
+          (leader_done -. waiter_done > 1.0);
+        let (), b =
+          builds_during (fun () ->
+              match fst (submit 0.3) with
+              | Serve.Client.Timed_out _ -> ()
+              | _ -> Alcotest.fail "the resubmission expected a timeout")
+        in
+        Alcotest.(check int) "no timeout was cached: it built again" 1 b)
+  in
+  Alcotest.(check int) "three timeouts" 3 summary.Serve.sm_timeouts;
+  Alcotest.(check int) "nothing completed" 0 summary.Serve.sm_completed
+
 let cases executor =
   [
     Alcotest.test_case "submit/complete parity vs direct solve" `Quick
@@ -534,6 +585,8 @@ let cases executor =
       (test_timeout_never_cached executor);
     Alcotest.test_case "spec key folds check case, keeps depth" `Quick
       (test_spec_key executor);
+    Alcotest.test_case "a waiter leaves on its own deadline" `Quick
+      (test_waiter_own_deadline executor);
   ]
 
 let suite = ("serve", cases In_process)

@@ -357,7 +357,14 @@ let test_batch_warm_all_hits () =
         [ ob_fc ~depth:6 (); ob_fc ~twist:true ~depth:10 () ]
       in
       let cold = Aqed.Check.run_batch ~jobs:2 ~store (suite ()) in
+      let f0 = counter "bmc.frames" and c0 = counter "sat.conflicts" in
       let warm = Aqed.Check.run_batch ~jobs:2 ~store (suite ()) in
+      (* Counts, not timings: a warm batch answered from revalidated
+         entries runs no search at all. *)
+      Alcotest.(check int) "warm batch: no BMC frame" 0
+        (counter "bmc.frames" - f0);
+      Alcotest.(check int) "warm batch: no SAT conflict" 0
+        (counter "sat.conflicts" - c0);
       List.iter2
         (fun (c : Aqed.Check.batch_entry) (w : Aqed.Check.batch_entry) ->
           Alcotest.(check string) "parity"
@@ -368,6 +375,40 @@ let test_batch_warm_all_hits () =
         cold.Aqed.Check.entries warm.Aqed.Check.entries;
       Alcotest.(check int) "warm batch reports the hits" 2
         warm.Aqed.Check.batch_hits)
+
+(* Two batches racing on one store directory: each batch's hit/miss
+   counts come from its own entries' flags, so they add up per batch
+   whatever the interleaving, and both agree with a store-less solve. *)
+let test_concurrent_batches_share_store () =
+  with_store "shared_batches" (fun store ->
+      let suite () =
+        [ ob_fc ~depth:6 (); ob_fc ~twist:true ~depth:10 ();
+          ob_fc ~depth:8 (); ob_fc ~twist:true ~depth:12 () ]
+      in
+      let direct = List.map Aqed.Check.run_obligation (suite ()) in
+      let run () = Aqed.Check.run_batch ~jobs:2 ~store (suite ()) in
+      let other = Domain.spawn run in
+      let a = run () in
+      let b = Domain.join other in
+      List.iter
+        (fun (batch : Aqed.Check.batch_result) ->
+          let entries = batch.Aqed.Check.entries in
+          Alcotest.(check int) "hits match the per-entry flags"
+            (List.length
+               (List.filter
+                  (fun (e : Aqed.Check.batch_entry) -> e.Aqed.Check.entry_cached)
+                  entries))
+            batch.Aqed.Check.batch_hits;
+          Alcotest.(check int) "hits + misses cover the batch"
+            (List.length entries)
+            (batch.Aqed.Check.batch_hits + batch.Aqed.Check.batch_misses);
+          List.iter2
+            (fun d (e : Aqed.Check.batch_entry) ->
+              Alcotest.(check string) "parity with a store-less solve"
+                (verdict_sig d)
+                (verdict_sig e.Aqed.Check.entry_report))
+            direct entries)
+        [ a; b ])
 
 (* ---- GC ---- *)
 
@@ -462,4 +503,6 @@ let suite =
       Alcotest.test_case "gc enforces size bounds" `Quick test_gc_bounds;
       Alcotest.test_case "orphaned writer tmp files are invisible and collected"
         `Quick test_tmp_orphan_invisible_and_collected;
+      Alcotest.test_case "concurrent batches share one store" `Quick
+        test_concurrent_batches_share_store;
     ] )
