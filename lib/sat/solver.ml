@@ -13,8 +13,17 @@
      cr + 3        proof id as the sink knows it; 0 when recording is off
      cr + hdr ..   the literals; the first two are the watched ones
 
-   A reason clause's implied literal always sits at position 0: it is true
-   while its variable is assigned, so propagation never swaps it out. *)
+   In a reason clause of length >= 3 the implied literal sits at position
+   0: it is true while its variable is assigned, so propagation never
+   swaps it out. A binary clause is watched under the tag [lnot cr] (a
+   negative number), its blocker always being its other literal, so
+   propagation implies that literal, or finds the conflict, without
+   reading the arena; a binary reason's implied literal may therefore
+   sit at either position, and [analyze] tells it by value.
+
+   Assignments live in [vals], indexed by [voff + lit]: 1 when [lit] is
+   true, -1 when it is false, 0 when its variable is unassigned, so a
+   literal's value is one load. *)
 
 let hdr = 4
 
@@ -88,18 +97,27 @@ let ema_margin = 1.25
 
 type t = {
   mutable nvars : int;
+  (* Per-literal values: [vals.(voff + lit)] is 1 / -1 / 0 for [lit]
+     true / false / unassigned. [voff] is the per-variable arrays' length. *)
+  mutable vals : int array;
+  mutable voff : int;
   (* Per-variable state, indexed by variable (1-based). *)
-  mutable assign : int array;        (* 0 unassigned / 1 true / -1 false *)
   mutable level : int array;
   mutable reason : int array;        (* clause ref; -1 when decision/unset *)
   mutable activity : float array;
   mutable phase : bool array;        (* saved phase *)
   mutable seen : bool array;
+  (* Clause minimization's walks: [up.(v)] is the variable whose reason
+     the walk expanded when it reached [v]; [failed.(v)] is the analysis
+     stamp under which a walk through [v] is known to fail. *)
+  mutable up : int array;
+  mutable failed : int array;
   mutable heap_pos : int array;      (* -1 when not in heap *)
   (* Per-literal watch lists, indexed by lit_index. Each holds interleaved
      (clause ref, blocker) pairs; the blocker is some other literal of the
      clause: when it is already true the clause is satisfied and need not
-     be dereferenced at all. *)
+     be dereferenced at all. A binary clause's entry is ([lnot cr], its
+     other literal). *)
   mutable watches : Vec.t array;
   (* Trail *)
   mutable trail : int array;
@@ -210,12 +228,15 @@ let create ?(seed = 0) ?(restart_base = 100) ?(phase_init = false)
   let reduce_interval = max 100 reduce_first in
   {
     nvars = 0;
-    assign = Array.make 16 0;
+    vals = Array.make 32 0;
+    voff = 16;
     level = Array.make 16 0;
     reason = Array.make 16 (-1);
     activity = Array.make 16 0.;
     phase = Array.make 16 phase_init;
     seen = Array.make 16 false;
+    up = Array.make 16 0;
+    failed = Array.make 16 0;
     heap_pos = Array.make 16 (-1);
     watches = Array.init 32 (fun _ -> Vec.create ());
     trail = Array.make 16 0;
@@ -377,19 +398,24 @@ let heap_decrease s v = if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
 (* ---- variable allocation ---- *)
 
 let grow_var_arrays s needed =
-  let cur = Array.length s.assign in
+  let cur = Array.length s.level in
   if needed >= cur then begin
     let n = max needed (2 * cur) in
     let grow a fill =
       let b = Array.make n fill in
       Array.blit a 0 b 0 cur; b
     in
-    s.assign <- grow s.assign 0;
+    let vals = Array.make (2 * n) 0 in
+    Array.blit s.vals 0 vals (n - cur) (2 * cur);
+    s.vals <- vals;
+    s.voff <- n;
     s.level <- grow s.level 0;
     s.reason <- grow s.reason (-1);
     s.activity <- grow s.activity 0.;
     s.phase <- grow s.phase s.phase_init;
     s.seen <- grow s.seen false;
+    s.up <- grow s.up 0;
+    s.failed <- grow s.failed 0;
     s.heap_pos <- grow s.heap_pos (-1);
     s.trail <- grow s.trail 0;
     s.level_stamp <- grow s.level_stamp 0;
@@ -415,19 +441,16 @@ let new_var s =
 
 (* ---- assignment ---- *)
 
-let lit_sat s lit =
-  let a = s.assign.(var_of lit) in
-  a <> 0 && (a > 0) = (lit > 0)
-
-let lit_false s lit =
-  let a = s.assign.(var_of lit) in
-  a <> 0 && (a > 0) <> (lit > 0)
+let lit_sat s lit = s.vals.(s.voff + lit) > 0
+let lit_false s lit = s.vals.(s.voff + lit) < 0
+let assigned s v = s.vals.(s.voff + v) <> 0
 
 let decision_level s = Vec.size s.trail_lim
 
 let enqueue s lit reason =
   let v = var_of lit in
-  s.assign.(v) <- (if lit > 0 then 1 else -1);
+  s.vals.(s.voff + lit) <- 1;
+  s.vals.(s.voff - lit) <- -1;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   if s.phase_saving then s.phase.(v) <- lit > 0;
@@ -500,10 +523,12 @@ let push_watch ws cr blocker =
 (* Propagates all enqueued literals. Returns the conflicting clause, or -1
    if no conflict. Standard two-watched-literal scheme: a clause is
    registered in the watch lists of the negations of lits 0 and 1; when a
-   watched literal becomes false we search a replacement. *)
+   watched literal becomes false we search a replacement. A binary clause
+   has no replacement to search: its tagged entry implies its blocker, or
+   conflicts, from the watch list alone. *)
 let propagate s =
   let conflict = ref (-1) in
-  let a = s.arena in
+  let a = s.arena and vals = s.vals and voff = s.voff in
   while !conflict < 0 && s.qhead < s.trail_size do
     let lit = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
@@ -516,14 +541,31 @@ let propagate s =
     let n = ws.Vec.size in
     let keep = ref 0 in
     let i = ref 0 in
-    while !i < n do
+    while !conflict < 0 && !i < n do
       let cr = d.(!i) and blocker = d.(!i + 1) in
       i := !i + 2;
-      if lit_sat s blocker then begin
+      let bval = vals.(voff + blocker) in
+      if bval > 0 then begin
         (* Satisfied via the blocker: keep without touching the clause. *)
         d.(!keep) <- cr;
         d.(!keep + 1) <- blocker;
         keep := !keep + 2
+      end
+      else if cr < 0 then begin
+        (* Binary: the blocker is the other literal. Never deleted while
+           watched, so there is no deleted bit to check. *)
+        d.(!keep) <- cr;
+        d.(!keep + 1) <- blocker;
+        keep := !keep + 2;
+        if bval = 0 then enqueue s blocker (lnot cr)
+        else begin
+          (* Conflict: order the literals as a scan of the clause would
+             have left them, false_lit at position 1. *)
+          let cr = lnot cr in
+          a.(cr + hdr) <- blocker;
+          a.(cr + hdr + 1) <- false_lit;
+          conflict := cr
+        end
       end
       else if a.(cr) land 1 = 1 then ()  (* deleted: drop lazily *)
       else begin
@@ -538,12 +580,13 @@ let propagate s =
            its fresher blocker; a moved watch leaves the slot to be reused. *)
         d.(!keep) <- cr;
         d.(!keep + 1) <- first;
-        if lit_sat s first then keep := !keep + 2  (* clause satisfied *)
+        let fval = vals.(voff + first) in
+        if fval > 0 then keep := !keep + 2  (* clause satisfied *)
         else begin
           (* Look for a new literal to watch. *)
           let stop = l0 + (a.(cr) lsr 1) in
           let k = ref (l0 + 2) in
-          while !k < stop && lit_false s a.(!k) do incr k done;
+          while !k < stop && vals.(voff + a.(!k)) < 0 do incr k done;
           if !k < stop then begin
             a.(l0 + 1) <- a.(!k);
             a.(!k) <- false_lit;
@@ -551,22 +594,22 @@ let propagate s =
           end
           else begin
             keep := !keep + 2;
-            if s.assign.(var_of first) = 0 then
+            if fval = 0 then
               (* Unit: propagate first. *)
               enqueue s first cr
-            else begin
-              (* Conflict: first is false too. Keep remaining watches. *)
-              while !i < n do
-                d.(!keep) <- d.(!i);
-                d.(!keep + 1) <- d.(!i + 1);
-                keep := !keep + 2;
-                i := !i + 2
-              done;
+            else
+              (* Conflict: first is false too. *)
               conflict := cr
-            end
           end
         end
       end
+    done;
+    (* After a conflict the entries not yet visited stay, in order. *)
+    while !i < n do
+      d.(!keep) <- d.(!i);
+      d.(!keep + 1) <- d.(!i + 1);
+      keep := !keep + 2;
+      i := !i + 2
     done;
     Vec.shrink ws !keep
   done;
@@ -604,8 +647,10 @@ let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = Vec.get s.trail_lim lvl in
     for i = s.trail_size - 1 downto bound do
-      let v = var_of s.trail.(i) in
-      s.assign.(v) <- 0;
+      let l = s.trail.(i) in
+      let v = var_of l in
+      s.vals.(s.voff + l) <- 0;
+      s.vals.(s.voff - l) <- 0;
       s.reason.(v) <- -1;
       heap_insert s v
     done;
@@ -643,30 +688,50 @@ let compute_lbd s lits =
    via [acc]. Under proof recording a successful walk also appends the
    ids of the reasons it expanded to [s.chain], latest-expanded first —
    reasons before the clauses whose literals they imply; a failed walk
-   leaves [s.chain] as it found it. *)
-let lit_redundant s acc abstract_levels q0 =
+   leaves [s.chain] as it found it.
+
+   A failed walk also poisons the variable whose reason it failed on
+   and, through [up], every variable on the path that led there: they
+   are stamped [failed] with [poison], fresh for each analysis (the
+   seen_failed marks of MiniSat's later litRedundant — Sörensson &
+   Biere, SAT 2009). A later walk of the same analysis that reaches a
+   poisoned variable fails at once. It would have failed anyway: no
+   walk can mark a variable on that path, since every walk through it
+   reaches the failing literal, so the path stays open down to it. As a
+   failed walk's marks and chain are discarded, the learned clause and
+   its chain are those of the unpoisoned walk. *)
+let lit_redundant s acc abstract_levels poison q0 =
   let marked = ref [] in
   let base = Vec.size s.chain in
   let ok = ref true in
   let stack = ref [ q0 ] in
+  s.up.(var_of q0) <- 0;
   (try
      while !stack <> [] do
        let q = List.hd !stack in
        stack := List.tl !stack;
-       let r = s.reason.(var_of q) in
+       let u = var_of q in
+       let r = s.reason.(u) in
        if s.proof_enabled then Vec.push s.chain (clause_cid s r);
-       for k = 1 to clause_len s r - 1 do
+       for k = 0 to clause_len s r - 1 do
          let p = clause_lit s r k in
          let v = var_of p in
-         if not s.seen.(v) && s.level.(v) > 0 then begin
+         if p <> -q && (not s.seen.(v)) && s.level.(v) > 0 then begin
            if s.reason.(v) >= 0
               && abstract_levels land (1 lsl (s.level.(v) land 31)) <> 0
+              && s.failed.(v) <> poison
            then begin
              s.seen.(v) <- true;
+             s.up.(v) <- u;
              marked := v :: !marked;
              stack := p :: !stack
            end
            else begin
+             let w = ref u in
+             while !w <> 0 do
+               s.failed.(!w) <- poison;
+               w := s.up.(!w)
+             done;
              List.iter (fun u -> s.seen.(u) <- false) !marked;
              ok := false;
              raise Exit
@@ -711,11 +776,11 @@ let analyze s conflict =
     let c = !cls in
     if is_learnt s c then clause_bump s c;
     if s.proof_enabled then Vec.push s.resolved (clause_cid s c);
-    let start = if !lit = 0 then 0 else 1 in
-    for k = start to clause_len s c - 1 do
+    (* Every literal but the one [c] implied (none, for the conflict). *)
+    for k = 0 to clause_len s c - 1 do
       let q = clause_lit s c k in
       let v = var_of q in
-      if not s.seen.(v) && s.level.(v) > 0 then begin
+      if q <> !lit && (not s.seen.(v)) && s.level.(v) > 0 then begin
         s.seen.(v) <- true;
         var_bump s v;
         if s.level.(v) >= decision_level s then incr counter
@@ -751,12 +816,14 @@ let analyze s conflict =
           0 rest
       in
       let extra = ref [] in
+      s.stamp <- s.stamp + 1;
+      let poison = s.stamp in
       let kept =
         uip
         :: List.filter
              (fun q ->
                s.reason.(var_of q) < 0
-               || not (lit_redundant s extra abstract_levels q))
+               || not (lit_redundant s extra abstract_levels poison q))
              rest
       in
       List.iter (fun v -> s.seen.(v) <- false) !extra;
@@ -832,8 +899,9 @@ let propagate_root s =
    literal L becomes true, the clauses watching -L are scanned. *)
 let attach_clause s cr =
   let l0 = clause_lit s cr 0 and l1 = clause_lit s cr 1 in
-  push_watch s.watches.(lit_index l0) cr l1;
-  push_watch s.watches.(lit_index l1) cr l0
+  let tag = if clause_len s cr = 2 then lnot cr else cr in
+  push_watch s.watches.(lit_index l0) tag l1;
+  push_watch s.watches.(lit_index l1) tag l0
 
 let add_clause s lits =
   if s.ok then begin
@@ -914,9 +982,18 @@ let record_learnt s lits lbd =
 
 (* ---- learned clause DB reduction ---- *)
 
-let locked s c =
-  let v = var_of (clause_lit s c 0) in
-  s.assign.(v) <> 0 && s.reason.(v) = c
+(* The assigned variable [c] is the reason of, or 0. Only a binary's
+   implied literal can sit at position 1. *)
+let reason_var s c =
+  let implied k =
+    let v = var_of (clause_lit s c k) in
+    assigned s v && s.reason.(v) = c
+  in
+  if implied 0 then var_of (clause_lit s c 0)
+  else if clause_len s c = 2 && implied 1 then var_of (clause_lit s c 1)
+  else 0
+
+let locked s c = reason_var s c > 0
 
 (* Purge deleted clauses and rebuild every watch list from scratch. Watch
    positions 0/1 of a live clause are preserved, so the two-watched
@@ -955,15 +1032,14 @@ let rebuild_watches s =
   let r = ref 0 and w = ref 0 in
   while !r < s.arena_size do
     let size = hdr + (a.(!r) lsr 1) in
-    let v = var_of a.(!r + hdr) in
-    let is_reason = s.assign.(v) <> 0 && s.reason.(v) = !r in
+    let v = reason_var s !r in
     if a.(!r) land 1 = 1 then begin
-      if is_reason then s.reason.(v) <- -1
+      if v > 0 then s.reason.(v) <- -1
     end
     else begin
       if !w < !r then Array.blit a !r a !w size;
       Vec.set (if a.(!w + 1) > 0 then s.learnts else s.clauses) a.(!w + 2) !w;
-      if is_reason then s.reason.(v) <- !w;
+      if v > 0 then s.reason.(v) <- !w;
       w := !w + size
     end;
     r := !r + size
@@ -1200,7 +1276,7 @@ let pick_branch s =
     if s.heap_size = 0 then 0
     else
       let v = heap_pop s in
-      if s.assign.(v) = 0 then v else go ()
+      if assigned s v then go () else v
   in
   go ()
 
@@ -1455,7 +1531,7 @@ let solve_limited ?(assumptions = []) ~conflicts s =
 
 let value s v =
   if v <= 0 || v > s.nvars then invalid_arg "Solver.value";
-  s.assign.(v) > 0
+  s.vals.(s.voff + v) > 0
 
 let lit_value s lit =
   let b = value s (var_of lit) in

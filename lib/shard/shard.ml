@@ -23,6 +23,11 @@
      late result from the old lease is dropped by its stale epoch.
      Re-solving is harmless: store writes are content-addressed, so a
      duplicate solve re-derives the same certified entry;
+   - a job's deadline counts from its submission, as in the in-process
+     executor: a job still pending at its deadline is answered as a
+     timeout without a lease, and the job frame carries how long the job
+     has waited, so the worker's deadline and reported wall time count
+     from submission too;
    - a still-heartbeating lease that overruns the job deadline by
      [lease_grace_s] is answered as a timeout by the fleet itself (the
      worker enforces the deadline through cooperative cancellation, so
@@ -103,12 +108,7 @@ module Fleet = struct
     st_stale_results : int;
   }
 
-  type lease = {
-    l_worker : string;
-    l_started : float;
-  }
-
-  type state = Queued | Leased of lease | Finished
+  type state = Queued | Leased of string (* the worker *) | Finished
 
   type fjob = {
     job : Serve.job;
@@ -153,6 +153,8 @@ module Fleet = struct
     }
 
   let locked t f = Mutex.protect t.lock f
+
+  let deadline fj = fj.job.Serve.submitted +. fj.job.Serve.timeout_s
 
   (* Under [t.lock]. *)
   let finish t srv fj ~wall outcome =
@@ -204,8 +206,7 @@ module Fleet = struct
     let rec go () =
       match Pending.pop t.queue with
       | Some ({ state = Queued; _ } as fj) ->
-        fj.state <-
-          Leased { l_worker = worker; l_started = Unix.gettimeofday () };
+        fj.state <- Leased worker;
         t.leases <- t.leases + 1;
         Telemetry.Counter.incr m_leases;
         if fj.requeues > 0 then begin
@@ -225,6 +226,8 @@ module Fleet = struct
     in
     go ()
 
+  (* [queued_s] is how long the job has waited since submission, so the
+     worker counts its deadline from there without sharing our clock. *)
   let job_frame fj epoch =
     let job = fj.job in
     Json.Obj
@@ -232,6 +235,8 @@ module Fleet = struct
         ("job", Json.Int job.Serve.id);
         ("epoch", Json.Int epoch);
         ("timeout_s", Json.Float job.Serve.timeout_s);
+        ("queued_s",
+         Json.Float (Unix.gettimeofday () -. job.Serve.submitted));
         ("requeues", Json.Int fj.requeues);
         ("spec", Serve.json_of_job_spec job.Serve.spec) ]
 
@@ -329,21 +334,20 @@ module Fleet = struct
     serve ();
     set_workers (-1)
 
-  (* Every watchdog tick: answer leases that overran deadline + grace
-     with a timeout, fail jobs pending with no fleet attached, and wake
-     lease- and drain-waiters. *)
+  (* Every watchdog tick: answer pending jobs past their deadline, and
+     leases that overran deadline + grace, with a timeout; fail jobs
+     pending with no fleet attached; and wake lease- and drain-waiters. *)
   let tick t srv =
     let now = Unix.gettimeofday () in
     locked t @@ fun () ->
     Hashtbl.fold
       (fun _ fj acc ->
+        let waited = now -. fj.job.Serve.submitted in
         match fj.state with
-        | Leased l
-          when now > l.l_started +. fj.job.Serve.timeout_s +. lease_grace_s ->
-          (fj, now -. l.l_started, Serve.Timeout) :: acc
-        | Queued
-          when t.workers = 0
-               && now > fj.job.Serve.submitted +. t.pending_grace_s ->
+        | Queued when now >= deadline fj -> (fj, waited, Serve.Timeout) :: acc
+        | Leased _ when now > deadline fj +. lease_grace_s ->
+          (fj, waited, Serve.Timeout) :: acc
+        | Queued when t.workers = 0 && waited > t.pending_grace_s ->
           (fj, 0., Serve.Failed "no worker joined the fleet in time") :: acc
         | _ -> acc)
       t.live []
@@ -370,7 +374,7 @@ module Fleet = struct
     locked t @@ fun () ->
     Hashtbl.fold
       (fun _ fj acc ->
-        match fj.state with Leased l -> l.l_worker :: acc | _ -> acc)
+        match fj.state with Leased w -> w :: acc | _ -> acc)
       t.live []
 
   let status t () =
@@ -508,11 +512,16 @@ module Worker = struct
       Json.Obj [ ("op", Json.Str "lease"); ("worker", Json.Str cfg.name) ]
     in
     (* Solve one leased job on this worker's own pool. Every lease ends
-       in exactly one result frame. *)
+       in exactly one result frame. The deadline and the reported wall
+       time count from the job's submission, [queued_s] before the frame
+       arrived. *)
     let do_job j =
       let id = Json.int_or 0 (Json.member "job" j) in
       let epoch = Json.int_or 0 (Json.member "epoch" j) in
       let timeout_s = Json.float_or 300. (Json.member "timeout_s" j) in
+      let t0 =
+        Unix.gettimeofday () -. Json.float_or 0. (Json.member "queued_s" j)
+      in
       incr leases;
       let resolved =
         match Serve.job_spec_of_json (Json.member "spec" j) with
@@ -525,7 +534,6 @@ module Worker = struct
           incr errors;
           [ ("outcome", Json.Str "error"); ("message", Json.Str m) ]
         | Ok (spec, design, ob) -> (
-            let t0 = Unix.gettimeofday () in
             let c =
               { c_id = id; c_epoch = epoch; c_deadline = t0 +. timeout_s;
                 c_cancel = Atomic.make false; c_beat = neg_infinity }

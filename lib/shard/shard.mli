@@ -16,9 +16,10 @@
 
     - [{"op":"lease","worker":W}] — an idle worker asks for
       work and blocks; the fleet answers with a [{"frame":"job",...}]
-      carrying the submit spec, the job id, a lease epoch and the
-      deadline, or [{"frame":"drain"}] when the server is draining and
-      no job is left. Whichever worker goes idle first takes the next
+      carrying the submit spec, the job id, a lease epoch, the
+      deadline and the time the job waited since submission, or
+      [{"frame":"drain"}] when the server is draining and no job is
+      left. Whichever worker goes idle first takes the next
       pending job: re-queued jobs first, then fresh ones oldest first.
     - [{"op":"heartbeat","job":N,"epoch":E}] — sent every second while
       the worker solves; silence beyond the heartbeat grace means the
@@ -30,10 +31,13 @@
     the heartbeat grace, or garbles a frame has the job re-queued under
     a bumped lease epoch; a late result from the old lease is recognized
     by its stale epoch and dropped. Re-running a re-queued obligation is
-    harmless — store writes are content-addressed. A job re-queued more
-    than 3 times, a lease still running 10 s past its deadline, or a job
-    pending with no worker connected past the pending grace, is answered
-    with a typed error (or timeout) rather than hanging its client. *)
+    harmless — store writes are content-addressed. A job's deadline
+    counts from its submission, as in the in-process executor: a job
+    still pending at its deadline is answered as a timeout without a
+    lease. A job re-queued more than 3 times, a lease still running 10 s
+    past its deadline, or a job pending with no worker connected past
+    the pending grace, is answered with a typed error (or timeout)
+    rather than hanging its client. *)
 
 (** {1 Pending queue} *)
 

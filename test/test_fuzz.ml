@@ -28,6 +28,42 @@ let random_3sat rng ~nvars ~ratio =
           let v = 1 + P.below rng nvars in
           if P.bool rng then v else -v))
 
+(* Binary-heavy instances: a random 3-SAT core over [nvars] variables in
+   which each variable is split into [copies] copies chained by
+   equivalences (two binary clauses per link), every core literal naming
+   a random copy, and the whole shuffled. With 5 copies and a core ratio
+   near 4.3, two clauses in three are binary: propagation runs mostly
+   along the chains, binary clauses conflict and become reasons, and the
+   learned clauses include binaries, while the core keeps the instance
+   as hard, and as often Unsat, as its 3-SAT part. Returns the number of
+   variables and the clauses. *)
+let binary_heavy rng ~nvars ~copies ~ratio =
+  let copy v k = v + (k * nvars) in
+  let links =
+    List.concat_map
+      (fun v ->
+        List.concat_map
+          (fun k ->
+            let a = copy v k and b = copy v (k + 1) in
+            [ [ -a; b ]; [ a; -b ] ])
+          (List.init (copies - 1) Fun.id))
+      (List.init nvars (fun i -> i + 1))
+  in
+  let core =
+    List.init (int_of_float (ratio *. float_of_int nvars)) (fun _ ->
+        List.init 3 (fun _ ->
+            let v = copy (1 + P.below rng nvars) (P.below rng copies) in
+            if P.bool rng then v else -v))
+  in
+  let a = Array.of_list (links @ core) in
+  for i = Array.length a - 1 downto 1 do
+    let j = P.below rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  (nvars * copies, Array.to_list a)
+
 (* A solver whose proof streams into a fresh checker. Each derived clause
    must be closed by its chain the moment it is sent ([rejected] keeps the
    index of the first that is not), and the stream is logged: the problem
@@ -103,25 +139,24 @@ let solver_of ?reduce_first nvars clauses =
 let model_satisfies s clauses =
   List.for_all (List.exists (fun l -> S.lit_value s l)) clauses
 
-(* [rounds] one-shot solves of random 3-SAT over [min_vars + below
-   spread_vars] variables, each answer certified and each accepted step
-   confirmed by the oracle; returns the number of database reductions
-   summed over the rounds. *)
-let random_3sat_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
-    ~min_ratio () =
+(* [rounds] one-shot solves of the instances [instance rng] draws (the
+   variable count and the clauses), each answer certified and, with
+   [oracle], each accepted step confirmed by the naive oracle; returns
+   the number of database reductions summed over the rounds. *)
+let one_shot_rounds ?reduce_first ?(oracle = true) ~seed ~rounds ~instance ()
+    =
   let rng = P.create seed in
   let reductions = ref 0 in
   for round = 1 to rounds do
-    let nvars = min_vars + P.below rng spread_vars in
-    let ratio = min_ratio +. (float_of_int (P.below rng 10) /. 10.) in
-    let clauses = random_3sat rng ~nvars ~ratio in
+    let nvars, clauses = instance rng in
     let s, c = solver_of ?reduce_first nvars clauses in
     let r = S.solve s in
     reductions := !reductions + (S.stats s).S.reductions;
-    Option.iter
-      (Alcotest.failf "round %d (n=%d): accepted step %d is not RUP" round
-         nvars)
-      (oracle_rejects c);
+    if oracle then
+      Option.iter
+        (Alcotest.failf "round %d (n=%d): accepted step %d is not RUP" round
+           nvars)
+        (oracle_rejects c);
     match r with
     | S.Sat ->
       if not (model_satisfies s clauses) then
@@ -140,6 +175,17 @@ let random_3sat_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
             Alcotest.failf "round %d (n=%d): proof incomplete" round nvars)
   done;
   !reductions
+
+(* Random 3-SAT over [min_vars + below spread_vars] variables at a ratio
+   from [min_ratio] up. *)
+let random_3sat_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
+    ~min_ratio () =
+  one_shot_rounds ?reduce_first ~seed ~rounds
+    ~instance:(fun rng ->
+      let nvars = min_vars + P.below rng spread_vars in
+      let ratio = min_ratio +. (float_of_int (P.below rng 10) /. 10.) in
+      (nvars, random_3sat rng ~nvars ~ratio))
+    ()
 
 let test_random_3sat () =
   ignore
@@ -171,15 +217,14 @@ let random_lit rng nvars =
   let v = 1 + P.below rng nvars in
   if P.bool rng then v else -v
 
-(* [rounds] incremental sessions of [steps] steps each; a step adds
-   [batch rng] clauses of [width rng] literals. Returns the solver
-   statistics summed over the rounds. *)
-let incremental_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
-    ~steps ~batch ~width () =
+(* [rounds] incremental sessions of [steps] steps each over the session
+   [instance rng] draws: its variable count, and the clauses each step
+   adds. Returns the solver statistics summed over the rounds. *)
+let incremental_rounds ?reduce_first ~seed ~rounds ~steps ~instance () =
   let rng = P.create seed in
   let reductions = ref 0 and vivified = ref 0 in
   for round = 1 to rounds do
-    let nvars = min_vars + P.below rng spread_vars in
+    let nvars, batch = instance rng in
     let s, c = certified_solver ?reduce_first () in
     for _ = 1 to nvars do
       ignore (S.new_var s)
@@ -187,10 +232,7 @@ let incremental_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
     let added = ref [] in
     let assumptions = ref [] in
     for step = 1 to steps do
-      let batch =
-        List.init (batch rng) (fun _ ->
-            List.init (width rng) (fun _ -> random_lit rng nvars))
-      in
+      let batch = batch step in
       List.iter
         (fun c ->
           S.add_clause s c;
@@ -236,12 +278,22 @@ let incremental_rounds ?reduce_first ~seed ~rounds ~min_vars ~spread_vars
   done;
   (!reductions, !vivified)
 
+(* Sessions over [min_vars + below spread_vars] variables whose steps each
+   add [batch rng] random clauses of [width rng] literals. *)
+let random_batches ~min_vars ~spread_vars ~batch ~width rng =
+  let nvars = min_vars + P.below rng spread_vars in
+  ( nvars,
+    fun _ ->
+      List.init (batch rng) (fun _ ->
+          List.init (width rng) (fun _ -> random_lit rng nvars)) )
+
 let test_incremental_fuzz () =
   ignore
-    (incremental_rounds ~seed:0xBEEF ~rounds:20 ~min_vars:12 ~spread_vars:17
-       ~steps:25
-       ~batch:(fun rng -> 1 + P.below rng 5)
-       ~width:(fun rng -> 1 + P.below rng 3)
+    (incremental_rounds ~seed:0xBEEF ~rounds:20 ~steps:25
+       ~instance:
+         (random_batches ~min_vars:12 ~spread_vars:17
+            ~batch:(fun rng -> 1 + P.below rng 5)
+            ~width:(fun rng -> 1 + P.below rng 3))
        ())
 
 (* The same shape at a size where the searches run past a low
@@ -251,11 +303,59 @@ let test_incremental_fuzz () =
    prefixes, and both must happen. *)
 let test_incremental_reductions () =
   let reductions, vivified =
-    incremental_rounds ~reduce_first:100 ~seed:0xCAFE ~rounds:8 ~min_vars:200
-      ~spread_vars:40 ~steps:24
-      ~batch:(fun rng -> 25 + P.below rng 25)
-      ~width:(fun rng ->
-        if P.chance rng 0.005 then 1 else if P.chance rng 0.05 then 2 else 3)
+    incremental_rounds ~reduce_first:100 ~seed:0xCAFE ~rounds:8 ~steps:24
+      ~instance:
+        (random_batches ~min_vars:200 ~spread_vars:40
+           ~batch:(fun rng -> 25 + P.below rng 25)
+           ~width:(fun rng ->
+             if P.chance rng 0.005 then 1
+             else if P.chance rng 0.05 then 2
+             else 3))
+      ()
+  in
+  Alcotest.(check bool) "reductions happened" true (reductions > 0);
+  Alcotest.(check bool) "clauses vivified" true (vivified > 0)
+
+(* Binary-heavy instances, one-shot and incremental, past a low
+   [reduce_first], and through inprocessing in the incremental sessions:
+   binary clauses implied or conflicting from their watch entries alone,
+   binary reasons with the implied literal at position 1 while the arena
+   is compacted, learned binaries, and clause minimization meeting
+   poisoned walks. Every answer is certified: a model against the
+   clauses, an Unsat by {!Sat.Rup} along the chains. *)
+let binary_share clauses =
+  let binaries = List.filter (fun c -> List.length c = 2) clauses in
+  float_of_int (List.length binaries) /. float_of_int (List.length clauses)
+
+let heavy_instance rng ~nvars ~ratio =
+  let nvars, clauses = binary_heavy rng ~nvars ~copies:5 ~ratio in
+  if binary_share clauses < 0.6 then
+    Alcotest.failf "binary share %.2f < 0.6" (binary_share clauses);
+  (nvars, clauses)
+
+let test_binary_heavy_one_shot () =
+  let reductions =
+    one_shot_rounds ~reduce_first:100 ~oracle:false ~seed:0xB1 ~rounds:12
+      ~instance:(fun rng ->
+        heavy_instance rng ~nvars:(60 + P.below rng 90) ~ratio:4.3)
+      ()
+  in
+  Alcotest.(check bool) "reductions happened" true (reductions > 0)
+
+(* The clauses of one instance arrive in [steps] consecutive batches. *)
+let test_binary_heavy_incremental () =
+  let steps = 12 in
+  let reductions, vivified =
+    incremental_rounds ~reduce_first:100 ~seed:0xB2 ~rounds:6 ~steps
+      ~instance:(fun rng ->
+        let nvars, clauses =
+          heavy_instance rng ~nvars:(60 + P.below rng 60) ~ratio:4.4
+        in
+        let a = Array.of_list clauses and n = List.length clauses in
+        ( nvars,
+          fun step ->
+            let lo = (step - 1) * n / steps and hi = step * n / steps in
+            Array.to_list (Array.sub a lo (hi - lo)) ))
       ()
   in
   Alcotest.(check bool) "reductions happened" true (reductions > 0);
@@ -316,6 +416,10 @@ let suite =
         test_random_3sat_reductions;
       Alcotest.test_case "incremental through reductions" `Quick
         test_incremental_reductions;
+      Alcotest.test_case "binary-heavy one-shot" `Quick
+        test_binary_heavy_one_shot;
+      Alcotest.test_case "binary-heavy incremental" `Quick
+        test_binary_heavy_incremental;
       Alcotest.test_case "UNSAT proof survives inprocessing" `Quick
         test_unsat_proof_with_inprocessing;
     ] )

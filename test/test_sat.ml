@@ -179,7 +179,7 @@ let test_tiered_reduction () =
    clause lost in a compaction, a stale reason keeping a clause alive), so
    the counts are checked exactly. A change of memory layout or
    bookkeeping must leave them as they are; only a deliberate search
-   change (say, implicit binary watches) may update them. *)
+   change (say, separate binary watch lists) may update them. *)
 let test_search_pinned () =
   let pigeons = 8 and holes = 7 in
   let s = S.create ~reduce_first:100 () in
@@ -215,6 +215,39 @@ let test_search_pinned () =
   Alcotest.(check bool) "clauses vivified" true (st.S.vivified > 0);
   Alcotest.(check (list int)) "conflicts, decisions, propagations"
     [ 849; 1022; 17012 ]
+    [ st.S.conflicts; st.S.decisions; st.S.propagations ]
+
+(* The same pin on a binary-heavy search (two clauses in three binary,
+   {!Test_fuzz.binary_heavy}): most implications and many conflicts come
+   from binary clauses, binary reasons survive compaction, and learned
+   binaries join the database. Two thirds of the clauses are solved
+   first, inprocessing runs, and the rest refute the formula; the proof
+   streams into {!Sat.Rup}, whose chains must all close. *)
+let test_binary_search_pinned () =
+  let nvars, clauses =
+    Test_fuzz.binary_heavy (Testbench.Prng.create 0x2B1) ~nvars:150 ~copies:5
+      ~ratio:4.3
+  in
+  let ck = Sat.Rup.create () and rejected = ref 0 in
+  let s = S.create ~reduce_first:100 () in
+  S.enable_proof s
+    { S.on_clause = (fun id lits -> Sat.Rup.add_clause ~id ck lits);
+      on_step =
+        (fun id lits chain ->
+          if not (Sat.Rup.add_step ~id ~chain ck lits) then incr rejected) };
+  ignore (fresh_vars s nvars);
+  let first = List.length clauses * 2 / 3 in
+  List.iteri (fun i c -> if i < first then S.add_clause s c) clauses;
+  Alcotest.(check bool) "two thirds: SAT" true (is_sat (S.solve s));
+  S.simplify_inplace s;
+  List.iteri (fun i c -> if i >= first then S.add_clause s c) clauses;
+  Alcotest.(check bool) "all: UNSAT" false (is_sat (S.solve s));
+  Alcotest.(check int) "every chain closes" 0 !rejected;
+  Alcotest.(check bool) "refuted" true (Sat.Rup.contradictory ck);
+  let st = S.stats s in
+  Alcotest.(check bool) "reductions happened" true (st.S.reductions > 0);
+  Alcotest.(check (list int)) "conflicts, decisions, propagations"
+    [ 2276; 3040; 372343 ]
     [ st.S.conflicts; st.S.decisions; st.S.propagations ]
 
 let test_ema_restarts () =
@@ -663,6 +696,8 @@ let suite =
         test_tiered_reduction;
       Alcotest.test_case "search pinned across maintenance" `Quick
         test_search_pinned;
+      Alcotest.test_case "binary-heavy search pinned" `Quick
+        test_binary_search_pinned;
       Alcotest.test_case "EMA restarts" `Quick test_ema_restarts;
       Alcotest.test_case "clause vivification" `Quick test_vivification;
       Alcotest.test_case "warm assumption prefixes" `Quick

@@ -209,6 +209,54 @@ let test_worker_deadline_typed_timeout () =
     stats.Shard.Fleet.st_worker_deaths;
   check_balance summary
 
+(* ---- a queued job's deadline counts from its submission ---- *)
+
+(* One worker, busy with a long job: a second job with a short deadline
+   waits in the queue and must time out on its own clock, not after the
+   first job ends, and without ever being leased. *)
+let test_queued_deadline_from_submission () =
+  let spec ~depth timeout_s = Serve.job_spec ~depth ~timeout_s "aes-deep" in
+  let (short, elapsed, long), summary, stats =
+    with_coord ~workers:[ "q1" ] "queued" (fun sock ->
+        let long = ref None in
+        let leader =
+          Thread.create
+            (fun () ->
+              long :=
+                Some
+                  (with_client sock (fun c ->
+                       Serve.Client.submit c (spec ~depth:24 2.5))))
+            ()
+        in
+        (* Let the only worker lease the long job. *)
+        Thread.delay 0.3;
+        (* Another depth, so a spec of its own rather than a repeat. *)
+        let t0 = Unix.gettimeofday () in
+        let short =
+          with_client sock (fun c -> Serve.Client.submit c (spec ~depth:23 0.3))
+        in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        Thread.join leader;
+        (short, elapsed, !long))
+  in
+  (match short with
+   | Serve.Client.Timed_out (_, wall) ->
+     Alcotest.(check bool)
+       (Printf.sprintf "server wall %.3f s counts from submission" wall)
+       true
+       (wall >= 0.3 && wall < 1.0)
+   | _ -> Alcotest.fail "the queued job must time out");
+  Alcotest.(check bool)
+    (Printf.sprintf "TIMEOUT after %.3f s, within deadline + grace" elapsed)
+    true (elapsed < 1.0);
+  (match long with
+   | Some (Serve.Client.Timed_out _) -> ()
+   | _ -> Alcotest.fail "the long job must time out on its own deadline");
+  Alcotest.(check int) "two timeouts" 2 summary.Serve.sm_timeouts;
+  Alcotest.(check int) "the queued job was never leased" 1
+    stats.Shard.Fleet.st_leases;
+  check_balance summary
+
 (* ---- no fleet: pending jobs get a typed error, not a hang ---- *)
 
 let test_no_worker_pending_grace () =
@@ -283,6 +331,8 @@ let suite =
         `Quick test_four_worker_parity;
       Alcotest.test_case "worker-side deadline is a typed timeout" `Quick
         test_worker_deadline_typed_timeout;
+      Alcotest.test_case "queued deadline counts from submission" `Quick
+        test_queued_deadline_from_submission;
       Alcotest.test_case "no worker: pending job gets a typed error" `Quick
         test_no_worker_pending_grace;
       Alcotest.test_case "cached repeat pays no heartbeat floor" `Quick
