@@ -59,41 +59,19 @@ let stats xs =
 
 let pf fmt = Printf.printf fmt
 
-(* ---- machine-readable results (BENCH_results.json) ---- *)
+(* ---- machine-readable results (BENCH_results.json) ----
 
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Int of int
+   The run journal's JSON value type, re-exported so the tables below build
+   values unqualified; the file is printed by [Report.Json.to_string]. *)
+
+type json = Report.Json.t =
+  | Null
   | Bool of bool
-
-let rec json_out buf = function
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "%S:" k);
-        json_out buf v)
-      fields;
-    Buffer.add_char buf '}'
-  | Arr xs ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        json_out buf v)
-      xs;
-    Buffer.add_char buf ']'
-  | Str s -> Buffer.add_string buf (Printf.sprintf "%S" s)
-  | Num f ->
-    (* JSON has no inf/nan; clamp defensively. *)
-    Buffer.add_string buf
-      (if Float.is_finite f then Printf.sprintf "%.6f" f else "null")
-  | Int n -> Buffer.add_string buf (string_of_int n)
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of json list
+  | Obj of (string * json) list
 
 let json_results : (string * json) list ref = ref []
 let record key v = json_results := (key, v) :: !json_results
@@ -141,38 +119,37 @@ let json_of_metrics () =
              Obj
                [
                  ("count", Int h.Telemetry.count);
-                 ("sum_s", Num h.Telemetry.sum_s);
+                 ("sum_s", Float h.Telemetry.sum_s);
                  ( "buckets",
-                   Arr
+                   List
                      (List.concat_map
                         (fun (le_s, n) ->
                           if n = 0 then []
-                          else [ Obj [ ("le_s", Num le_s); ("n", Int n) ] ])
+                          else [ Obj [ ("le_s", Float le_s); ("n", Int n) ] ])
                         h.Telemetry.buckets) );
                ] ))
        (Telemetry.metrics ()))
 
 let write_json_results ~jobs ~portfolio ~total_wall =
   let oc = open_out "BENCH_results.json" in
-  let buf = Buffer.create 4096 in
-  json_out buf
-    (Obj
-       ([
-          ("schema", Int 12);
-          ( "meta",
-            Obj
-              ([ ("jobs", Int jobs); ("portfolio", Int portfolio);
-                 ("ocaml", Str Sys.ocaml_version) ]
-               @ (match git_rev () with
-                  | Some rev -> [ ("git_rev", Str rev) ]
-                  | None -> [])) );
-          ("jobs", Int jobs);
-          ("total_wall_s", Num total_wall);
-        ]
-        @ List.rev !json_results
-        @ [ ("metrics", json_of_metrics ()) ]));
-  Buffer.add_char buf '\n';
-  output_string oc (Buffer.contents buf);
+  output_string oc
+    (Report.Json.to_string
+       (Obj
+          ([
+             ("schema", Int 12);
+             ( "meta",
+               Obj
+                 ([ ("jobs", Int jobs); ("portfolio", Int portfolio);
+                    ("ocaml", Str Sys.ocaml_version) ]
+                  @ (match git_rev () with
+                     | Some rev -> [ ("git_rev", Str rev) ]
+                     | None -> [])) );
+             ("jobs", Int jobs);
+             ("total_wall_s", Float total_wall);
+           ]
+           @ List.rev !json_results
+           @ [ ("metrics", json_of_metrics ()) ])));
+  output_char oc '\n';
   close_out oc;
   pf "\nwrote BENCH_results.json\n"
 
@@ -222,7 +199,7 @@ let json_of_report (r : Aqed.Check.report) =
            (match r.Aqed.Check.verdict with
             | Aqed.Check.Bug t -> Bmc.Trace.length t
             | Aqed.Check.No_bug_up_to k -> k) );
-       ("wall_s", Num r.Aqed.Check.wall_time);
+       ("wall_s", Float r.Aqed.Check.wall_time);
        ("aig_nodes", Int r.Aqed.Check.aig_nodes);
        ("aig_nodes_raw", Int r.Aqed.Check.aig_nodes_raw);
        ("solver", json_of_solver_stats r.Aqed.Check.solver_stats);
@@ -235,28 +212,23 @@ let json_of_report (r : Aqed.Check.report) =
 (* The A-QED flow on one memctrl configuration: FC, then RB (with the
    clock-enable customization of Sec. IV.C), then SAC with the
    configuration's spec — stopping at the first detection, as the paper's
-   flow debugs one counterexample at a time. *)
+   flow debugs one counterexample at a time. Returns the detecting report,
+   if any, and the flow's summed wall time. *)
 let aqed_flow ?bug cfg =
   let build () = M.build ?bug cfg () in
   let build_enabled () = M.build ?bug ~assume_enabled:true cfg () in
   (* Depths sized to the configurations' latencies (every counterexample in
      the registry fits well within 12 frames). *)
-  let fc = Aqed.Check.functional_consistency ~max_depth:12 build in
-  if Aqed.Check.found_bug fc then (Some fc, fc.Aqed.Check.wall_time)
-  else begin
-    let rb =
-      Aqed.Check.response_bound ~max_depth:12 ~tau:(M.tau cfg) build_enabled
-    in
-    let t = fc.Aqed.Check.wall_time +. rb.Aqed.Check.wall_time in
-    if Aqed.Check.found_bug rb then (Some rb, t)
-    else begin
-      let sac =
-        Aqed.Check.single_action ~max_depth:10 ~spec:(M.spec_rtl cfg) build
-      in
-      let t = t +. sac.Aqed.Check.wall_time in
-      if Aqed.Check.found_bug sac then (Some sac, t) else (None, t)
-    end
-  end
+  let reports =
+    Aqed.Check.verify
+      [ Aqed.Check.prepare_fc ~max_depth:12 build;
+        Aqed.Check.prepare_rb ~max_depth:12 ~tau:(M.tau cfg) build_enabled;
+        Aqed.Check.prepare_sac ~max_depth:10 ~spec:(M.spec_rtl cfg) build ]
+  in
+  let wall =
+    List.fold_left (fun t r -> t +. r.Aqed.Check.wall_time) 0. reports
+  in
+  (List.find_opt Aqed.Check.found_bug reports, wall)
 
 let conventional_flow ?bug cfg =
   let tests =
@@ -354,11 +326,15 @@ let print_table1 () =
     (Obj
        [
          ( "aqed_runtime_s",
-           Obj [ ("min", Num amin); ("avg", Num aavg); ("max", Num amax) ] );
+           Obj
+             [ ("min", Float amin); ("avg", Float aavg);
+               ("max", Float amax) ] );
          ( "conv_runtime_s",
-           Obj [ ("min", Num cmin); ("avg", Num cavg); ("max", Num cmax) ] );
+           Obj
+             [ ("min", Float cmin); ("avg", Float cavg);
+               ("max", Float cmax) ] );
          ( "bugs",
-           Arr
+           List
              (List.map
                 (fun o ->
                   Obj
@@ -366,10 +342,10 @@ let print_table1 () =
                       ("bug", Str (M.bug_name o.bug));
                       ("aqed_found", Bool o.aqed_found);
                       ("aqed_check", Str o.aqed_check);
-                      ("aqed_wall_s", Num o.aqed_time);
+                      ("aqed_wall_s", Float o.aqed_time);
                       ("aqed_trace", Int o.aqed_trace);
                       ("conv_found", Bool o.conv_found);
-                      ("conv_wall_s", Num o.conv_time);
+                      ("conv_wall_s", Float o.conv_time);
                       ("conv_trace", Int o.conv_trace);
                     ])
                 outcomes) );
@@ -495,9 +471,9 @@ let print_table2 ~jobs ~portfolio () =
   pf "%s\n" (line 76);
   let base_fields =
     [
-      ("sequential_wall_s", Num seq_wall);
+      ("sequential_wall_s", Float seq_wall);
       ( "rows",
-        Arr
+        List
           (List.map2
              (fun s r ->
                Obj
@@ -550,17 +526,17 @@ let print_table2 ~jobs ~portfolio () =
                   [
                     ("jobs", Int jobs);
                     ("portfolio", Int portfolio);
-                    ("wall_s", Num batch.Aqed.Check.batch_wall);
-                    ("speedup", Num speedup);
+                    ("wall_s", Float batch.Aqed.Check.batch_wall);
+                    ("speedup", Float speedup);
                     ("outcomes_match", Bool all_match);
                     ( "per_obligation_wall_s",
-                      Arr
+                      List
                         (List.map
                            (fun (e : Aqed.Check.batch_entry) ->
                              Obj
                                [
                                  ("name", Str e.Aqed.Check.entry_name);
-                                 ("wall_s", Num e.Aqed.Check.entry_wall);
+                                 ("wall_s", Float e.Aqed.Check.entry_wall);
                                ])
                            batch.Aqed.Check.entries) );
                   ] );
@@ -570,8 +546,9 @@ let print_table2 ~jobs ~portfolio () =
 let print_fig2 () =
   pf "\n== Fig. 2: motivating example (clock-enable disconnected from buffer 4) ==\n";
   let r =
-    Aqed.Check.functional_consistency ~max_depth:16
-      (fun () -> Accel.Fig2.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:16
+         (fun () -> Accel.Fig2.build ~bug:true ()))
   in
   (match r.Aqed.Check.verdict with
    | Aqed.Check.Bug t ->
@@ -590,8 +567,8 @@ let print_fig2 () =
      pf "conventional flow's application-style stimulus never exercises.\n"
    | Aqed.Check.No_bug_up_to k -> pf "UNEXPECTED: clean to %d\n" k);
   let clean =
-    Aqed.Check.functional_consistency ~max_depth:8
-      (fun () -> Accel.Fig2.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:8 (fun () -> Accel.Fig2.build ()))
   in
   pf "bug-free design: %s\n"
     (match clean.Aqed.Check.verdict with
@@ -713,7 +690,7 @@ let certificate l =
 
 let json_of_leg l =
   Obj
-    ([ ("answer", Str l.answer); ("wall_s", Num l.wall);
+    ([ ("answer", Str l.answer); ("wall_s", Float l.wall);
        ("certificate", Str (certificate l)) ]
      @ match l.report with
        | Some r -> [ ("report", json_of_report r) ]
@@ -806,10 +783,11 @@ let record_ab key run ~ok extra =
     (Obj
        ([ ("outcomes_match", Bool run.outcomes_ok); ("gates_ok", Bool ok);
           ( "wall_s",
-            Obj (List.map (fun (v, _, wall) -> (v.label, Num wall)) run.legs) )
+            Obj
+              (List.map (fun (v, _, wall) -> (v.label, Float wall)) run.legs) )
         ]
         @ extra
-        @ [ ("rows", Arr run.rows) ]))
+        @ [ ("rows", List run.rows) ]))
 
 (* Reduced vs raw (--no-reduce): same verdict at the same depth, and what
    reduction buys in encoded CNF size (solver variables + clauses over the
@@ -837,7 +815,7 @@ let print_reduce () =
   in
   pf "best vars+clauses drop: %.0f%%\n" (100. *. best_drop);
   record_ab "reduce" run ~ok:run.outcomes_ok
-    [ ("best_vars_clauses_drop", Num best_drop) ]
+    [ ("best_vars_clauses_drop", Float best_drop) ]
 
 (* Plain vs certified (replayed counterexamples, RUP-certified frames):
    zero divergences and a certificate on every certified leg; the suite
@@ -874,7 +852,7 @@ let print_certify () =
   record_ab "certify" run ~ok:(run.outcomes_ok && all_certified)
     [ ("zero_divergences", Bool zero_divergences);
       ("all_certified", Bool all_certified);
-      ("overhead", Num overhead);
+      ("overhead", Float overhead);
       ("rup_steps", Int steps);
       ("rup_rejected", Int rejected) ]
 
@@ -930,20 +908,20 @@ let json_of_campaign (c : Mutate.campaign) =
       ("screened_miter", Int (Mutate.screened_miter c));
       ("killed", Int (List.length (Mutate.killed c)));
       ("survived", Int (List.length (Mutate.survivors c)));
-      ("score", Num (Mutate.score c));
-      ("wall_s", Num c.Mutate.campaign_wall);
+      ("score", Float (Mutate.score c));
+      ("wall_s", Float c.Mutate.campaign_wall);
       ( "per_check_kills",
         Obj
           (List.map
              (fun (check, n) -> (check, Int n))
              (Mutate.per_check_kills c)) );
       ( "kill_depth_histogram",
-        Arr
+        List
           (List.map
              (fun (d, n) -> Obj [ ("depth", Int d); ("kills", Int n) ])
              (Mutate.kill_depth_histogram c)) );
       ( "per_op",
-        Arr
+        List
           (List.map
              (fun (op, checked, killed, screened) ->
                Obj
@@ -953,13 +931,13 @@ let json_of_campaign (c : Mutate.campaign) =
                    ("killed", Int killed);
                    ("screened", Int screened);
                    ( "detection_rate",
-                     Num
+                     Float
                        (if checked = 0 then 1.
                         else float_of_int killed /. float_of_int checked) );
                  ])
              (Mutate.per_op_stats c)) );
       ( "survivors",
-        Arr
+        List
           (List.map
              (fun (o : Mutate.outcome) ->
                Obj
@@ -1033,13 +1011,13 @@ let print_mutate ~jobs () =
          ("limit_per_config", Int mutate_limit);
          ("raw", Int raw);
          ("screened", Int screened);
-         ("screen_frac", Num screen_frac);
+         ("screen_frac", Float screen_frac);
          ("checked", Int checked);
          ("killed", Int killed);
          ("survived", Int survived);
-         ("score", Num score);
+         ("score", Float score);
          ("floors_ok", Bool floors_ok);
-         ("campaigns", Arr (List.map json_of_campaign campaigns));
+         ("campaigns", List (List.map json_of_campaign campaigns));
        ])
 
 (* ---- kernels (Bechamel) ---- *)
@@ -1106,7 +1084,7 @@ let print_kernels () =
           match Analyze.OLS.estimates result with
           | Some [ est ] ->
             pf "%-36s %12.0f ns/run\n" name est;
-            estimates := (name, Num est) :: !estimates
+            estimates := (name, Float est) :: !estimates
           | Some _ | None -> pf "%-36s (no estimate)\n" name)
         ols)
     (bechamel_tests ());
@@ -1139,8 +1117,9 @@ let print_ablations () =
   List.iter
     (fun w ->
       let r =
-        Aqed.Check.functional_consistency ~max_depth:12 ~cnt_width:w
-          (fun () -> M.build ~bug:M.Fifo_oversize_ready M.Fifo_mode ())
+        Aqed.Check.run_obligation
+          (Aqed.Check.prepare_fc ~max_depth:12 ~cnt_width:w
+             (fun () -> M.build ~bug:M.Fifo_oversize_ready M.Fifo_mode ()))
       in
       pf "  cnt_width=%-2d  %-24s %.3fs (aig nodes %d)\n" w
         (match r.Aqed.Check.verdict with
@@ -1152,12 +1131,13 @@ let print_ablations () =
 
   pf "\n[A4] the shared-key customization (Sec. IV.B), on the CORRECT AES:\n";
   let with_shared =
-    Aqed.Check.functional_consistency ~max_depth:10 ~shared:Accel.Aes.shared_key
-      (fun () -> Accel.Aes.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 ~shared:Accel.Aes.shared_key
+         (fun () -> Accel.Aes.build ()))
   in
   let without =
-    Aqed.Check.functional_consistency ~max_depth:10
-      (fun () -> Accel.Aes.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 (fun () -> Accel.Aes.build ()))
   in
   let show name (r : Aqed.Check.report) =
     pf "  %-14s %-40s %.3fs\n" name
@@ -1177,12 +1157,14 @@ let print_ablations () =
 
   pf "\n[A5] batch-aware vs scalar FC monitor on the 2-lane SIMD design:\n";
   let batch =
-    Aqed.Check.functional_consistency ~max_depth:12 ~lanes:Accel.Simd.lanes
-      (fun () -> Accel.Simd.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:12 ~lanes:Accel.Simd.lanes
+         (fun () -> Accel.Simd.build ~bug:true ()))
   in
   let scalar =
-    Aqed.Check.functional_consistency ~max_depth:14
-      (fun () -> Accel.Simd.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:14
+         (fun () -> Accel.Simd.build ~bug:true ()))
   in
   let show name (r : Aqed.Check.report) =
     pf "  %-14s %-34s %.3fs\n" name
@@ -1223,8 +1205,9 @@ let print_ablations () =
   pf "\n[A7] sequential vs pipelined (II=1) HLS code generation, GSM kernel:\n";
   let fc_style name style =
     let r =
-      Aqed.Check.functional_consistency ~max_depth:9
-        (fun () -> Hls.Codegen.to_rtl ~style Accel.Gsm.program)
+      Aqed.Check.run_obligation
+        (Aqed.Check.prepare_fc ~max_depth:9
+           (fun () -> Hls.Codegen.to_rtl ~style Accel.Gsm.program))
     in
     pf "  %-12s FC %-22s %.3fs (aig %d nodes)\n" name
       (match r.Aqed.Check.verdict with
@@ -1318,7 +1301,7 @@ let () =
       List.iter
         (fun (name, run) -> if name = t || t = "all" then run ())
         table;
-      record ("wall_s_" ^ t) (Num (Unix.gettimeofday () -. t1)))
+      record ("wall_s_" ^ t) (Float (Unix.gettimeofday () -. t1)))
     targets;
   let total = Unix.gettimeofday () -. t0 in
   pf "\ntotal bench time: %.1fs\n" total;

@@ -159,6 +159,25 @@ let find_design name =
     failwith
       (Printf.sprintf "unknown design %s (see `aqed_cli list`)" name)
 
+(* The one map from a check name onto its unsolved obligation: FC and SAC
+   instrument the design's builder, RB its RB builder. [check], [verify]
+   and the service's job resolver all go through it. *)
+let obligation_of ?reduce ?sweep d ?bug ~depth check =
+  match String.lowercase_ascii check with
+  | "fc" ->
+    Aqed.Check.prepare_fc ~max_depth:depth ?shared:d.shared ?reduce ?sweep
+      (fun () -> d.build ?bug ())
+  | "rb" ->
+    Aqed.Check.prepare_rb ~max_depth:depth ~tau:d.tau ?reduce ?sweep
+      (fun () -> d.build_rb ?bug ())
+  | "sac" -> (
+      match d.spec with
+      | Some spec ->
+        Aqed.Check.prepare_sac ~max_depth:depth ~spec ?reduce ?sweep
+          (fun () -> d.build ?bug ())
+      | None -> failwith "this design has no registered SAC spec")
+  | other -> failwith (Printf.sprintf "unknown check %s (fc|rb|sac)" other)
+
 (* ---- commands ---- *)
 
 let cmd_list () =
@@ -296,23 +315,8 @@ let cmd_check design_name bug check depth jobs stats no_reduce sweep certify
   let solver = solver_config restarts no_inprocess in
   let store = Option.map Store.open_store store_dir in
   let report =
-    match String.lowercase_ascii check with
-    | "fc" ->
-      Aqed.Check.functional_consistency ~max_depth:depth ?shared:d.shared
-        ~portfolio ~certify ~solver ?store ~reduce ~sweep
-        (fun () -> d.build ?bug ())
-    | "rb" ->
-      Aqed.Check.response_bound ~max_depth:depth ~tau:d.tau ~portfolio
-        ~certify ~solver ?store ~reduce ~sweep
-        (fun () -> d.build_rb ?bug ())
-    | "sac" -> (
-        match d.spec with
-        | Some spec ->
-          Aqed.Check.single_action ~max_depth:depth ~spec ~portfolio ~certify
-            ~solver ?store ~reduce ~sweep
-            (fun () -> d.build ?bug ())
-        | None -> failwith "this design has no registered SAC spec")
-    | other -> failwith (Printf.sprintf "unknown check %s (fc|rb|sac)" other)
+    Aqed.Check.run_obligation ~portfolio ~certify ~solver ?store
+      (obligation_of ~reduce ~sweep d ?bug ~depth check)
   in
   Format.printf "%a@." Aqed.Check.pp_report report;
   if stats then begin
@@ -348,9 +352,11 @@ let cmd_check design_name bug check depth jobs stats no_reduce sweep certify
      is a success; a divergence raised before reaching here and exits 2). *)
   if Aqed.Check.found_bug report && not certify then 1 else 0
 
-(* The full flow as a batch: FC, RB and (when a spec is registered) SAC as
-   independent obligations fanned across the domain pool. Unlike
-   [Check.verify] this does not stop at the first bug — all checks run. *)
+(* Every check of the design as a batch: FC, RB and (when a spec is
+   registered) SAC as independent obligations fanned across the domain
+   pool. Unlike the paper's flow ([Check.verify]) this does not stop at the
+   first bug — all checks run, and their reports come back in that
+   order. *)
 let cmd_verify design_name bug depth jobs portfolio stats no_reduce sweep
     certify restarts no_inprocess journal store_dir =
   let d = find_design design_name in
@@ -358,17 +364,9 @@ let cmd_verify design_name bug depth jobs portfolio stats no_reduce sweep
   let solver = solver_config restarts no_inprocess in
   let store = Option.map Store.open_store store_dir in
   let obligations =
-    [
-      Aqed.Check.prepare_fc ~max_depth:depth ?shared:d.shared ~reduce ~sweep
-        (fun () -> d.build ?bug ());
-      Aqed.Check.prepare_rb ~max_depth:depth ~tau:d.tau ~reduce ~sweep
-        (fun () -> d.build_rb ?bug ());
-    ]
-    @ (match d.spec with
-       | Some spec ->
-         [ Aqed.Check.prepare_sac ~max_depth:depth ~spec ~reduce ~sweep
-             (fun () -> d.build ?bug ()) ]
-       | None -> [])
+    List.map
+      (obligation_of ~reduce ~sweep d ?bug ~depth)
+      ([ "fc"; "rb" ] @ if Option.is_some d.spec then [ "sac" ] else [])
   in
   let batch =
     Aqed.Check.run_batch ~jobs:(max 1 jobs) ~portfolio:(max 1 portfolio)
@@ -573,23 +571,8 @@ let resolve_job (spec : Serve.job_spec) =
   match
     let d = find_design spec.Serve.sj_design in
     let bug = spec.Serve.sj_bug in
-    let depth = spec.Serve.sj_depth in
     let ob =
-      match String.lowercase_ascii spec.Serve.sj_check with
-      | "fc" ->
-        Aqed.Check.prepare_fc ~max_depth:depth ?shared:d.shared
-          (fun () -> d.build ?bug ())
-      | "rb" ->
-        Aqed.Check.prepare_rb ~max_depth:depth ~tau:d.tau
-          (fun () -> d.build_rb ?bug ())
-      | "sac" -> (
-          match d.spec with
-          | Some spec_fn ->
-            Aqed.Check.prepare_sac ~max_depth:depth ~spec:spec_fn
-              (fun () -> d.build ?bug ())
-          | None -> failwith "this design has no registered SAC spec")
-      | other ->
-        failwith (Printf.sprintf "unknown check %s (fc|rb|sac)" other)
+      obligation_of d ?bug ~depth:spec.Serve.sj_depth spec.Serve.sj_check
     in
     (* Validate the bug name now, on the daemon's request path, so a typo
        is a typed rejection instead of a solve-time failure on a worker. *)

@@ -73,8 +73,12 @@ let () =
     ins outs;
 
   (* FC + RB, no spec. *)
-  let fc = Aqed.Check.functional_consistency ~max_depth:10 build in
-  let rb = Aqed.Check.response_bound ~max_depth:10 ~tau:4 build in
+  let fc =
+    Aqed.Check.run_obligation (Aqed.Check.prepare_fc ~max_depth:10 build)
+  in
+  let rb =
+    Aqed.Check.run_obligation (Aqed.Check.prepare_rb ~max_depth:10 ~tau:4 build)
+  in
   Format.printf "  %a@.  %a@." Aqed.Check.pp_report fc Aqed.Check.pp_report rb;
 
   (* SAC closes the loop to total correctness (Prop. 1): the spec is the
@@ -84,14 +88,16 @@ let () =
     let le = Ir.ule a b in
     Ir.concat (Ir.mux le b a) (Ir.mux le a b)
   in
-  let sac = Aqed.Check.single_action ~max_depth:8 ~spec build in
+  let sac =
+    Aqed.Check.run_obligation (Aqed.Check.prepare_sac ~max_depth:8 ~spec build)
+  in
   Format.printf "  %a@." Aqed.Check.pp_report sac;
 
   (* The buggy build: hidden scratch state leaks into the max slot. *)
   print_endline "\n-- buggy swap path --";
   let fc_bug =
-    Aqed.Check.functional_consistency ~max_depth:12
-      (fun () -> build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:12 (fun () -> build ~bug:true ()))
   in
   Format.printf "  %a@." Aqed.Check.pp_report fc_bug;
   match fc_bug.Aqed.Check.verdict with

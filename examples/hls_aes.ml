@@ -36,17 +36,17 @@ let () =
 let () =
   print_endline "\n-- A-QED functional consistency --";
   let clean =
-    Aqed.Check.functional_consistency ~max_depth:10
-      ~shared:Accel.Aes.shared_key
-      (fun () -> Accel.Aes.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 ~shared:Accel.Aes.shared_key
+         (fun () -> Accel.Aes.build ()))
   in
   Format.printf "  correct build: %a@." Aqed.Check.pp_report clean;
   List.iter
     (fun version ->
       let r =
-        Aqed.Check.functional_consistency ~max_depth:18
-          ~shared:Accel.Aes.shared_key
-          (fun () -> Accel.Aes.build ~version ())
+        Aqed.Check.run_obligation
+          (Aqed.Check.prepare_fc ~max_depth:18 ~shared:Accel.Aes.shared_key
+             (fun () -> Accel.Aes.build ~version ()))
       in
       Format.printf "  buggy v%d:      %a@." version Aqed.Check.pp_report r)
     [ 1; 2; 3; 4 ]

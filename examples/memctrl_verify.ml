@@ -16,13 +16,14 @@ let () = print_endline "=== memory-controller unit verification ==="
 let () =
   print_endline "\n-- clean FIFO configuration --";
   let fc =
-    Aqed.Check.functional_consistency ~max_depth:10
-      (fun () -> M.build M.Fifo_mode ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 (fun () -> M.build M.Fifo_mode ()))
   in
   Format.printf "  %a@." Aqed.Check.pp_report fc;
   let rb =
-    Aqed.Check.response_bound ~max_depth:10 ~tau:(M.tau M.Fifo_mode)
-      (fun () -> M.build ~assume_enabled:true M.Fifo_mode ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_rb ~max_depth:10 ~tau:(M.tau M.Fifo_mode)
+         (fun () -> M.build ~assume_enabled:true M.Fifo_mode ()))
   in
   Format.printf "  %a@." Aqed.Check.pp_report rb
 
@@ -32,8 +33,9 @@ let bug = M.Fifo_clock_gate
 let aqed_report =
   print_endline "\n-- clock-gate corner bug, A-QED --";
   let r =
-    Aqed.Check.functional_consistency ~max_depth:14
-      (fun () -> M.build ~bug M.Fifo_mode ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:14
+         (fun () -> M.build ~bug M.Fifo_mode ()))
   in
   Format.printf "  %a@." Aqed.Check.pp_report r;
   r

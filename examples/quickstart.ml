@@ -41,12 +41,14 @@ let () =
 let () =
   print_endline "\n-- verifying the correct design --";
   let build () = Hls.Codegen.to_rtl program in
-  let fc = Aqed.Check.functional_consistency ~max_depth:10 build in
+  let fc =
+    Aqed.Check.run_obligation (Aqed.Check.prepare_fc ~max_depth:10 build)
+  in
   Format.printf "  %a@." Aqed.Check.pp_report fc;
   let rb =
-    Aqed.Check.response_bound ~max_depth:10
-      ~tau:(Hls.Codegen.recommended_tau program)
-      build
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_rb ~max_depth:10
+         ~tau:(Hls.Codegen.recommended_tau program) build)
   in
   Format.printf "  %a@." Aqed.Check.pp_report rb
 
@@ -60,7 +62,9 @@ let () =
   in
   (* Three transactions (poison, victim, replay) plus a backpressure cycle
      fit in 14 frames. *)
-  let fc = Aqed.Check.functional_consistency ~max_depth:14 build in
+  let fc =
+    Aqed.Check.run_obligation (Aqed.Check.prepare_fc ~max_depth:14 build)
+  in
   Format.printf "  %a@." Aqed.Check.pp_report fc;
   match fc.Aqed.Check.verdict with
   | Aqed.Check.Bug trace ->

@@ -12,8 +12,9 @@ let () = print_endline "=== responsiveness (RB) checking ==="
 let () =
   print_endline "\n-- correct pipeline --";
   let r =
-    Aqed.Check.response_bound ~max_depth:12 ~tau:Accel.Dataflow.tau
-      (fun () -> Accel.Dataflow.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_rb ~max_depth:12 ~tau:Accel.Dataflow.tau
+         (fun () -> Accel.Dataflow.build ()))
   in
   Format.printf "  %a@." Aqed.Check.pp_report r
 
@@ -21,8 +22,9 @@ let () =
 let () =
   print_endline "\n-- buggy pipeline (credit counter oversized by one) --";
   let r =
-    Aqed.Check.response_bound ~max_depth:16 ~tau:Accel.Dataflow.tau
-      (fun () -> Accel.Dataflow.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_rb ~max_depth:16 ~tau:Accel.Dataflow.tau
+         (fun () -> Accel.Dataflow.build ~bug:true ()))
   in
   Format.printf "  %a@." Aqed.Check.pp_report r;
   match r.Aqed.Check.verdict with

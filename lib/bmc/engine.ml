@@ -226,7 +226,7 @@ let make_frame ?consts solver rel binding =
   List.iter (fun a -> Tseitin.assert_true env a) rel.assume_lits;
   env
 
-let extract_trace solver rel envs ~prop_name ~trace_regs =
+let extract_trace solver rel envs ~prop_name =
   let read_bit env l =
     match Tseitin.value_of env l with
     | Tseitin.Cst b -> b
@@ -247,11 +247,9 @@ let extract_trace solver rel envs ~prop_name ~trace_regs =
             rel.input_sigs
         in
         let regs =
-          if not trace_regs then []
-          else
-            List.map
-              (fun (s, bits) -> (sig_name s, read_bits env bits))
-              rel.reg_sigs
+          List.map
+            (fun (s, bits) -> (sig_name s, read_bits env bits))
+            rel.reg_sigs
         in
         { Trace.inputs; regs })
       envs
@@ -448,7 +446,7 @@ let certify_cex circuit prop rel trace =
    search raises {!Warm_start_invalid} instead of masking the bug; the
    caller falls back to a cold solve. *)
 let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
-    ~trace_regs ~frame_consts ~config ~cancel =
+    ~frame_consts ~config ~cancel =
   Telemetry.Span.with_ "bmc.search"
     ~args:
       [ ("prop", Telemetry.Str name);
@@ -559,7 +557,6 @@ let bounded_search ?(certify = None) ?(warm = 0) rel ~name ~max_depth
       | Violated ->
         let trace =
           extract_trace solver rel (List.rev envs_rev) ~prop_name:name
-            ~trace_regs
         in
         let trace, certificate =
           match certify with
@@ -661,7 +658,7 @@ type prepared = {
    reset values — and digests it. Input names are deliberately excluded:
    obligations that bit-blast to the same graph (the same sub-check
    regenerated for another bug variant or configuration) get the same key,
-   which is exactly what the obligation cache wants. The reduction pipeline
+   which is exactly what the store wants. The reduction pipeline
    is deterministic, so keying the *reduced* graph is stable — and
    obligations that only differ outside their cones of influence now hash
    equal too. *)
@@ -715,8 +712,8 @@ let replay_prepared p trace =
   let sim = Rtl.Sim.create p.prepared_circuit in
   Trace.replay_result sim trace p.prepared_prop
 
-let check_prepared ?(max_depth = 64) ?(trace_regs = true) ?(portfolio = 1)
-    ?(certify = false) ?(config = default_config) ?(warm_depth = 0) ?cancel p =
+let check_prepared ?(max_depth = 64) ?(portfolio = 1) ?(certify = false)
+    ?(config = default_config) ?(warm_depth = 0) ?cancel p =
   (* Temporal decomposition rides the [reduce] switch: with reduction off the
      engine must encode exactly the raw relation (that is the --no-reduce
      contract the A/B regression leans on). The chain below is rooted at
@@ -741,7 +738,7 @@ let check_prepared ?(max_depth = 64) ?(trace_regs = true) ?(portfolio = 1)
   let warm = min (max 0 warm_depth) max_depth in
   let run ~config ~cancel =
     bounded_search ~certify ~warm p.rel ~name:p.prepared_name ~max_depth
-      ~trace_regs ~frame_consts ~config ~cancel
+      ~frame_consts ~config ~cancel
   in
   if portfolio <= 1 then run ~config ~cancel:(Option.to_list cancel)
   else
@@ -749,9 +746,9 @@ let check_prepared ?(max_depth = 64) ?(trace_regs = true) ?(portfolio = 1)
       (portfolio_configs ~base:config portfolio)
       run
 
-let check ?max_depth ?trace_regs ?portfolio ?certify ?config ?(reduce = true)
+let check ?max_depth ?portfolio ?certify ?config ?(reduce = true)
     ?(sweep = false) circuit ~prop =
-  check_prepared ?max_depth ?trace_regs ?portfolio ?certify ?config
+  check_prepared ?max_depth ?portfolio ?certify ?config
     (prepare ~reduce ~sweep circuit ~prop)
 
 let obligation_key ?(reduce = true) ?(sweep = false) circuit ~prop =

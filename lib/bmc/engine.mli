@@ -128,7 +128,7 @@ val config_label : solver_config -> string
 
     [prepare] bit-blasts (and, by default, structurally reduces — see
     {!Logic.Reduce}) a circuit into a transition relation exactly once; the
-    prepared value then feeds both the obligation-cache key and any number
+    prepared value then feeds both the store key and any number
     of searches, instead of rebuilding the relation per use. Reduction
     preserves every verdict and counterexample depth; [~reduce:false] is
     the escape hatch (CLI [--no-reduce]). *)
@@ -153,7 +153,7 @@ val prepared_key : prepared -> string
     edge, the assumption edges and the latch wiring with reset values —
     everything the BMC outcome depends on, and nothing it does not (input
     names are excluded). Two preparations with equal keys have identical
-    BMC behaviour at every depth, so the key indexes the obligation cache;
+    BMC behaviour at every depth, so the key indexes the persistent store;
     repeated sub-obligations across bug variants and configurations hash
     equal and are solved once. Reduction is deterministic, so keys are
     stable — and reduction can only merge more obligations (circuits that
@@ -164,7 +164,7 @@ val prepared_stats : prepared -> Logic.Reduce.stats option
     [~reduce:false]. *)
 
 val check_prepared :
-  ?max_depth:int -> ?trace_regs:bool -> ?portfolio:int -> ?certify:bool ->
+  ?max_depth:int -> ?portfolio:int -> ?certify:bool ->
   ?config:solver_config -> ?warm_depth:int -> ?cancel:bool Atomic.t ->
   prepared -> report
 (** Bounded search from reset. When the prepared relation was reduced, the
@@ -211,14 +211,15 @@ val replay_prepared : prepared -> Trace.t -> int option
     the trace's final cycle. *)
 
 val check :
-  ?max_depth:int -> ?trace_regs:bool -> ?portfolio:int -> ?certify:bool ->
+  ?max_depth:int -> ?portfolio:int -> ?certify:bool ->
   ?config:solver_config ->
   ?reduce:bool -> ?sweep:bool ->
   Rtl.Ir.circuit -> prop:Rtl.Ir.signal ->
   report
 (** Searches depths 1, 2, ... [max_depth] (default 64) for a counterexample.
-    [trace_regs] (default true) includes reconstructed register values in the
-    trace. The property signal must be 1 bit wide and belong to the circuit.
+    A counterexample trace carries the inputs and the reconstructed register
+    values of every frame. The property signal must be 1 bit wide and
+    belong to the circuit.
     [portfolio] (default 1) races that many diversified solver
     configurations and returns the first report; [1] runs the sequential
     engine with no extra domains. [reduce] (default true) runs the

@@ -361,22 +361,6 @@ let solve ?portfolio ?certify ?solver ?store ?cancel ob =
 let run_obligation ?portfolio ?certify ?solver ?store ?cancel ob =
   snd (solve ?portfolio ?certify ?solver ?store ?cancel ob)
 
-let functional_consistency ?max_depth ?cnt_width ?shared ?lanes ?portfolio
-    ?certify ?solver ?store ?reduce ?sweep build =
-  run_obligation ?portfolio ?certify ?solver ?store
-    (prepare_fc ?max_depth ?cnt_width ?shared ?lanes ?reduce ?sweep build)
-
-let response_bound ?max_depth ?cnt_width ~tau ?in_min ?starvation_bound
-    ?portfolio ?certify ?solver ?store ?reduce ?sweep build =
-  run_obligation ?portfolio ?certify ?solver ?store
-    (prepare_rb ?max_depth ?cnt_width ~tau ?in_min ?starvation_bound ?reduce
-       ?sweep build)
-
-let single_action ?max_depth ~spec ?portfolio ?certify ?solver ?store
-    ?reduce ?sweep build =
-  run_obligation ?portfolio ?certify ?solver ?store
-    (prepare_sac ?max_depth ~spec ?reduce ?sweep build)
-
 let found_bug r = match r.verdict with Bug _ -> true | No_bug_up_to _ -> false
 
 let trace_length r =
@@ -384,27 +368,16 @@ let trace_length r =
   | Bug t -> Some (Bmc.Trace.length t)
   | No_bug_up_to _ -> None
 
-let verify ?max_depth ?cnt_width ~tau ?in_min ?shared ?spec ?portfolio
-    ?certify ?solver ?store ?reduce ?sweep build =
-  let fc =
-    functional_consistency ?max_depth ?cnt_width ?shared ?portfolio ?certify
-      ?solver ?store ?reduce ?sweep build
+(* The paper's flow: one obligation at a time, in the caller's order,
+   stopping after the first counterexample. *)
+let verify ?portfolio ?store obligations =
+  let rec go = function
+    | [] -> []
+    | ob :: rest ->
+      let r = run_obligation ?portfolio ?store ob in
+      if found_bug r then [ r ] else r :: go rest
   in
-  if found_bug fc then [ fc ]
-  else begin
-    let rb =
-      response_bound ?max_depth ?cnt_width ~tau ?in_min ?portfolio ?certify
-        ?solver ?store ?reduce ?sweep build
-    in
-    if found_bug rb then [ fc; rb ]
-    else
-      match spec with
-      | None -> [ fc; rb ]
-      | Some spec ->
-        [ fc; rb;
-          single_action ?max_depth ~spec ?portfolio ?certify ?solver ?store
-            ?reduce ?sweep build ]
-  end
+  go obligations
 
 (* ---- the parallel batch driver ---- *)
 

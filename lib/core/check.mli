@@ -1,11 +1,16 @@
 (** The A-QED entry points: wrap a design with a monitor and run BMC.
 
-    Because the monitors instrument the design's circuit, every check takes
-    a {e builder} — a function producing a fresh {!Iface.t} — mirroring the
-    paper's flow where HLS regenerates the A-QED module per run. A check
-    needs no specification (FC), or only the response bound τ (RB), or only
-    a per-operation input/output function (SAC); per Proposition 1 the three
-    together establish total correctness for strongly-connected designs. *)
+    A check is an {!obligation}: [prepare_fc], [prepare_rb] or
+    [prepare_sac] packages the monitor recipe and bound, unsolved, and
+    {!run_obligation} (one), {!verify} (the paper's flow, stopping at the
+    first bug) or {!run_batch} (a parallel pile) solves it into a
+    {!report}. Because the monitors instrument the design's circuit, every
+    obligation takes a {e builder} — a function producing a fresh
+    {!Iface.t} — mirroring the paper's flow where HLS regenerates the A-QED
+    module per run. A check needs no specification (FC), or only the
+    response bound τ (RB), or only a per-operation input/output function
+    (SAC); per Proposition 1 the three together establish total correctness
+    for strongly-connected designs. *)
 
 type verdict =
   | Bug of Bmc.Trace.t
@@ -59,90 +64,6 @@ type report = {
                                 and are not captured. *)
 }
 
-val functional_consistency :
-  ?max_depth:int ->
-  ?cnt_width:int ->
-  ?shared:(Iface.t -> Rtl.Ir.signal) ->
-  ?lanes:int ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?solver:Bmc.Engine.solver_config ->
-  ?store:Store.t ->
-  ?reduce:bool ->
-  ?sweep:bool ->
-  (unit -> Iface.t) -> report
-(** The specification-free A-QED check (Def. 2 / Fig. 4): searches for an
-    input sequence where a repeated (action, data) yields a different
-    output. [shared] selects a batch-shared operand (see {!Fc_monitor.add});
-    [lanes] switches to the multiple-input-batch monitor of Sec. IV.B
-    ({!Fc_monitor.add_batch}). [reduce] (default true, on every check) runs
-    the structural reduction pipeline ({!Logic.Reduce}) on the bit-blasted
-    relation first; verdicts and counterexample depths are identical
-    either way. [sweep] (default false, on every check) additionally
-    enables SAT sweeping inside that pipeline — equivalence-preserving but
-    not always a win, see {!Bmc.Engine.prepare}. *)
-
-val response_bound :
-  ?max_depth:int ->
-  ?cnt_width:int ->
-  tau:int ->
-  ?in_min:int ->
-  ?starvation_bound:int ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?solver:Bmc.Engine.solver_config ->
-  ?store:Store.t ->
-  ?reduce:bool ->
-  ?sweep:bool ->
-  (unit -> Iface.t) -> report
-(** The RB check (Def. 3 / Sec. IV.C): both the response property and the
-    no-starvation property are checked (as their conjunction). *)
-
-val single_action :
-  ?max_depth:int ->
-  spec:(Rtl.Ir.signal -> Rtl.Ir.signal) ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?solver:Bmc.Engine.solver_config ->
-  ?store:Store.t ->
-  ?reduce:bool ->
-  ?sweep:bool ->
-  (unit -> Iface.t) -> report
-(** The SAC check (Def. 7) against a combinational [spec].
-
-    On every check, [portfolio] (default 1) races that many diversified
-    solver configurations per BMC run and keeps the first answer — see
-    {!Bmc.Engine.check}. [solver] (default {!Bmc.Engine.default_config})
-    selects the solver configuration — restart strategy and between-frame
-    inprocessing; every configuration returns the same verdict at the same
-    depth, so it is a speed knob only (CLI [--restarts] /
-    [--no-inprocess]).
-
-    On every check, [store] (CLI [--store DIR]) consults the persistent
-    content-addressed verdict store before solving and writes the
-    (certified) result back after — see {!run_obligation} for the trust
-    model. *)
-
-val verify :
-  ?max_depth:int ->
-  ?cnt_width:int ->
-  tau:int ->
-  ?in_min:int ->
-  ?shared:(Iface.t -> Rtl.Ir.signal) ->
-  ?spec:(Rtl.Ir.signal -> Rtl.Ir.signal) ->
-  ?portfolio:int ->
-  ?certify:bool ->
-  ?solver:Bmc.Engine.solver_config ->
-  ?store:Store.t ->
-  ?reduce:bool ->
-  ?sweep:bool ->
-  (unit -> Iface.t) -> report list
-(** The full A-QED flow: FC, then RB, then SAC when a [spec] is provided.
-    Stops at the first [Bug] (reports up to that point are returned,
-    bug last), since the paper's flow debugs one counterexample at a time.
-    [portfolio] is threaded to every underlying check — each BMC run races
-    that many diversified solver configurations ({!Bmc.Engine.check}). *)
-
 val found_bug : report -> bool
 val trace_length : report -> int option
 (** Counterexample length in cycles, when a bug was found. *)
@@ -156,7 +77,15 @@ val pp_report : Format.formatter -> report -> unit
     A {!obligation} packages one of them {e unsolved}: the instrumentation
     recipe plus solve parameters. {!run_batch} fans a list of them across a
     {!Parallel.Pool} of domains and returns the reports in input order,
-    whatever the scheduling. *)
+    whatever the scheduling.
+
+    Every [prepare_*] takes [max_depth] (the BMC bound, default 32),
+    [reduce] (default true), which runs the structural reduction pipeline
+    ({!Logic.Reduce}) on the bit-blasted relation first — verdicts and
+    counterexample depths are identical either way — and [sweep] (default
+    false), which additionally enables SAT sweeping inside that pipeline —
+    equivalence-preserving but not always a win, see
+    {!Bmc.Engine.prepare}. *)
 
 type obligation
 
@@ -171,8 +100,12 @@ val prepare_fc :
   ?reduce:bool ->
   ?sweep:bool ->
   (unit -> Iface.t) -> obligation
-(** {!functional_consistency}, packaged instead of run. [name] labels the
-    batch entry (default ["FC"]). *)
+(** The specification-free A-QED check (Def. 2 / Fig. 4): searches for an
+    input sequence where a repeated (action, data) yields a different
+    output. [shared] selects a batch-shared operand (see {!Fc_monitor.add});
+    [lanes] switches to the multiple-input-batch monitor of Sec. IV.B
+    ({!Fc_monitor.add_batch}). [name] labels the batch entry (default
+    ["FC"]). *)
 
 val prepare_rb :
   ?name:string ->
@@ -184,6 +117,8 @@ val prepare_rb :
   ?reduce:bool ->
   ?sweep:bool ->
   (unit -> Iface.t) -> obligation
+(** The RB check (Def. 3 / Sec. IV.C): both the response property and the
+    no-starvation property are checked (as their conjunction). *)
 
 val prepare_sac :
   ?name:string ->
@@ -192,6 +127,7 @@ val prepare_sac :
   ?reduce:bool ->
   ?sweep:bool ->
   (unit -> Iface.t) -> obligation
+(** The SAC check (Def. 7) against a combinational [spec]. *)
 
 val run_obligation :
   ?portfolio:int -> ?certify:bool -> ?solver:Bmc.Engine.solver_config ->
@@ -200,8 +136,17 @@ val run_obligation :
 (** Solves one obligation on the calling domain (the sequential baseline
     the batch driver is measured against).
 
-    With [store], the persistent verdict store is consulted first, keyed
-    by {!Bmc.Engine.prepared_key} extended with a config fingerprint
+    [portfolio] (default 1) races that many diversified solver
+    configurations and keeps the first answer — see {!Bmc.Engine.check}.
+    [solver] (default {!Bmc.Engine.default_config}) selects the solver
+    configuration — restart strategy and between-frame inprocessing; every
+    configuration returns the same verdict at the same depth, so it is a
+    speed knob only (CLI [--restarts] / [--no-inprocess]).
+
+    With [store] (CLI [--store DIR]), the persistent content-addressed
+    verdict store is consulted before solving and the (certified) result
+    written back after. The lookup is keyed by
+    {!Bmc.Engine.prepared_key} extended with a config fingerprint
     ({!Store.fingerprint}: format version, check kind, reduce/sweep/
     certify/solver options) — so a verdict is never reused across
     configurations that could produce different reports. A hit is trusted
@@ -223,6 +168,16 @@ val run_obligation :
     thousand propagations. The flag is only ever {e read} here — a
     portfolio win never writes it back — so one flag can be shared across
     obligations or reused after a reset to [false]. *)
+
+val verify :
+  ?portfolio:int -> ?store:Store.t -> obligation list -> report list
+(** The paper's flow (Sec. IV, Table 1): runs the obligations in order on
+    the calling domain, each through {!run_obligation} with [portfolio]
+    and [store], and stops after the first [Bug] — the paper's flow debugs one
+    counterexample at a time. Returns the reports up to that point, the
+    bug last. The caller picks the order and each obligation's builder
+    (say, FC, then RB on a builder that assumes the clock enable, then
+    SAC). *)
 
 type batch_entry = {
   entry_name : string;

@@ -42,7 +42,7 @@ val add :
     stream positions the monitor can distinguish; it must satisfy
     [2^cnt_width > bmc_depth]. The monitor's marks and constraints are added
     to the design's circuit; run BMC on [prop] afterwards
-    (see {!Check.functional_consistency}). *)
+    (see {!Check.prepare_fc}). *)
 
 val add_batch :
   ?cnt_width:int ->

@@ -48,4 +48,4 @@ val recommended_tau : Ast.func -> int
 
 val shared_signal : Aqed.Iface.t -> string -> Rtl.Ir.signal
 (** The primary-input wire of a shared parameter, for
-    {!Aqed.Check.functional_consistency}'s [shared] argument. *)
+    {!Aqed.Check.prepare_fc}'s [shared] argument. *)

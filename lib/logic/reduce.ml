@@ -111,9 +111,6 @@ let compute_coi aig ~bad ~assumes ~(latches : latch array) ~cur_index ~is_const 
   drain ();
   (marked, latch_needed)
 
-let mark_all aig ~(latches : latch array) =
-  (Array.make (Aig.nb_nodes aig) true, Array.make (Array.length latches) true)
-
 (* ---- pass 2: ternary constant propagation from reset ------------------- *)
 
 (* Greatest fixpoint over the latch lattice: start every (active) latch at
@@ -151,10 +148,17 @@ let const_scan aig ~(latches : latch array) ~cur_index ~active =
 
 (* ---- pass 3: SAT sweeping ---------------------------------------------- *)
 
-(* xorshift64*; deterministic for a fixed seed so reduced graphs (and the
-   obligation-cache keys derived from them) are stable across runs. *)
-let make_rng seed =
-  let st = ref (if seed = 0 then 0x9E3779B97F4A7 else seed) in
+(* The sweep's fixed parameters: random simulation words used to split
+   candidate classes, the per-query conflict budget, and how many class
+   members a node is compared against before giving up. *)
+let sweep_rounds = 3
+let sweep_limit = 1000
+let sweep_cap = 4
+
+(* xorshift64* from a fixed seed, so reduced graphs (and the store keys
+   derived from them) are stable across runs. *)
+let make_rng () =
+  let st = ref 1 in
   fun () ->
     let x = !st in
     let x = x lxor (x lsl 13) in
@@ -175,10 +179,10 @@ type sweep_counters = {
    filter candidates — correctness rests solely on the SAT queries, which
    prove equivalence over *all* input assignments. Returns the new graph
    and the total g1-node -> new-edge map. *)
-let sweep_pass g1 ~rounds ~limit ~cap ~seed ~counters =
+let sweep_pass g1 ~counters =
   let n = Aig.nb_nodes g1 in
-  let rand = make_rng seed in
-  let sigs = Array.init (max 1 rounds) (fun _ -> Sim.run g1 ~input:(fun _ -> rand ())) in
+  let rand = make_rng () in
+  let sigs = Array.init sweep_rounds (fun _ -> Sim.run g1 ~input:(fun _ -> rand ())) in
   let phase = Array.make n false in
   let key_of idx =
     let ph = sigs.(0).(idx) land 1 = 1 in
@@ -221,7 +225,7 @@ let sweep_pass g1 ~rounds ~limit ~cap ~seed ~counters =
         let mems = members key in
         let rec try_merge tried = function
           | [] -> ()
-          | _ when tried >= cap -> ()
+          | _ when tried >= sweep_cap -> ()
           | m :: rest ->
             let d = phase.(idx) <> phase.(m) in
             let li = lit_of idx in
@@ -229,12 +233,12 @@ let sweep_pass g1 ~rounds ~limit ~cap ~seed ~counters =
             let lm' = if d then -lm else lm in
             counters.queries <- counters.queries + 1;
             Telemetry.Counter.incr m_sweep_queries;
-            (match Sat.Solver.solve_limited solver ~assumptions:[ li; -lm' ] ~conflicts:limit with
+            (match Sat.Solver.solve_limited solver ~assumptions:[ li; -lm' ] ~conflicts:sweep_limit with
              | Some Sat.Solver.Unsat -> (
                  counters.queries <- counters.queries + 1;
                  Telemetry.Counter.incr m_sweep_queries;
                  match
-                   Sat.Solver.solve_limited solver ~assumptions:[ -li; lm' ] ~conflicts:limit
+                   Sat.Solver.solve_limited solver ~assumptions:[ -li; lm' ] ~conflicts:sweep_limit
                  with
                  | Some Sat.Solver.Unsat ->
                    (* idx == m xor d under every assignment: reuse m's edge. *)
@@ -304,8 +308,7 @@ let extract g ~roots =
 
 (* ---- driver ------------------------------------------------------------- *)
 
-let run ?(coi = true) ?(constants = true) ?(sweep = true) ?(sweep_rounds = 3)
-    ?(sweep_limit = 1000) ?(sweep_cap = 4) ?(seed = 1) aig ~bad ~assumes
+let run ?(constants = true) ?(sweep = true) aig ~bad ~assumes
     ~(latches : latch array) =
   Telemetry.Span.with_ "reduce"
     ~args:[ ("nodes", Telemetry.Int (Aig.nb_nodes aig)) ]
@@ -321,10 +324,8 @@ let run ?(coi = true) ?(constants = true) ?(sweep = true) ?(sweep_rounds = 3)
     latches;
   (* Pass 1: cone of influence. *)
   let marked, latch_needed =
-    if coi then
-      Telemetry.Span.with_ "reduce.coi" @@ fun () ->
-      compute_coi aig ~bad ~assumes ~latches ~cur_index ~is_const:(fun _ -> false)
-    else mark_all aig ~latches
+    Telemetry.Span.with_ "reduce.coi" @@ fun () ->
+    compute_coi aig ~bad ~assumes ~latches ~cur_index ~is_const:(fun _ -> false)
   in
   let coi_dropped =
     Array.fold_left (fun acc k -> if k then acc else acc + 1) 0 latch_needed
@@ -344,7 +345,7 @@ let run ?(coi = true) ?(constants = true) ?(sweep = true) ?(sweep_rounds = 3)
   (* Constant latches have no transition logic left: re-run COI without
      them so their next-state cones stop holding nodes live. *)
   let marked, latch_needed =
-    if coi && n_const > 0 then
+    if n_const > 0 then
       compute_coi aig ~bad ~assumes ~latches ~cur_index
         ~is_const:(fun li -> const_latch.(li) <> None)
     else (marked, latch_needed)
@@ -373,8 +374,7 @@ let run ?(coi = true) ?(constants = true) ?(sweep = true) ?(sweep_rounds = 3)
   let g2, map2 =
     if sweep then
       Telemetry.Span.with_ "reduce.sweep" @@ fun () ->
-      sweep_pass g1 ~rounds:sweep_rounds ~limit:sweep_limit ~cap:sweep_cap ~seed
-        ~counters
+      sweep_pass g1 ~counters
     else (g1, Array.init (Aig.nb_nodes g1) Aig.node_lit)
   in
   (* Into-g2 composition for the surviving roots. *)

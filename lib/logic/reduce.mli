@@ -10,9 +10,10 @@
     preserved by every pass, so BMC verdicts and counterexample depths are
     unchanged (DESIGN.md §10 gives the per-pass argument).
 
-    The pipeline is deterministic for a fixed [seed], so structurally equal
-    inputs reduce to structurally equal outputs — obligation-cache keys may
-    be computed over the reduced graph. *)
+    The pipeline is deterministic (the sweep's simulation seed is fixed),
+    so structurally equal inputs reduce to structurally equal outputs —
+    store keys ([Bmc.Engine.prepared_key]) may be computed over the reduced
+    graph. *)
 
 (** One latch, bit-level: current-state input node, next-state function
     edge, reset value. *)
@@ -45,13 +46,8 @@ val map : t -> Aig.lit -> Aig.lit option
     outside the cone of influence (its value cannot affect any root). *)
 
 val run :
-  ?coi:bool ->
   ?constants:bool ->
   ?sweep:bool ->
-  ?sweep_rounds:int ->
-  ?sweep_limit:int ->
-  ?sweep_cap:int ->
-  ?seed:int ->
   Aig.t ->
   bad:Aig.lit ->
   assumes:Aig.lit list ->
@@ -61,11 +57,10 @@ val run :
     the [bad] edge, the [assumes] edges and the latch transition functions.
     Latch [cur] nodes must be input nodes (as produced by the bit-blaster).
 
-    [coi], [constants], [sweep] switch individual passes (all on by
-    default). [sweep_rounds] is the number of random simulation words used
-    to split classes, [sweep_limit] the per-query conflict budget,
-    [sweep_cap] how many class members a node is compared against before
-    giving up, [seed] the simulation RNG seed.
+    [constants] and [sweep] switch individual passes (both on by default;
+    the cone of influence is always restricted). The sweep splits classes
+    with three random simulation words, gives each query a 1000-conflict
+    budget and compares a node against at most four class members.
 
     Note [constants] folds knowledge about {e reachable} states into the
     graph: sound for searches whose frame chain is rooted at reset (bounded

@@ -502,47 +502,35 @@ let m_generated = Telemetry.Counter.make "mutate.generated"
 let m_killed = Telemetry.Counter.make "mutate.killed"
 let m_survived = Telemetry.Counter.make "mutate.survived"
 
-(* First-detection flow on one screened-in mutant: FC, then RB, then SAC —
-   the order the paper's flow runs them — stopping at the first kill. *)
+(* First-detection flow on one screened-in mutant: FC, then RB (on the
+   RB builder), then SAC — the order the paper's flow runs them — stopping
+   at the first kill. *)
 let first_detection ?(max_depth = 12) ?(portfolio = 1) ?store t m =
-  let detect (r : Aqed.Check.report) =
-    match r.Aqed.Check.verdict with
-    | Aqed.Check.Bug trace ->
-      Some
+  let reports =
+    Aqed.Check.verify ~portfolio ?store
+      ([ Aqed.Check.prepare_fc ~max_depth ?shared:t.shared
+           (mutant_build t.build m);
+         Aqed.Check.prepare_rb ~max_depth ~tau:t.tau
+           (mutant_build t.build_rb m) ]
+       @
+       match t.spec with
+       | None -> []
+       | Some spec ->
+         [ Aqed.Check.prepare_sac ~max_depth ~spec (mutant_build t.build m) ])
+  in
+  let wall =
+    List.fold_left (fun acc r -> acc +. r.Aqed.Check.wall_time) 0. reports
+  in
+  match List.rev reports with
+  | { Aqed.Check.verdict = Aqed.Check.Bug trace; check; wall_time; _ } :: _ ->
+    ( Killed
         {
-          killed_by = r.Aqed.Check.check;
+          killed_by = check;
           kill_depth = Bmc.Trace.length trace;
-          kill_wall = r.Aqed.Check.wall_time;
-        }
-    | Aqed.Check.No_bug_up_to _ -> None
-  in
-  let fc =
-    Aqed.Check.functional_consistency ~max_depth ?shared:t.shared ~portfolio
-      ?store (mutant_build t.build m)
-  in
-  let wall = ref fc.Aqed.Check.wall_time in
-  match detect fc with
-  | Some d -> (Killed d, !wall)
-  | None -> (
-      let rb =
-        Aqed.Check.response_bound ~max_depth ~tau:t.tau ~portfolio ?store
-          (mutant_build t.build_rb m)
-      in
-      wall := !wall +. rb.Aqed.Check.wall_time;
-      match detect rb with
-      | Some d -> (Killed d, !wall)
-      | None -> (
-          match t.spec with
-          | None -> (Survived, !wall)
-          | Some spec -> (
-              let sac =
-                Aqed.Check.single_action ~max_depth ~spec ~portfolio ?store
-                  (mutant_build t.build m)
-              in
-              wall := !wall +. sac.Aqed.Check.wall_time;
-              match detect sac with
-              | Some d -> (Killed d, !wall)
-              | None -> (Survived, !wall))))
+          kill_wall = wall_time;
+        },
+      wall )
+  | _ -> (Survived, wall)
 
 let run ?ops ?(seed = 0) ?limit ?budget ?max_depth ?jobs ?pool ?portfolio
     ?store t =

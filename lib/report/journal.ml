@@ -6,8 +6,7 @@
                       contribution.
    - ["obligation"] — one solved A-QED obligation, keyed by the structural
                       hash of its prepared (reduced) instance — the same
-                      digest the in-process obligation cache uses, and the
-                      key the planned persistent verdict cache will reuse.
+                      digest the persistent store keys its verdicts by.
    - ["mutant"]     — one mutant from a fault-injection campaign.
 
    The schema is versioned; [load] accepts only the current version and

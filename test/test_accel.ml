@@ -106,12 +106,14 @@ let aqed_for_bug bug =
   let _, expect = M.bug_info bug in
   let build () = M.build ~bug cfg () in
   let build_enabled () = M.build ~bug ~assume_enabled:true cfg () in
-  match expect with
-  | "FC" -> Aqed.Check.functional_consistency ~max_depth:14 build
-  | "RB" ->
-    Aqed.Check.response_bound ~max_depth:16 ~tau:(M.tau cfg) build_enabled
-  | "SAC" -> Aqed.Check.single_action ~max_depth:10 ~spec:(M.spec_rtl cfg) build
-  | other -> Alcotest.fail ("unknown check " ^ other)
+  Aqed.Check.run_obligation
+    (match expect with
+     | "FC" -> Aqed.Check.prepare_fc ~max_depth:14 build
+     | "RB" ->
+       Aqed.Check.prepare_rb ~max_depth:16 ~tau:(M.tau cfg) build_enabled
+     | "SAC" ->
+       Aqed.Check.prepare_sac ~max_depth:10 ~spec:(M.spec_rtl cfg) build
+     | other -> Alcotest.fail ("unknown check " ^ other))
 
 let test_every_bug_detected () =
   List.iter
@@ -125,13 +127,15 @@ let test_clean_configs_pass () =
   List.iter
     (fun cfg ->
       let fc =
-        Aqed.Check.functional_consistency ~max_depth:8 (fun () -> M.build cfg ())
+        Aqed.Check.run_obligation
+          (Aqed.Check.prepare_fc ~max_depth:8 (fun () -> M.build cfg ()))
       in
       Alcotest.(check bool) (M.config_name cfg ^ " FC clean") false
         (Aqed.Check.found_bug fc);
       let rb =
-        Aqed.Check.response_bound ~max_depth:10 ~tau:(M.tau cfg)
-          (fun () -> M.build ~assume_enabled:true cfg ())
+        Aqed.Check.run_obligation
+          (Aqed.Check.prepare_rb ~max_depth:10 ~tau:(M.tau cfg)
+             (fun () -> M.build ~assume_enabled:true cfg ()))
       in
       Alcotest.(check bool) (M.config_name cfg ^ " RB clean") false
         (Aqed.Check.found_bug rb))
@@ -139,8 +143,9 @@ let test_clean_configs_pass () =
 
 let test_fig2_bug_fc () =
   let r =
-    Aqed.Check.functional_consistency ~max_depth:16
-      (fun () -> Accel.Fig2.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:16
+         (fun () -> Accel.Fig2.build ~bug:true ()))
   in
   Alcotest.(check bool) "fig2 bug found" true (Aqed.Check.found_bug r);
   (* The counterexample must involve a clock_enable pause. *)
@@ -160,32 +165,37 @@ let test_fig2_bug_fc () =
 
 let test_dataflow_rb_bug () =
   let r =
-    Aqed.Check.response_bound ~max_depth:16 ~tau:Accel.Dataflow.tau
-      (fun () -> Accel.Dataflow.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_rb ~max_depth:16 ~tau:Accel.Dataflow.tau
+         (fun () -> Accel.Dataflow.build ~bug:true ()))
   in
   Alcotest.(check bool) "dataflow RB bug" true (Aqed.Check.found_bug r);
   let clean =
-    Aqed.Check.response_bound ~max_depth:10 ~tau:Accel.Dataflow.tau
-      (fun () -> Accel.Dataflow.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_rb ~max_depth:10 ~tau:Accel.Dataflow.tau
+         (fun () -> Accel.Dataflow.build ()))
   in
   Alcotest.(check bool) "dataflow clean" false (Aqed.Check.found_bug clean)
 
 let test_optflow_rb_bug () =
   let r =
-    Aqed.Check.response_bound ~max_depth:14 ~tau:Accel.Optflow.tau
-      (fun () -> Accel.Optflow.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_rb ~max_depth:14 ~tau:Accel.Optflow.tau
+         (fun () -> Accel.Optflow.build ~bug:true ()))
   in
   Alcotest.(check bool) "optflow RB bug" true (Aqed.Check.found_bug r);
   let clean =
-    Aqed.Check.response_bound ~max_depth:10 ~tau:Accel.Optflow.tau
-      (fun () -> Accel.Optflow.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_rb ~max_depth:10 ~tau:Accel.Optflow.tau
+         (fun () -> Accel.Optflow.build ()))
   in
   Alcotest.(check bool) "optflow clean" false (Aqed.Check.found_bug clean)
 
 let test_gsm_fc_bug () =
   let r =
-    Aqed.Check.functional_consistency ~max_depth:14
-      (fun () -> Accel.Gsm.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:14
+         (fun () -> Accel.Gsm.build ~bug:true ()))
   in
   Alcotest.(check bool) "gsm FC bug" true (Aqed.Check.found_bug r)
 
@@ -193,9 +203,9 @@ let test_aes_v3_bmc () =
   (* One buggy version through full BMC (the bench runs all four; v3 has
      the shallowest counterexample). *)
   let r =
-    Aqed.Check.functional_consistency ~max_depth:14
-      ~shared:Accel.Aes.shared_key
-      (fun () -> Accel.Aes.build ~version:3 ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:14 ~shared:Accel.Aes.shared_key
+         (fun () -> Accel.Aes.build ~version:3 ()))
   in
   Alcotest.(check bool) "aes v3 FC bug" true (Aqed.Check.found_bug r)
 
@@ -241,8 +251,9 @@ let test_aes_versions_misbehave_in_sim () =
 
 let test_aes_clean () =
   let r =
-    Aqed.Check.functional_consistency ~max_depth:8 ~shared:Accel.Aes.shared_key
-      (fun () -> Accel.Aes.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:8 ~shared:Accel.Aes.shared_key
+         (fun () -> Accel.Aes.build ()))
   in
   Alcotest.(check bool) "aes clean" false (Aqed.Check.found_bug r)
 
@@ -251,22 +262,31 @@ let test_dualpath_fc () =
      so FC catches it; the self-check (shadow datapath) cannot. Run with
      sweeping on: the shadow cone must not change the verdict. *)
   let r =
-    Aqed.Check.functional_consistency ~max_depth:12 ~sweep:true
-      (fun () -> Accel.Dualpath.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:12 ~sweep:true
+         (fun () -> Accel.Dualpath.build ~bug:true ()))
   in
   Alcotest.(check bool) "dualpath FC bug" true (Aqed.Check.found_bug r);
   let clean =
-    Aqed.Check.functional_consistency ~max_depth:8 ~sweep:true
-      (fun () -> Accel.Dualpath.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:8 ~sweep:true
+         (fun () -> Accel.Dualpath.build ()))
   in
   Alcotest.(check bool) "dualpath clean" false (Aqed.Check.found_bug clean)
 
+(* FC, RB and SAC obligations for one memctrl configuration, in the flow's
+   order; each check takes its own builder. *)
+let flow ~max_depth cfg ~fc ~rb ~sac =
+  [ Aqed.Check.prepare_fc ~max_depth fc;
+    Aqed.Check.prepare_rb ~max_depth ~tau:(M.tau cfg) rb;
+    Aqed.Check.prepare_sac ~max_depth ~spec:(M.spec_rtl cfg) sac ]
+
 let test_verify_flow () =
   (* Check.verify chains FC -> RB -> SAC (Proposition 1's three premises). *)
+  let build () = M.build ~assume_enabled:true M.Line_buffer () in
   let clean =
-    Aqed.Check.verify ~max_depth:8 ~tau:(M.tau M.Line_buffer)
-      ~spec:(M.spec_rtl M.Line_buffer)
-      (fun () -> M.build ~assume_enabled:true M.Line_buffer ())
+    Aqed.Check.verify
+      (flow ~max_depth:8 M.Line_buffer ~fc:build ~rb:build ~sac:build)
   in
   Alcotest.(check int) "three reports on a clean design" 3 (List.length clean);
   Alcotest.(check (list string)) "order" [ "FC"; "RB"; "SAC" ]
@@ -274,16 +294,42 @@ let test_verify_flow () =
   Alcotest.(check bool) "all clean" true
     (List.for_all (fun r -> not (Aqed.Check.found_bug r)) clean);
   (* A buggy design stops the flow at the first detection. *)
+  let build () = M.build ~bug:M.Lb_window_index M.Line_buffer () in
   let buggy =
-    Aqed.Check.verify ~max_depth:10 ~tau:(M.tau M.Line_buffer)
-      ~spec:(M.spec_rtl M.Line_buffer)
-      (fun () -> M.build ~bug:M.Lb_window_index M.Line_buffer ())
+    Aqed.Check.verify
+      (flow ~max_depth:10 M.Line_buffer ~fc:build ~rb:build ~sac:build)
   in
   (match List.rev buggy with
    | last :: _ ->
      Alcotest.(check bool) "flow ends on the detection" true
        (Aqed.Check.found_bug last)
    | [] -> Alcotest.fail "no reports")
+
+let test_verify_flow_rb_builder () =
+  (* Table 1's flow: RB runs on the builder that assumes the clock enable,
+     FC and SAC on the plain one. ctrl_turn_skip passes FC and fails RB, so
+     the flow stops there and never builds the SAC instance. *)
+  let bug = M.Ctrl_turn_skip in
+  let sac_built = ref false in
+  let reports =
+    Aqed.Check.verify
+      (flow ~max_depth:8 M.Fifo_mode
+         ~fc:(fun () -> M.build ~bug M.Fifo_mode ())
+         ~rb:(fun () -> M.build ~bug ~assume_enabled:true M.Fifo_mode ())
+         ~sac:(fun () ->
+           sac_built := true;
+           M.build ~bug M.Fifo_mode ()))
+  in
+  let summary (r : Aqed.Check.report) =
+    match r.Aqed.Check.verdict with
+    | Aqed.Check.Bug t ->
+      Printf.sprintf "%s bug@%d" r.Aqed.Check.check (Bmc.Trace.length t)
+    | Aqed.Check.No_bug_up_to k ->
+      Printf.sprintf "%s clean@%d" r.Aqed.Check.check k
+  in
+  Alcotest.(check (list string)) "FC clean, RB bug"
+    [ "FC clean@8"; "RB bug@8" ] (List.map summary reports);
+  Alcotest.(check bool) "SAC never ran" false !sac_built
 
 let test_bug_registry_consistency () =
   Alcotest.(check int) "16 bugs" 16 (List.length M.all_bugs);
@@ -323,4 +369,6 @@ let suite =
       Alcotest.test_case "aes v3 FC bug (BMC)" `Slow test_aes_v3_bmc;
       Alcotest.test_case "aes v1/v2/v4 misbehave in sim" `Quick test_aes_versions_misbehave_in_sim;
       Alcotest.test_case "aes clean" `Slow test_aes_clean;
+      Alcotest.test_case "verify flow stops at RB (own builder)" `Slow
+        test_verify_flow_rb_builder;
     ] )

@@ -32,15 +32,17 @@ let test_simd_bug_visible_in_sim () =
 
 let test_batch_monitor_finds_bug () =
   let r =
-    Aqed.Check.functional_consistency ~max_depth:12 ~lanes:S.lanes
-      (fun () -> S.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:12 ~lanes:S.lanes
+         (fun () -> S.build ~bug:true ()))
   in
   Alcotest.(check bool) "batch FC bug found" true (Aqed.Check.found_bug r)
 
 let test_batch_monitor_clean () =
   let r =
-    Aqed.Check.functional_consistency ~max_depth:10 ~lanes:S.lanes
-      (fun () -> S.build ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 ~lanes:S.lanes
+         (fun () -> S.build ()))
   in
   Alcotest.(check bool) "clean SIMD passes" false (Aqed.Check.found_bug r)
 
@@ -49,12 +51,13 @@ let test_batch_beats_scalar_depth () =
      repeated across transactions), but the batch monitor can use a
      same-batch duplicate, so its counterexample is never longer. *)
   let batch =
-    Aqed.Check.functional_consistency ~max_depth:14 ~lanes:S.lanes
-      (fun () -> S.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:14 ~lanes:S.lanes
+         (fun () -> S.build ~bug:true ()))
   in
   let scalar =
-    Aqed.Check.functional_consistency ~max_depth:14
-      (fun () -> S.build ~bug:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:14 (fun () -> S.build ~bug:true ()))
   in
   match Aqed.Check.trace_length batch, Aqed.Check.trace_length scalar with
   | Some b, Some s ->

@@ -27,7 +27,10 @@ let echo ?(twist = false) () =
     ~out_data:value ~out_ready ()
 
 let test_accessors () =
-  let bug = Aqed.Check.functional_consistency ~max_depth:10 (fun () -> echo ~twist:true ()) in
+  let bug =
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 (fun () -> echo ~twist:true ()))
+  in
   Alcotest.(check bool) "found_bug true" true (Aqed.Check.found_bug bug);
   (match Aqed.Check.trace_length bug with
    | Some n -> Alcotest.(check bool) "positive length" true (n > 0)
@@ -35,25 +38,37 @@ let test_accessors () =
   Alcotest.(check string) "check name" "FC" bug.Aqed.Check.check;
   Alcotest.(check bool) "frames counted" true (bug.Aqed.Check.bmc_frames > 0);
   Alcotest.(check bool) "aig measured" true (bug.Aqed.Check.aig_nodes > 0);
-  let clean = Aqed.Check.functional_consistency ~max_depth:6 (fun () -> echo ()) in
+  let clean =
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:6 (fun () -> echo ()))
+  in
   Alcotest.(check bool) "found_bug false" false (Aqed.Check.found_bug clean);
   Alcotest.(check (option int)) "no trace" None (Aqed.Check.trace_length clean)
 
 let test_deep_bound_counters_safe () =
   (* At depth 20 the auto-sized monitor counters must not wrap (a wrap could
      alias stream positions and fabricate a violation on a clean design). *)
-  let r = Aqed.Check.functional_consistency ~max_depth:20 (fun () -> echo ()) in
+  let r =
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:20 (fun () -> echo ()))
+  in
   Alcotest.(check bool) "clean at depth 20" false (Aqed.Check.found_bug r)
 
 let test_explicit_narrow_counter_rejected_semantics () =
   (* Forcing a 2-bit counter at depth 10 wraps; the check may then report
      nonsense — the API allows it (useful for the ablation) but the default
      must not. This test documents that the DEFAULT sizing is sound. *)
-  let auto = Aqed.Check.functional_consistency ~max_depth:10 (fun () -> echo ()) in
+  let auto =
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 (fun () -> echo ()))
+  in
   Alcotest.(check bool) "auto width sound" false (Aqed.Check.found_bug auto)
 
 let test_pp_report () =
-  let bug = Aqed.Check.functional_consistency ~max_depth:10 (fun () -> echo ~twist:true ()) in
+  let bug =
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 (fun () -> echo ~twist:true ()))
+  in
   let text = Format.asprintf "%a" Aqed.Check.pp_report bug in
   let contains needle =
     let n = String.length needle and h = String.length text in
@@ -68,8 +83,8 @@ let test_certified_reports () =
   (* ~certify:true must attach a certificate to both verdicts; the default
      path stays Uncertified. *)
   let bug =
-    Aqed.Check.functional_consistency ~max_depth:10 ~certify:true
-      (fun () -> echo ~twist:true ())
+    Aqed.Check.run_obligation ~certify:true
+      (Aqed.Check.prepare_fc ~max_depth:10 (fun () -> echo ~twist:true ()))
   in
   (match bug.Aqed.Check.certificate with
    | Aqed.Check.Replayed c ->
@@ -77,13 +92,16 @@ let test_certified_reports () =
        (Some (c + 1)) (Aqed.Check.trace_length bug)
    | _ -> Alcotest.fail "expected a Replayed certificate on the bug");
   let clean =
-    Aqed.Check.functional_consistency ~max_depth:6 ~certify:true
-      (fun () -> echo ())
+    Aqed.Check.run_obligation ~certify:true
+      (Aqed.Check.prepare_fc ~max_depth:6 (fun () -> echo ()))
   in
   (match clean.Aqed.Check.certificate with
    | Aqed.Check.Rup_certified 6 -> ()
    | _ -> Alcotest.fail "expected Rup_certified to depth 6 on the clean run");
-  let plain = Aqed.Check.functional_consistency ~max_depth:6 (fun () -> echo ()) in
+  let plain =
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:6 (fun () -> echo ()))
+  in
   Alcotest.(check bool) "uncertified by default" true
     (plain.Aqed.Check.certificate = Aqed.Check.Uncertified)
 
@@ -113,7 +131,8 @@ let test_certified_memctrl_obligation () =
 let test_rb_tau_validation () =
   Alcotest.(check bool) "tau >= 1 enforced" true
     (match
-       Aqed.Check.response_bound ~max_depth:4 ~tau:0 (fun () -> echo ())
+       Aqed.Check.run_obligation
+         (Aqed.Check.prepare_rb ~max_depth:4 ~tau:0 (fun () -> echo ()))
      with
      | _ -> false
      | exception Invalid_argument _ -> true)

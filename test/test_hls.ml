@@ -176,8 +176,9 @@ let test_bug_knobs_break_fc () =
   List.iter
     (fun (name, bug, f) ->
       let r =
-        Aqed.Check.functional_consistency ~max_depth:14
-          (fun () -> Hls.Codegen.to_rtl ~bug f)
+        Aqed.Check.run_obligation
+          (Aqed.Check.prepare_fc ~max_depth:14
+             (fun () -> Hls.Codegen.to_rtl ~bug f))
       in
       Alcotest.(check bool) (name ^ " found") true (Aqed.Check.found_bug r))
     [
@@ -189,8 +190,8 @@ let test_bug_knobs_break_fc () =
 
 let test_clean_codegen_passes_fc () =
   let r =
-    Aqed.Check.functional_consistency ~max_depth:8
-      (fun () -> Hls.Codegen.to_rtl tiny)
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:8 (fun () -> Hls.Codegen.to_rtl tiny))
   in
   Alcotest.(check bool) "clean" false (Aqed.Check.found_bug r)
 
@@ -239,8 +240,9 @@ let test_pipelined_backpressure () =
 
 let test_pipelined_fc_clean () =
   let r =
-    Aqed.Check.functional_consistency ~max_depth:9
-      (fun () -> Hls.Codegen.to_rtl ~style:Hls.Codegen.Pipelined tiny)
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:9
+         (fun () -> Hls.Codegen.to_rtl ~style:Hls.Codegen.Pipelined tiny))
   in
   Alcotest.(check bool) "pipelined tiny FC-clean" false (Aqed.Check.found_bug r)
 

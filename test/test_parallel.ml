@@ -209,12 +209,12 @@ let test_batch_matches_sequential () =
 
 let test_portfolio_matches_single () =
   let single =
-    Aqed.Check.functional_consistency ~max_depth:10
-      (fun () -> echo ~twist:true ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:10 (fun () -> echo ~twist:true ()))
   in
   let raced =
-    Aqed.Check.functional_consistency ~max_depth:10 ~portfolio:3
-      (fun () -> echo ~twist:true ())
+    Aqed.Check.run_obligation ~portfolio:3
+      (Aqed.Check.prepare_fc ~max_depth:10 (fun () -> echo ~twist:true ()))
   in
   Alcotest.(check bool) "portfolio bug verdict matches" true
     (same_verdict single raced);
@@ -222,11 +222,12 @@ let test_portfolio_matches_single () =
     (Aqed.Check.trace_length single)
     (Aqed.Check.trace_length raced);
   let clean_single =
-    Aqed.Check.functional_consistency ~max_depth:6 (fun () -> echo ())
+    Aqed.Check.run_obligation
+      (Aqed.Check.prepare_fc ~max_depth:6 (fun () -> echo ()))
   in
   let clean_raced =
-    Aqed.Check.functional_consistency ~max_depth:6 ~portfolio:3
-      (fun () -> echo ())
+    Aqed.Check.run_obligation ~portfolio:3
+      (Aqed.Check.prepare_fc ~max_depth:6 (fun () -> echo ()))
   in
   Alcotest.(check bool) "portfolio clean verdict matches" true
     (same_verdict clean_single clean_raced)

@@ -261,18 +261,19 @@ let test_verdicts_unchanged () =
   let cases =
     [ ( "dualpath FC bug",
         fun reduce ->
-          Aqed.Check.functional_consistency ~max_depth:12 ~reduce
-            ~sweep:reduce
-            (fun () -> Accel.Dualpath.build ~bug:true ()) );
+          Aqed.Check.run_obligation
+            (Aqed.Check.prepare_fc ~max_depth:12 ~reduce ~sweep:reduce
+               (fun () -> Accel.Dualpath.build ~bug:true ())) );
       ( "dataflow RB bug",
         fun reduce ->
-          Aqed.Check.response_bound ~max_depth:16 ~tau:Accel.Dataflow.tau
-            ~reduce
-            (fun () -> Accel.Dataflow.build ~bug:true ()) );
+          Aqed.Check.run_obligation
+            (Aqed.Check.prepare_rb ~max_depth:16 ~tau:Accel.Dataflow.tau
+               ~reduce (fun () -> Accel.Dataflow.build ~bug:true ())) );
       ( "fifo FC clean",
         fun reduce ->
-          Aqed.Check.functional_consistency ~max_depth:6 ~reduce
-            (fun () -> Accel.Memctrl.build Accel.Memctrl.Fifo_mode ()) ) ]
+          Aqed.Check.run_obligation
+            (Aqed.Check.prepare_fc ~max_depth:6 ~reduce
+               (fun () -> Accel.Memctrl.build Accel.Memctrl.Fifo_mode ())) ) ]
   in
   List.iter
     (fun (name, run) ->

@@ -372,8 +372,9 @@ let test_disabled_records_nothing () =
   quiesced (fun () ->
       T.reset_events ();
       let run () =
-        Aqed.Check.functional_consistency ~max_depth:10 ~lanes:Accel.Simd.lanes
-          (fun () -> Accel.Simd.build ~bug:true ())
+        Aqed.Check.run_obligation
+          (Aqed.Check.prepare_fc ~max_depth:10 ~lanes:Accel.Simd.lanes
+             (fun () -> Accel.Simd.build ~bug:true ()))
       in
       let off = run () in
       Alcotest.(check int) "no events when disabled" 0 (T.nb_events ());
